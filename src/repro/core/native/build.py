@@ -85,8 +85,33 @@ def find_compiler() -> str | None:
     return None
 
 
+_compiler_versions: Dict[tuple[str, int, int], str] = {}
+_compiler_versions_lock = threading.Lock()
+
+
 def compiler_version(cc: str) -> str:
-    """First line of ``cc --version`` (used in the build signature)."""
+    """First line of ``cc --version`` (used in the build signature).
+
+    :func:`load_kernels` runs per engine pass, so the subprocess is spawned
+    once per compiler *binary* for the life of the process: the memo is keyed
+    by the resolved path with its ``st_mtime_ns`` and ``st_size``, and a
+    replaced or upgraded compiler is probed again.
+    """
+    try:
+        stat = os.stat(cc)
+    except OSError as exc:  # pragma: no cover - racing PATH changes
+        return f"unavailable ({exc})"
+    key = (os.path.realpath(cc), stat.st_mtime_ns, stat.st_size)
+    with _compiler_versions_lock:
+        version = _compiler_versions.get(key)
+    if version is None:
+        version = _probe_compiler_version(cc)
+        with _compiler_versions_lock:
+            _compiler_versions[key] = version
+    return version
+
+
+def _probe_compiler_version(cc: str) -> str:
     try:
         probe = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, check=False, timeout=30

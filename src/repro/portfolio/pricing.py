@@ -27,7 +27,7 @@ import numpy as np
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.utils.validation import ensure_non_negative
-from repro.ylt.metrics import RiskMetrics, compute_risk_metrics
+from repro.ylt.metrics import RiskMetrics, compute_risk_metrics, compute_risk_metrics_batch
 from repro.ylt.table import YearLossTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports Layer)
@@ -181,31 +181,16 @@ def loss_ratio(expected_loss: float, premium: float) -> float:
     return expected_loss / premium
 
 
-def price_layer(
-    layer: Layer,
-    year_losses: np.ndarray,
-    volatility_loading: float = 0.3,
-    expense_ratio: float = 0.15,
-) -> LayerPricing:
-    """Price a layer from its simulated year losses.
-
-    Parameters
-    ----------
-    layer:
-        The layer being priced (its aggregate limit feeds the rate on line).
-    year_losses:
-        Per-trial year losses of the layer from the aggregate analysis.
-    volatility_loading:
-        Multiplier ``k`` on the year-loss standard deviation.
-    expense_ratio:
-        Fraction of the premium consumed by expenses and profit margin,
-        in ``[0, 1)``.
-    """
+def _check_loadings(volatility_loading: float, expense_ratio: float) -> None:
     ensure_non_negative(volatility_loading, "volatility_loading")
     if not 0.0 <= expense_ratio < 1.0:
         raise ValueError(f"expense_ratio must be in [0, 1), got {expense_ratio}")
 
-    metrics = compute_risk_metrics(year_losses)
+
+def _pricing_from_metrics(
+    layer: Layer, metrics: RiskMetrics, volatility_loading: float, expense_ratio: float
+) -> LayerPricing:
+    """The technical-premium formula applied to a layer's computed metrics."""
     expected_loss = metrics.aal
     volatility_load = volatility_loading * metrics.std
     premium = (expected_loss + volatility_load) / (1.0 - expense_ratio)
@@ -227,6 +212,34 @@ def price_layer(
     )
 
 
+def price_layer(
+    layer: Layer,
+    year_losses: np.ndarray,
+    volatility_loading: float = 0.3,
+    expense_ratio: float = 0.15,
+) -> LayerPricing:
+    """Price a layer from its simulated year losses.
+
+    The one-layer case of :func:`price_program`.
+
+    Parameters
+    ----------
+    layer:
+        The layer being priced (its aggregate limit feeds the rate on line).
+    year_losses:
+        Per-trial year losses of the layer from the aggregate analysis.
+    volatility_loading:
+        Multiplier ``k`` on the year-loss standard deviation.
+    expense_ratio:
+        Fraction of the premium consumed by expenses and profit margin,
+        in ``[0, 1)``.
+    """
+    _check_loadings(volatility_loading, expense_ratio)
+    return _pricing_from_metrics(
+        layer, compute_risk_metrics(year_losses), volatility_loading, expense_ratio
+    )
+
+
 def price_program(
     program: ReinsuranceProgram,
     ylt: YearLossTable,
@@ -239,6 +252,9 @@ def price_program(
     ``ylt`` must be the engine output for exactly this program (one row per
     layer, in program order) — e.g. ``engine.run(program, yet).ylt`` or one
     element of :meth:`~repro.core.engine.AggregateRiskEngine.run_many`.
+    The metrics of all layers come from one
+    :func:`~repro.ylt.metrics.compute_risk_metrics_batch` call; every field
+    equals what :func:`price_layer` returns for that layer on its own.
 
     ``uncertainty`` optionally attaches secondary-uncertainty bands (metric
     name to :class:`~repro.uncertainty.analysis.ReplicationSummary`) to the
@@ -252,14 +268,10 @@ def price_program(
             f"YLT has {ylt.n_layers} layers but program {program.name!r} "
             f"has {program.n_layers}"
         )
+    _check_loadings(volatility_loading, expense_ratio)
     pricings = tuple(
-        price_layer(
-            layer,
-            ylt.layer(index),
-            volatility_loading=volatility_loading,
-            expense_ratio=expense_ratio,
-        )
-        for index, layer in enumerate(program.layers)
+        _pricing_from_metrics(layer, metrics, volatility_loading, expense_ratio)
+        for layer, metrics in zip(program.layers, compute_risk_metrics_batch(ylt.losses))
     )
     return ProgramQuote(
         program_name=program.name,

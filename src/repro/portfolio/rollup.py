@@ -16,7 +16,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from repro.portfolio.program import ReinsuranceProgram
-from repro.ylt.metrics import RiskMetrics, compute_risk_metrics
+from repro.ylt.metrics import RiskMetrics, compute_risk_metrics_batch
 from repro.ylt.table import YearLossTable
 
 __all__ = ["RollupResult", "portfolio_rollup"]
@@ -74,37 +74,33 @@ def portfolio_rollup(
     if reference_return_period < 1.0:
         raise ValueError("reference_return_period must be at least 1 year")
 
-    portfolio_losses = ylt.portfolio_losses()
-    portfolio_metrics = compute_risk_metrics(
-        portfolio_losses, return_periods=(10.0, 25.0, 50.0, 100.0, 250.0, reference_return_period)
-    )
-    per_layer: Dict[str, RiskMetrics] = {}
+    return_periods = (10.0, 25.0, 50.0, 100.0, 250.0, reference_return_period)
+    layer_rows = compute_risk_metrics_batch(ylt.losses, return_periods=return_periods)
+    per_layer = dict(zip(ylt.layer_names, layer_rows))
     standalone_pml_sum = 0.0
-    for name, losses in ylt.iter_layers():
-        metrics = compute_risk_metrics(
-            losses, return_periods=(10.0, 25.0, 50.0, 100.0, 250.0, reference_return_period)
-        )
-        per_layer[name] = metrics
+    for metrics in layer_rows:
         standalone_pml_sum += metrics.pml[reference_return_period]
+
+    # The portfolio row and the per-kind group rows share one batch call.
+    group_kinds: list[str] = []
+    aggregate_rows = [ylt.portfolio_losses()]
+    if program is not None:
+        name_to_row = {name: i for i, name in enumerate(ylt.layer_names)}
+        for kind, layers in program.group_by_contract_kind().items():
+            rows = [name_to_row[layer.name] for layer in layers if layer.name in name_to_row]
+            if rows:
+                group_kinds.append(kind)
+                aggregate_rows.append(ylt.losses[rows].sum(axis=0))
+    portfolio_metrics, *grouped = compute_risk_metrics_batch(
+        np.stack(aggregate_rows), return_periods=return_periods
+    )
+    group_metrics: Dict[str, RiskMetrics] = dict(zip(group_kinds, grouped))
 
     portfolio_pml = portfolio_metrics.pml[reference_return_period]
     if standalone_pml_sum > 0:
         diversification = 1.0 - portfolio_pml / standalone_pml_sum
     else:
         diversification = 0.0
-
-    group_metrics: Dict[str, RiskMetrics] = {}
-    if program is not None:
-        name_to_row = {name: i for i, name in enumerate(ylt.layer_names)}
-        for kind, layers in program.group_by_contract_kind().items():
-            rows = [name_to_row[layer.name] for layer in layers if layer.name in name_to_row]
-            if not rows:
-                continue
-            group_losses = ylt.losses[rows].sum(axis=0)
-            group_metrics[kind] = compute_risk_metrics(
-                group_losses,
-                return_periods=(10.0, 25.0, 50.0, 100.0, 250.0, reference_return_period),
-            )
 
     return RollupResult(
         portfolio_metrics=portfolio_metrics,

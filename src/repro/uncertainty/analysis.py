@@ -53,7 +53,7 @@ from repro.portfolio.pricing import ProgramQuote, price_program
 from repro.portfolio.program import ReinsuranceProgram
 from repro.uncertainty.table import UncertainEventLossTable
 from repro.utils.rng import RNGLike, derive_rng, spawn_rngs
-from repro.ylt.metrics import aal, pml, tvar
+from repro.ylt.metrics import compute_risk_metrics, compute_risk_metrics_batch
 from repro.yet.table import YearEventTable
 
 __all__ = ["UncertainLayer", "ReplicationSummary", "SecondaryUncertaintyAnalysis"]
@@ -249,11 +249,13 @@ class SecondaryUncertaintyAnalysis:
     def _collect_metrics(store: Mapping[str, list], portfolio_losses: np.ndarray,
                          return_periods: Sequence[float],
                          tvar_levels: Sequence[float]) -> None:
-        store["aal"].append(aal(portfolio_losses))
-        for return_period in return_periods:
-            store[f"pml_{return_period:g}"].append(pml(portfolio_losses, return_period))
-        for level in tvar_levels:
-            store[f"tvar_{level:g}"].append(tvar(portfolio_losses, level))
+        """Append the metrics of every row of ``(n_replications, n_trials)`` losses."""
+        for metrics in compute_risk_metrics_batch(portfolio_losses, return_periods, tvar_levels):
+            store["aal"].append(metrics.aal)
+            for return_period in return_periods:
+                store[f"pml_{return_period:g}"].append(metrics.pml[return_period])
+            for level in tvar_levels:
+                store[f"tvar_{level:g}"].append(metrics.tvar[level])
 
     # ------------------------------------------------------------------ #
     # Replication engines
@@ -319,7 +321,8 @@ class SecondaryUncertaintyAnalysis:
                     PlanBuilder.from_program(program, yet, n_shards=trial_shards)
                 )
                 self._collect_metrics(
-                    metric_values, result.ylt.portfolio_losses(), return_periods, tvar_levels
+                    metric_values, result.ylt.portfolio_losses()[np.newaxis],
+                    return_periods, tvar_levels,
                 )
         else:
             if replication_block is None:
@@ -352,9 +355,11 @@ class SecondaryUncertaintyAnalysis:
                     yet,
                     n_shards=trial_shards,
                 )
-                portfolio = replication_portfolio_losses(result.ylt.losses, n_layers)
-                for row in portfolio:
-                    self._collect_metrics(metric_values, row, return_periods, tvar_levels)
+                self._collect_metrics(
+                    metric_values,
+                    replication_portfolio_losses(result.ylt.losses, n_layers),
+                    return_periods, tvar_levels,
+                )
 
         return {name: ReplicationSummary.from_values(values)
                 for name, values in metric_values.items()}
@@ -392,7 +397,8 @@ class SecondaryUncertaintyAnalysis:
             )
             result = engine.run(program, yet)
             self._collect_metrics(
-                metric_values, result.ylt.portfolio_losses(), return_periods, tvar_levels
+                metric_values, result.ylt.portfolio_losses()[np.newaxis],
+                return_periods, tvar_levels,
             )
         return {name: ReplicationSummary.from_values(values)
                 for name, values in metric_values.items()}
@@ -408,11 +414,13 @@ class SecondaryUncertaintyAnalysis:
         """Metrics of the expected-loss (deterministic) analysis, for comparison."""
         engine = self.engine
         result = engine.run(self.expected_program(), yet)
-        portfolio_losses = result.ylt.portfolio_losses()
-        metrics: Dict[str, float] = {"aal": aal(portfolio_losses)}
-        for return_period in return_periods:
-            metrics[f"pml_{return_period:g}"] = pml(portfolio_losses, return_period)
-        return metrics
+        metrics = compute_risk_metrics(
+            result.ylt.portfolio_losses(), return_periods, tvar_levels=()
+        )
+        return {
+            "aal": metrics.aal,
+            **{f"pml_{rp:g}": metrics.pml[rp] for rp in return_periods},
+        }
 
     def quote(
         self,

@@ -23,7 +23,7 @@ from repro.ylt.ep_curve import EPCurve, _concatenate_blocks, aep_curve
 from repro.ylt.table import YearLossTable
 
 __all__ = ["aal", "pml", "tvar", "value_at_risk", "RiskMetrics", "compute_risk_metrics",
-           "compute_risk_metrics_from_blocks",
+           "compute_risk_metrics_batch", "compute_risk_metrics_from_blocks",
            "DEFAULT_RETURN_PERIODS", "DEFAULT_TVAR_LEVELS"]
 
 #: Return periods (years) reported by default: the levels regulators and
@@ -32,6 +32,11 @@ DEFAULT_RETURN_PERIODS: tuple[float, ...] = (5.0, 10.0, 25.0, 50.0, 100.0, 250.0
 
 #: TVaR probability levels reported by default.
 DEFAULT_TVAR_LEVELS: tuple[float, ...] = (0.95, 0.99, 0.996)
+
+#: Heap bound on the sorted working copy :func:`compute_risk_metrics_batch`
+#: hands to ``np.quantile``: rows are evaluated in blocks of at most this
+#: many bytes (one row at a time when a single row is larger).
+_BLOCK_BYTES = 16 << 20
 
 
 def aal(year_losses: np.ndarray) -> float:
@@ -51,18 +56,23 @@ def value_at_risk(year_losses: np.ndarray, probability: float) -> float:
     return float(np.quantile(values, probability))
 
 
+def _return_period_probability(return_period_years: float) -> float:
+    """The quantile level ``1 - 1/R`` of a return period of ``R >= 1`` years."""
+    ensure_positive(return_period_years, "return_period_years")
+    if return_period_years < 1.0:
+        raise ValueError(
+            f"return period must be at least 1 year, got {return_period_years}"
+        )
+    return 1.0 - 1.0 / return_period_years
+
+
 def pml(year_losses: np.ndarray, return_period_years: float) -> float:
     """Probable Maximum Loss at a return period.
 
     The PML at return period ``R`` is the loss exceeded on average once every
     ``R`` years, i.e. the ``1 - 1/R`` quantile of the year-loss distribution.
     """
-    ensure_positive(return_period_years, "return_period_years")
-    if return_period_years < 1.0:
-        raise ValueError(
-            f"return period must be at least 1 year, got {return_period_years}"
-        )
-    return value_at_risk(year_losses, 1.0 - 1.0 / return_period_years)
+    return value_at_risk(year_losses, _return_period_probability(return_period_years))
 
 
 def tvar(year_losses: np.ndarray, probability: float) -> float:
@@ -120,25 +130,84 @@ class RiskMetrics:
         return self.tvar[level]
 
 
+def compute_risk_metrics_batch(
+    losses_2d: np.ndarray,
+    return_periods: Sequence[float] = DEFAULT_RETURN_PERIODS,
+    tvar_levels: Sequence[float] = DEFAULT_TVAR_LEVELS,
+) -> tuple[RiskMetrics, ...]:
+    """The standard metric set of every row of a ``(n_rows, n_trials)`` matrix.
+
+    One pass replaces ``n_rows * (len(return_periods) + len(tvar_levels))``
+    scalar quantile calls: the levels are validated once, a single
+    ``np.quantile(..., axis=1)`` call yields every PML and every TVaR
+    threshold of every row, and AAL / standard deviation / maximum are
+    axis-1 reductions.  Every field of every :class:`RiskMetrics` is ``==``
+    what :func:`aal`, :func:`pml`, :func:`tvar`, ``std(ddof=1)`` and ``max``
+    return for that row on its own: quantiles interpolate the same order
+    statistics, row reductions over the contiguous trial axis add in the same
+    pairwise order as the 1-D calls, and each TVaR tail is averaged over the
+    row's trials in their original order.
+    """
+    losses = np.asarray(losses_2d, dtype=np.float64)
+    if losses.ndim != 2:
+        raise ValueError(f"losses_2d must be 2-D (n_rows, n_trials), got shape {losses.shape}")
+    return_periods, tvar_levels = tuple(return_periods), tuple(tvar_levels)
+    probabilities = np.array(
+        [_return_period_probability(rp) for rp in return_periods]
+        + [ensure_probability(level, "probability") for level in tvar_levels],
+        dtype=np.float64,
+    )
+    periods = [float(rp) for rp in return_periods]
+    levels = [float(level) for level in tvar_levels]
+    n_rows, n_trials = losses.shape
+    if n_rows == 0:
+        return ()
+    if n_trials == 0:
+        raise ValueError("cannot compute metrics of zero trials")
+
+    n_periods = len(periods)
+    block_rows = max(1, _BLOCK_BYTES // (n_trials * losses.itemsize))
+    metrics: list[RiskMetrics] = []
+    for start in range(0, n_rows, block_rows):
+        block = np.ascontiguousarray(losses[start:start + block_rows])
+        # Sorting the working copy first makes the quantile's partition about
+        # twice as cheap; the order statistics it interpolates are the same.
+        quantiles = np.quantile(
+            np.sort(block, axis=1), probabilities, axis=1, overwrite_input=True
+        ).T
+        means = block.mean(axis=1).tolist()
+        stds = block.std(axis=1, ddof=1).tolist() if n_trials > 1 else [0.0] * len(block)
+        maxima = block.max(axis=1).tolist()
+        for row, row_quantiles, mean, std, maximum in zip(
+            block, quantiles.tolist(), means, stds, maxima
+        ):
+            tails = []
+            for threshold in row_quantiles[n_periods:]:
+                tail = row[row >= threshold]
+                # Empty only for a NaN threshold (NaN losses); mirror tvar().
+                tails.append(float(tail.mean()) if tail.size else threshold)
+            metrics.append(RiskMetrics(
+                aal=mean,
+                std=std,
+                pml=dict(zip(periods, row_quantiles[:n_periods])),
+                tvar=dict(zip(levels, tails)),
+                max_loss=maximum,
+                n_trials=n_trials,
+            ))
+    return tuple(metrics)
+
+
 def compute_risk_metrics(
     year_losses: np.ndarray,
     return_periods: Sequence[float] = DEFAULT_RETURN_PERIODS,
     tvar_levels: Sequence[float] = DEFAULT_TVAR_LEVELS,
 ) -> RiskMetrics:
-    """Compute the standard metric set from a year-loss vector."""
+    """Compute the standard metric set from a year-loss vector.
+
+    The one-row case of :func:`compute_risk_metrics_batch`.
+    """
     values = np.asarray(year_losses, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot compute metrics of zero trials")
-    pml_values = {float(rp): pml(values, rp) for rp in return_periods}
-    tvar_values = {float(level): tvar(values, level) for level in tvar_levels}
-    return RiskMetrics(
-        aal=aal(values),
-        std=float(values.std(ddof=1)) if values.size > 1 else 0.0,
-        pml=pml_values,
-        tvar=tvar_values,
-        max_loss=float(values.max()),
-        n_trials=int(values.size),
-    )
+    return compute_risk_metrics_batch(values.reshape(1, -1), return_periods, tvar_levels)[0]
 
 
 def compute_risk_metrics_from_blocks(
@@ -166,10 +235,9 @@ def layer_metrics(ylt: YearLossTable,
                   tvar_levels: Sequence[float] = DEFAULT_TVAR_LEVELS,
                   ) -> dict[str, RiskMetrics]:
     """Per-layer metrics for every layer of a YLT."""
-    return {
-        name: compute_risk_metrics(losses, return_periods, tvar_levels)
-        for name, losses in ylt.iter_layers()
-    }
+    return dict(zip(
+        ylt.layer_names, compute_risk_metrics_batch(ylt.losses, return_periods, tvar_levels)
+    ))
 
 
 def portfolio_ep_curve(ylt: YearLossTable, max_points: int | None = None) -> EPCurve:

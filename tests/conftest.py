@@ -47,6 +47,24 @@ def rng():
     return np.random.default_rng(987)
 
 
+@pytest.fixture()
+def quantile_calls(monkeypatch):
+    """The ``axis`` keyword of every ``np.quantile`` call made under the fixture.
+
+    Pins the call *shape* of the batched risk-metrics kernel: one axis-1 call
+    per block of rows, never one scalar call per layer and level.
+    """
+    calls = []
+    real_quantile = np.quantile
+
+    def counting_quantile(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return real_quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", counting_quantile)
+    return calls
+
+
 def make_manual_layer(catalog_size: int = 100) -> tuple[Layer, YearEventTable]:
     """A hand-built layer + YET whose year losses can be verified by hand.
 

@@ -7,7 +7,9 @@ C source changes, and the never-raising :func:`native_status` probe backing
 is covered by ``test_native_backend.py`` and the golden conformance suites.
 """
 
+import os
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -101,6 +103,59 @@ class TestBuildCache:
     def test_missing_compiler_raises_build_error(self, no_compiler):
         with pytest.raises(NativeBuildError, match="fall back"):
             ensure_built()
+
+
+@pytest.fixture()
+def spawned(monkeypatch):
+    """Every ``subprocess.run`` command line the build layer issues."""
+    commands = []
+    real_run = subprocess.run
+
+    def counting_run(command, *args, **kwargs):
+        commands.append(list(command))
+        return real_run(command, *args, **kwargs)
+
+    monkeypatch.setattr(build.subprocess, "run", counting_run)
+    return commands
+
+
+class TestCompilerVersionMemo:
+    @requires_compiler
+    def test_warm_engine_runs_spawn_no_subprocess(self, spawned, tiny_workload):
+        engine = AggregateRiskEngine(EngineConfig(backend="native"))
+        engine.run(tiny_workload.program, tiny_workload.yet)  # first load may probe and build
+        del spawned[:]
+        for _ in range(3):
+            result = engine.run(tiny_workload.program, tiny_workload.yet)
+        assert result.details["native_kernel"] is True
+        assert spawned == []
+
+    def test_replaced_compiler_reprobes_and_moves_the_library_path(
+        self, tmp_path, monkeypatch, spawned
+    ):
+        monkeypatch.setenv(build.CACHE_ENV, str(tmp_path))
+        cc = tmp_path / "fakecc"
+
+        def install(version):
+            cc.write_text(f"#!/bin/sh\necho 'fakecc {version}'\n")
+            cc.chmod(0o755)
+
+        install("1.0")
+        first = library_path(str(cc), BASE_FLAGS)
+        assert library_path(str(cc), BASE_FLAGS) == first
+        assert len(spawned) == 1
+
+        # A changed stat re-probes exactly once; the same answer keeps the path.
+        stat = cc.stat()
+        os.utime(cc, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert library_path(str(cc), BASE_FLAGS) == first
+        assert library_path(str(cc), BASE_FLAGS) == first
+        assert len(spawned) == 2
+
+        install("2.0.1")
+        assert build.compiler_version(str(cc)) == "fakecc 2.0.1"
+        assert library_path(str(cc), BASE_FLAGS) != first
+        assert len(spawned) == 3
 
 
 class TestOpenMPProbe:
