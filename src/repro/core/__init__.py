@@ -5,7 +5,8 @@ The engine consumes a :class:`~repro.portfolio.program.ReinsuranceProgram`
 a :class:`~repro.ylt.table.YearLossTable` — one year loss per (layer, trial) —
 exactly as specified by the basic algorithm in Section II-B of the paper.
 
-Five interchangeable backends implement the same computation:
+One shard driver (:mod:`repro.core.driver`) turns every plan into a result;
+the interchangeable backends only price a shard's event window:
 
 ==============  ==============================================================
 ``sequential``  Pure-Python transcription of the paper's basic algorithm
@@ -22,6 +23,8 @@ Five interchangeable backends implement the same computation:
                 model, reporting both the measured wall time of the NumPy
                 execution and the modelled kernel time on a Tesla-C2075-class
                 device.
+``native``      The fused pass in the in-repo C kernel (OpenMP, optional
+                float32 stack), bit-identical to ``vectorized`` for float64.
 ==============  ==============================================================
 
 :class:`~repro.core.engine.AggregateRiskEngine` is the public facade that

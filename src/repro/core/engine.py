@@ -3,10 +3,11 @@
 :class:`AggregateRiskEngine` selects one of the six backends from an
 :class:`~repro.core.config.EngineConfig` and drives it through the unified
 **ExecutionPlan** pipeline: every public workload is *lowered* to an
-:class:`~repro.core.plan.ExecutionPlan` (tiles over trial blocks x stacked
-term-netted layer rows) by a :class:`~repro.core.plan.PlanBuilder`, and the
-backend *schedules* that plan through the shared kernels — facade -> plan ->
-scheduler.  Typical use::
+:class:`~repro.core.plan.ExecutionPlan` (trial blocks x stacked term-netted
+layer rows) by a :class:`~repro.core.plan.PlanBuilder`, the one shard driver
+(:mod:`repro.core.driver`) cuts it into trial shards, and the backend prices
+each shard's event window through the shared kernels — facade -> plan ->
+driver -> shard-pricer.  Typical use::
 
     from repro.core import AggregateRiskEngine, EngineConfig
 
@@ -49,20 +50,15 @@ content-addressed cache of lowered plans and fused stacks, and (multicore)
 retained shared-memory workspaces, so repeated requests skip straight to
 the kernel pass — see :meth:`retain_shared_workspaces`.
 
-Every backend schedules a plan as a loop over disjoint **trial shards**
-whose :class:`~repro.core.results.PartialResult` blocks merge exactly
+The driver prices every plan as disjoint **trial shards** whose
+:class:`~repro.core.results.PartialResult` blocks merge exactly
 (``EngineConfig(trial_shards=8)``, or ``plan.shard(n)`` merged through a
 :class:`~repro.core.results.ResultAccumulator`); the merged result is
 bit-identical to the monolithic run for any shard count.
-:meth:`AggregateRiskEngine.run_sharded` extends the same loop out-of-core:
-pointed at a :class:`~repro.yet.io.YetShardReader`, it prices a stored YET
+:meth:`AggregateRiskEngine.run_sharded` points the same loop out-of-core:
+given a :class:`~repro.yet.io.YetShardReader`, it prices a stored YET
 larger than RAM with resident memory bounded by one shard plus the
 accumulated year-loss blocks.
-
-The pre-plan per-backend ``run`` dispatch (the former ``"legacy"`` execution
-mode) was kept one release behind the plan-vs-legacy conformance suite and
-has been removed as scheduled; requesting that mode on
-:class:`~repro.core.config.EngineConfig` now raises with a migration hint.
 
 The facade also provides :meth:`AggregateRiskEngine.compare_backends`, which
 runs the same workload through several backends (optionally through both the
@@ -83,14 +79,12 @@ from repro.core.gpu_sim import GPUSimulatedEngine
 from repro.core.multicore import MulticoreEngine
 from repro.core.native_backend import NativeEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder
-from repro.core.results import EngineResult, ResultAccumulator
+from repro.core.results import EngineResult
 from repro.core.sequential import SequentialEngine
 from repro.core.vectorized import VectorizedEngine
 from repro.financial.terms import LayerTerms, LayerTermsVectors
-from repro.parallel.device import WorkloadShape
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
-from repro.utils.timing import Timer
 from repro.yet.io import shard_count_for_budget
 from repro.yet.table import YearEventTable
 
@@ -134,8 +128,8 @@ class AggregateRiskEngine:
 
         This is the single execution entry every other method funnels into:
         ``run``/``run_many``/``run_stacked`` only differ in how they *lower*
-        their workload to a plan.  The backend schedules the plan's tiles
-        through the shared kernels and returns the combined result (use
+        their workload to a plan.  The shard driver prices the plan's trial
+        shards with the selected backend and returns the combined result (use
         :meth:`ExecutionPlan.split_result` to break a multi-segment plan's
         result back apart).
         """
@@ -172,61 +166,24 @@ class AggregateRiskEngine:
         bit-identical to a monolithic run of the same table for *any* shard
         count — the engine-level form of the paper's YET partitioning.
         """
-        program = ReinsuranceProgram.wrap(program)
-        config = self.config
-        if isinstance(source, YearEventTable):
-            if max_shard_bytes is not None:
-                n_shards = shard_count_for_budget(source.event_bytes, max_shard_bytes)
-            plan = PlanBuilder.from_program(
-                program, source, n_shards=n_shards or config.trial_shards
-            )
-            return self.run_plan(plan)
-
-        if not hasattr(source, "iter_shards"):
+        in_memory = isinstance(source, YearEventTable)
+        if not in_memory and not hasattr(source, "shard"):
             raise TypeError(
                 "source must be a YearEventTable or a shard reader exposing "
-                f"iter_shards(), got {type(source).__name__}"
+                f"shard(trials), got {type(source).__name__}"
             )
         if max_shard_bytes is not None:
-            n_shards = source.shard_count_for_budget(max_shard_bytes)
-        count = max(n_shards or config.trial_shards, 1)
-
-        wall = Timer().start()
-        accumulator = ResultAccumulator(
-            program.n_layers, source.n_trials, row_names=program.layer_names
+            n_shards = shard_count_for_budget(source.event_bytes, max_shard_bytes)
+        plan = PlanBuilder.from_program(
+            program, source, n_shards=n_shards or self.config.trial_shards
         )
-        shared_stack: np.ndarray | None = None
-        shards_run = 0
-        for trials, shard_yet in source.iter_shards(count):
-            shard_plan = PlanBuilder.from_program(program, shard_yet)
-            if shared_stack is not None:
-                shard_plan.adopt_stack(shared_stack)
-            result = self.run_plan(shard_plan)
-            if shared_stack is None:
-                # Fused backends build the stack pricing the first shard;
-                # later shard plans adopt it instead of rebuilding (the
-                # reference backends never build one — nothing to share).
-                shared_stack = shard_plan.cached_stack
-            accumulator.add_result(result, trials)
-            shards_run += 1
-
-        shape = WorkloadShape(
-            n_trials=source.n_trials,
-            events_per_trial=max(source.mean_events_per_trial, 1e-9),
-            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
-            n_layers=program.n_layers,
-        )
-        return accumulator.finalize(
-            self.backend_name,
-            wall_seconds=wall.stop(),
-            workload_shape=shape,
-            details={
-                "sharded": {"n_shards": shards_run, "source": "reader"},
-                "merged_shards": {
-                    "n_shards": shards_run,
-                    "n_trials": source.n_trials,
-                },
-            },
+        result = self.run_plan(plan)
+        if in_memory:
+            return result
+        shards_run = result.details["trial_shards"]
+        return result.with_extra_details(
+            sharded={"n_shards": shards_run, "source": "reader"},
+            merged_shards={"n_shards": shards_run, "n_trials": plan.n_trials},
         )
 
     def run_distributed(

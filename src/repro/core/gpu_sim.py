@@ -1,10 +1,10 @@
 """Simulated-GPU backend.
 
-The backend executes the aggregate analysis *functionally* — block by block,
-with the same chunked kernel the optimised GPU implementation uses — and, for
-every layer, asks the :class:`~repro.parallel.device.SimulatedGPU` cost model
-how long the corresponding kernel launch would take on a Tesla-C2075-class
-device.  The engine result therefore carries two times:
+The backend executes the aggregate analysis *functionally* — one simulated
+CUDA block (``threads_per_block`` trials x 1 layer) at a time, with the same
+chunked kernel the optimised GPU implementation uses — and, for every layer,
+asks the :class:`~repro.parallel.device.SimulatedGPU` cost model how long
+the corresponding kernel launch would take on a Tesla-C2075-class device.  The engine result therefore carries two times:
 
 * ``wall_seconds`` — the measured wall-clock time of the NumPy execution on
   the host (useful for comparing against the other Python backends), and
@@ -19,55 +19,30 @@ the basic (global-memory) or optimised (shared-memory, chunked) kernel.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from dataclasses import replace
+from functools import partial
 
 from repro.core.config import EngineConfig
+from repro.core.driver import ShardPricer, ShardRun, window_pricer
 from repro.core.kernels import layer_trial_losses, layer_trial_losses_chunked
+from repro.core.plan import ExecutionPlan
 from repro.core.results import EngineResult
 from repro.parallel.device import KernelConfig, KernelEstimate, SimulatedGPU, WorkloadShape
-from repro.utils.timing import PhaseTimer, Timer
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["GPUSimulatedEngine"]
 
 
-def _launch_block(layer, event_ids, offsets, config: EngineConfig, timer: PhaseTimer):
-    """One simulated kernel launch: a block of trials for one layer."""
-    if config.gpu_optimised:
-        return layer_trial_losses_chunked(
-            layer.loss_matrix(),
-            event_ids,
-            offsets,
-            layer.terms,
-            chunk_events=config.threads_per_block * config.gpu_chunk_size,
-            use_shortcut=config.use_aggregate_shortcut,
-            record_max_occurrence=config.record_max_occurrence,
-            timer=timer,
-        )
-    return layer_trial_losses(
-        layer.loss_matrix(),
-        event_ids,
-        offsets,
-        layer.terms,
-        use_shortcut=config.use_aggregate_shortcut,
-        record_max_occurrence=config.record_max_occurrence,
-        timer=timer,
-    )
-
-
-class GPUSimulatedEngine:
+class GPUSimulatedEngine(ShardPricer):
     """Functional execution on the simulated many-core device."""
 
     name = "gpu"
+    fuses = False
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="gpu")
+        super().__init__(config)
         self.device = SimulatedGPU(self.config.gpu_spec)
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def kernel_config(self) -> KernelConfig:
         """The kernel launch configuration implied by the engine config."""
         return KernelConfig(
@@ -76,84 +51,44 @@ class GPUSimulatedEngine:
             optimised=self.config.gpu_optimised,
         )
 
-    def run_plan(self, plan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan` tile by tile.
-
-        The plan's iteration space maps directly onto the device model: one
-        simulated CUDA block is ``threads_per_block`` trials x 1 row, in
-        the launch order of the paper's per-layer kernel loop.  The plan is
-        executed shard by shard like every backend (each shard launches its
-        own block grid); per-trial results are trial-local, so the shard and
-        block decomposition never moves a bit.  Synthetic plans (precomputed
-        stack rows without source layers) are not supported by the device
-        model.
-        """
-        if not plan.has_layers:
-            raise ValueError(
-                "backend 'gpu' has no stacked execution path; "
-                "use one of the fused backends (vectorized, chunked, multicore)"
-            )
-        from repro.core.plan import finalize_plan_result
-        from repro.core.results import PartialResult, ResultAccumulator
-        from repro.parallel.partitioner import chunk_partition
-
+    def prepare(self, plan: ExecutionPlan, fused: bool, timer: PhaseTimer) -> ShardRun:
         config = self.config
-        kernel_config = self.kernel_config()
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-        yet = plan.yet
-        threads = config.threads_per_block
-
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
-            losses = np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-            max_occ = (
-                np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-                if config.record_max_occurrence
-                else None
+        kernel = layer_trial_losses
+        if config.gpu_optimised:
+            kernel = partial(
+                layer_trial_losses_chunked,
+                chunk_events=config.threads_per_block * config.gpu_chunk_size,
             )
-            for row in range(plan.n_rows):
-                for block in chunk_partition(trials.size, threads):
-                    start = trials.start + block.start
-                    stop = trials.start + block.stop
-                    event_ids, offsets = yet.trial_window(start, stop)
-                    year_losses, trial_max = _launch_block(
-                        plan.layers[row], event_ids, offsets, config, timer
-                    )
-                    losses[row, block.start : block.stop] = year_losses
-                    if max_occ is not None and trial_max is not None:
-                        max_occ[row, block.start : block.stop] = trial_max
-            accumulator.add(PartialResult(trials, losses, max_occ))
+        return ShardRun(
+            window_pricer(plan, config, fused, kernel=kernel),
+            {
+                "threads_per_block": config.threads_per_block,
+                "chunk_size": config.gpu_chunk_size,
+                "optimised": config.gpu_optimised,
+                "device": self.device.spec.name,
+            },
+            block_trials=config.threads_per_block,
+        )
 
-        estimates: List[KernelEstimate] = [
+    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
+        """Execute the plan and attach the modelled device time of every layer."""
+        result = super().run_plan(plan)
+        kernel_config = self.kernel_config()
+        estimates = tuple(
             self.device.estimate(
                 WorkloadShape(
                     n_trials=plan.n_trials,
-                    events_per_trial=max(yet.mean_events_per_trial, 1e-9),
+                    events_per_trial=max(plan.yet.mean_events_per_trial, 1e-9),
                     n_elts=layer.n_elts,
                     n_layers=1,
                 ),
                 kernel_config,
             )
             for layer in plan.layers
-        ]
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            {
-                "threads_per_block": config.threads_per_block,
-                "chunk_size": config.gpu_chunk_size,
-                "optimised": config.gpu_optimised,
-                "device": self.device.spec.name,
-                "fused_layers": False,
-                "trial_shards": len(shards),
-            },
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
-            modeled=tuple(estimates),
+        )
+        return replace(
+            result,
+            modeled=estimates,
             modeled_seconds=float(sum(est.seconds for est in estimates)),
         )
 

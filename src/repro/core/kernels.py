@@ -9,7 +9,7 @@ the backends differ only in *how* they partition the work, not in the maths.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Any, Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "combined_event_losses",
     "layer_trial_losses",
     "layer_trial_losses_chunked",
+    "per_layer_trial_losses",
     "build_layer_loss_stack",
     "layer_trial_losses_batch",
     "replication_portfolio_losses",
@@ -120,6 +121,46 @@ def layer_trial_losses(
             segment_max(occurrence, trial_offsets) if record_max_occurrence else None
         )
     return year_losses, max_occurrence
+
+
+def per_layer_trial_losses(
+    kernel: Callable[..., Tuple[np.ndarray, np.ndarray | None]],
+    layer_inputs: Sequence[Any],
+    terms: Sequence[LayerTerms],
+    event_ids: np.ndarray,
+    trial_offsets: np.ndarray,
+    *,
+    use_shortcut: bool = True,
+    record_max_occurrence: bool = True,
+    timer: PhaseTimer | None = None,
+) -> Tuple[np.ndarray, np.ndarray | None]:
+    """The per-layer loop every backend shares: one ``kernel`` call per row.
+
+    ``kernel`` is a single-layer kernel with the signature of
+    :func:`layer_trial_losses` (:func:`layer_trial_losses_chunked` with its
+    chunk size bound, the sequential reference's per-trial loop, ...) and
+    ``layer_inputs[row]`` is whatever it takes as its first argument — the
+    layer's dense loss matrix for the NumPy kernels.  Returns the
+    ``(n_rows, n_trials)`` year losses of the window and the matching
+    maximum occurrence losses (``None`` unless recorded).
+    """
+    n_trials = len(trial_offsets) - 1
+    losses = np.zeros((len(layer_inputs), n_trials), dtype=np.float64)
+    max_occurrence = np.zeros_like(losses) if record_max_occurrence else None
+    for row, (layer_input, layer_terms) in enumerate(zip(layer_inputs, terms)):
+        year_losses, trial_max = kernel(
+            layer_input,
+            event_ids,
+            trial_offsets,
+            layer_terms,
+            use_shortcut=use_shortcut,
+            record_max_occurrence=record_max_occurrence,
+            timer=timer,
+        )
+        losses[row] = year_losses
+        if max_occurrence is not None:
+            max_occurrence[row] = trial_max
+    return losses, max_occurrence
 
 
 def replication_portfolio_losses(year_losses: np.ndarray, n_layers: int) -> np.ndarray:

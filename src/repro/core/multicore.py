@@ -7,8 +7,8 @@ trials.  How the read-only inputs reach the workers depends on the transport:
 
 * under ``fork`` the Year Event Table and the fused loss stack are inherited
   by reference (zero-copy on Linux);
-* under ``spawn``/``forkserver`` the plan scheduler publishes the stack and
-  the YET columns through :class:`~repro.parallel.shared_memory.SharedArray`
+* under ``spawn``/``forkserver`` the backend publishes the stack and the YET
+  columns through :class:`~repro.parallel.shared_memory.SharedArray`
   segments, so each worker *attaches* a zero-copy NumPy view instead of
   unpickling ``n_rows x catalog_size`` doubles per run (the pickling
   transport remains available as the ``EngineConfig.shared_memory="off"``
@@ -20,11 +20,14 @@ the role of "threads per core" (Fig. 3b): the trial range is over-decomposed
 into ``oversubscription x n_workers`` chunks that idle workers pull from the
 pool's queue.
 
-:meth:`MulticoreEngine.run_plan` schedules the unified
-:class:`~repro.core.plan.ExecutionPlan` IR by mapping its trial tiles over
-the worker pool; it is the backend's *only* entry point — the pre-plan
-per-backend ``run`` dispatch was removed once the plan-vs-legacy
-conformance window closed.
+Every shard of the plan is decomposed into that schedule and the flattened
+block list runs through one pool (one worker start-up for the whole plan,
+however many shards it has); each worker prices its block with the very
+window-pricing function the vectorized backend calls in-process, and returns
+its per-block phase seconds for the driver's ``record_phases`` breakdown.  A
+worker block *is* a trial shard — disjoint by construction — so the
+assembled result is bit-identical for any worker count, scheduling policy or
+shard count.
 
 For serving workloads the backend can additionally *retain* the published
 workspace across runs (``retain_workspaces``): re-executing the same plan
@@ -41,65 +44,32 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence
+from functools import partial
+from typing import Any, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses, layer_trial_losses_batch
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
-from repro.financial.terms import LayerTerms, LayerTermsVectors
-from repro.elt.combined import LayerLossMatrix
+from repro.core.driver import ShardPricer, ShardRun, WindowPrice, window_pricer
+from repro.core.plan import ExecutionPlan
 from repro.parallel.executor import ParallelConfig, TrialBlockExecutor
 from repro.parallel.partitioner import TrialRange
 from repro.parallel.shared_memory import SharedArrayDescriptor, SharedWorkspace
-from repro.utils.timing import Timer
+from repro.utils.timing import PhaseTimer
+from repro.yet.table import YearEventTable
 
-__all__ = ["MulticoreEngine", "MulticoreContext"]
+__all__ = ["MulticoreEngine"]
 
 
-@dataclass
-class MulticoreContext:
-    """Read-only data shared with the worker processes.
+class _WorkerContext(NamedTuple):
+    """Read-only data shared with the worker processes."""
 
-    Attributes
-    ----------
-    event_ids, trial_offsets:
-        The YET's flattened arrays.
-    matrices:
-        One dense loss matrix per layer (per-layer path; ``None`` when the
-        fused stack is used instead).
-    terms:
-        One :class:`LayerTerms` per layer (per-layer path; empty when the
-        fused stack carries ``terms_vectors`` instead).
-    use_shortcut, record_max_occurrence:
-        Engine options forwarded to the kernel.
-    stack:
-        Precomputed fused ``(n_rows, catalog_size)`` loss stack
-        (:func:`~repro.core.kernels.build_layer_loss_stack`); when present
-        each worker prices *all* rows of its trial block through the fused
-        batch kernel instead of looping over the layers.
-    terms_vectors:
-        Structure-of-arrays layer terms; always set together with ``stack``.
-    row_map:
-        Optional plan-row -> stack-row dedup mapping (see
-        :class:`~repro.core.plan.ExecutionPlan`).
-    attachments:
-        Worker-side keep-alive handles for shared-memory views; ``None``
-        when the arrays were inherited or pickled.
-    """
-
+    price: WindowPrice
     event_ids: np.ndarray
     trial_offsets: np.ndarray
-    matrices: Sequence[LayerLossMatrix] | None
-    terms: Sequence[LayerTerms]
-    use_shortcut: bool
-    record_max_occurrence: bool
-    stack: np.ndarray | None = None
-    terms_vectors: LayerTermsVectors | None = None
-    row_map: np.ndarray | None = None
+    record_phases: bool
+    #: Worker-side keep-alive handles for shared-memory views; ``None`` when
+    #: the arrays were inherited or pickled.
     attachments: Any = None
 
 
@@ -108,95 +78,134 @@ class _SharedPlanContext:
 
     The parent publishes the fused stack and the YET columns as shared
     segments; each worker calls this factory once (in the pool initializer)
-    to attach zero-copy views and assemble its :class:`MulticoreContext`.
-    Only the compact descriptors and the small term vectors travel through
-    the pickle channel.
+    to attach zero-copy views and bind the window pricer to the attached
+    stack.  Only the compact descriptors and the small term vectors inside
+    ``price`` travel through the pickle channel.
     """
 
     def __init__(
         self,
         descriptors: Mapping[str, SharedArrayDescriptor],
-        terms_vectors: LayerTermsVectors,
-        row_map: np.ndarray | None,
-        use_shortcut: bool,
-        record_max_occurrence: bool,
+        price: WindowPrice,
+        record_phases: bool,
     ) -> None:
         self.descriptors = dict(descriptors)
-        self.terms_vectors = terms_vectors
-        self.row_map = row_map
-        self.use_shortcut = use_shortcut
-        self.record_max_occurrence = record_max_occurrence
+        self.price = price
+        self.record_phases = record_phases
 
-    def __call__(self) -> MulticoreContext:
+    def __call__(self) -> _WorkerContext:
         attachments = SharedWorkspace.attach_all(self.descriptors)
-        return MulticoreContext(
-            event_ids=attachments["event_ids"].array,
-            trial_offsets=attachments["trial_offsets"].array,
-            matrices=None,
-            terms=(),
-            use_shortcut=self.use_shortcut,
-            record_max_occurrence=self.record_max_occurrence,
-            stack=attachments["stack"].array,
-            terms_vectors=self.terms_vectors,
-            row_map=self.row_map,
-            attachments=attachments,
+        return _WorkerContext(
+            partial(self.price, stack=attachments["stack"].array),
+            attachments["event_ids"].array,
+            attachments["trial_offsets"].array,
+            self.record_phases,
+            attachments,
         )
 
 
-def _analyse_block(context: MulticoreContext, block: TrialRange) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Worker-side task: analyse one block of trials for every layer.
+def _analyse_block(
+    context: _WorkerContext, block: TrialRange
+) -> Tuple[np.ndarray, np.ndarray | None, PhaseTimer]:
+    """Worker-side task: price one block of trials for every plan row.
 
-    Returns ``(start_trial, losses, max_occurrence)`` where ``losses`` has
-    shape ``(n_rows, block_size)``.
+    Returns ``(losses, max_occurrence, the block's phase timer)`` where
+    ``losses`` has shape ``(n_rows, block.size)``.
     """
-    start, stop = block.start, block.stop
-    lo = int(context.trial_offsets[start])
-    hi = int(context.trial_offsets[stop])
-    event_ids = context.event_ids[lo:hi]
-    offsets = context.trial_offsets[start : stop + 1] - lo
-
-    if context.stack is not None:
-        losses, max_occ = layer_trial_losses_batch(
-            (),
-            event_ids,
-            offsets,
-            context.terms_vectors,
-            use_shortcut=context.use_shortcut,
-            record_max_occurrence=context.record_max_occurrence,
-            stack=context.stack,
-            row_map=context.row_map,
-        )
-        return block.start, losses, max_occ
-
-    n_layers = len(context.matrices)
-    losses = np.zeros((n_layers, block.size), dtype=np.float64)
-    max_occ = (
-        np.zeros((n_layers, block.size), dtype=np.float64)
-        if context.record_max_occurrence
-        else None
+    lo = int(context.trial_offsets[block.start])
+    hi = int(context.trial_offsets[block.stop])
+    timer = PhaseTimer(enabled=context.record_phases)
+    losses, max_occ = context.price(
+        context.event_ids[lo:hi],
+        context.trial_offsets[block.start : block.stop + 1] - lo,
+        timer=timer,
     )
-    for layer_index, (matrix, terms) in enumerate(zip(context.matrices, context.terms)):
-        year_losses, trial_max = layer_trial_losses(
-            matrix,
-            event_ids,
-            offsets,
-            terms,
-            use_shortcut=context.use_shortcut,
-            record_max_occurrence=context.record_max_occurrence,
+    return losses, max_occ, timer
+
+
+class _PoolRun(ShardRun):
+    """One multicore run: shards refined into the worker schedule, mapped over a pool."""
+
+    def __init__(
+        self, engine: "MulticoreEngine", plan: ExecutionPlan, fused: bool, timer: PhaseTimer
+    ) -> None:
+        config = engine.config
+        self.engine = engine
+        self.plan = plan
+        self.stack = plan.stack(timer) if fused else None
+        self.use_shm = fused and engine._uses_shared_memory()
+        self.parallel_config = ParallelConfig(
+            n_workers=config.n_workers,
+            policy=config.scheduling,
+            oversubscription=config.oversubscription,
+            start_method=config.start_method,
         )
-        losses[layer_index] = year_losses
-        if max_occ is not None and trial_max is not None:
-            max_occ[layer_index] = trial_max
-    return block.start, losses, max_occ
+        super().__init__(
+            # Under shared memory each worker binds the stack it attached.
+            window_pricer(
+                plan, config, fused, stack=None if self.use_shm else self.stack
+            ),
+            {
+                "n_workers": config.n_workers,
+                "scheduling": str(config.scheduling),
+                "oversubscription": config.oversubscription,
+                "n_blocks": 0,
+                "shared_memory": self.use_shm,
+                "workspace_reused": False,
+            },
+        )
+
+    def blocks(self, n_trials: int) -> List[TrialRange]:
+        return list(TrialBlockExecutor(self.parallel_config).schedule_for(n_trials).blocks)
+
+    def map(
+        self, yet: YearEventTable, blocks: List[TrialRange], timer: PhaseTimer
+    ) -> Iterator[Tuple[TrialRange, np.ndarray, np.ndarray | None]]:
+        record_phases = self.engine.config.record_phases
+        workspace: SharedWorkspace | None = None
+        owns_workspace = False
+        try:
+            if self.use_shm:
+                # Publish the big read-only arrays once; workers attach
+                # zero-copy views instead of unpickling them per worker.
+                workspace, owns_workspace, reused = self.engine._acquire_workspace(
+                    self.plan, yet, self.stack
+                )
+                self.details["workspace_reused"] = reused
+                executor = TrialBlockExecutor(
+                    self.parallel_config,
+                    context_factory=_SharedPlanContext(
+                        workspace.descriptors(), self.price, record_phases
+                    ),
+                )
+            else:
+                executor = TrialBlockExecutor(
+                    self.parallel_config,
+                    context=_WorkerContext(
+                        self.price, yet.event_ids, yet.trial_offsets, record_phases
+                    ),
+                )
+            results = executor.run(_analyse_block, work_items=blocks)
+        finally:
+            # A worker dying mid-block must not leak the shared segments:
+            # the owner unlinks them on every exit path (an atexit guard in
+            # shared_memory.py backstops even this).  Retained workspaces
+            # are closed by release_workspaces() or the plan's finalizer.
+            if workspace is not None and owns_workspace:
+                workspace.close()
+        self.details["n_blocks"] += len(blocks)
+        for block, (losses, max_occ, block_timer) in zip(blocks, results):
+            timer.merge(block_timer)
+            yield block, losses, max_occ
 
 
-class MulticoreEngine:
+class MulticoreEngine(ShardPricer):
     """Multi-process backend partitioning trials over worker processes."""
 
     name = "multicore"
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="multicore")
+        super().__init__(config)
         #: Keep published workspaces alive across runs (warm-engine serving).
         self.retain_workspaces = False
         self._retained: "weakref.WeakKeyDictionary[ExecutionPlan, SharedWorkspace]" = (
@@ -207,17 +216,11 @@ class MulticoreEngine:
         # second /dev/shm workspace for the same plan.
         self._retained_lock = threading.Lock()
 
-    def _parallel_config(self) -> ParallelConfig:
-        config = self.config
-        return ParallelConfig(
-            n_workers=config.n_workers,
-            policy=config.scheduling,
-            oversubscription=config.oversubscription,
-            start_method=config.start_method,
-        )
+    def prepare(self, plan: ExecutionPlan, fused: bool, timer: PhaseTimer) -> ShardRun:
+        return _PoolRun(self, plan, fused, timer)
 
     def _uses_shared_memory(self) -> bool:
-        """Whether the plan scheduler publishes its arrays via shared memory."""
+        """Whether the backend publishes the plan's arrays via shared memory."""
         config = self.config
         if config.n_workers == 1:
             # The executor's serial fast path runs in-process: there is no
@@ -235,32 +238,36 @@ class MulticoreEngine:
     # ------------------------------------------------------------------ #
     # Workspace retention (warm-engine serving)
     # ------------------------------------------------------------------ #
-    def _acquire_workspace(self, plan: ExecutionPlan, stack: np.ndarray) -> tuple[SharedWorkspace, bool, bool]:
+    def _acquire_workspace(
+        self, plan: ExecutionPlan, yet: YearEventTable, stack: np.ndarray
+    ) -> tuple[SharedWorkspace, bool, bool]:
         """(workspace, this run owns its teardown, it was reused).
 
         Without retention the caller publishes and closes per run.  With
         retention the workspace is stored against the plan object: a second
         execution of the same plan attaches to the already-published
         segments, and a ``weakref.finalize`` on the plan guarantees the
-        segments are unlinked no later than the plan's own death.
+        segments are unlinked no later than the plan's own death.  Only the
+        plan's own in-memory table is retained — the per-shard tables of an
+        out-of-core run are published and closed shard by shard.
         """
-        if self.retain_workspaces:
-            with self._retained_lock:
-                workspace = self._retained.get(plan)
-                if workspace is not None:
-                    return workspace, False, True
-                workspace = SharedWorkspace()
-                workspace.add("stack", stack)
-                workspace.add("event_ids", plan.yet.event_ids)
-                workspace.add("trial_offsets", plan.yet.trial_offsets)
-                self._retained[plan] = workspace
-                weakref.finalize(plan, workspace.close)
-                return workspace, False, False
-        workspace = SharedWorkspace()
-        workspace.add("stack", stack)
-        workspace.add("event_ids", plan.yet.event_ids)
-        workspace.add("trial_offsets", plan.yet.trial_offsets)
-        return workspace, True, False
+
+        def publish() -> SharedWorkspace:
+            workspace = SharedWorkspace()
+            workspace.add("stack", stack)
+            workspace.add("event_ids", yet.event_ids)
+            workspace.add("trial_offsets", yet.trial_offsets)
+            return workspace
+
+        if not (self.retain_workspaces and yet is plan.yet):
+            return publish(), True, False
+        with self._retained_lock:
+            workspace = self._retained.get(plan)
+            if workspace is not None:
+                return workspace, False, True
+            workspace = self._retained[plan] = publish()
+            weakref.finalize(plan, workspace.close)
+            return workspace, False, False
 
     def release_workspaces(self) -> None:
         """Close every workspace retained across runs (idempotent)."""
@@ -269,123 +276,3 @@ class MulticoreEngine:
             self._retained.clear()
         for workspace in workspaces:
             workspace.close()
-
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan` across workers.
-
-        The plan's trial shards are each decomposed into the configured
-        worker schedule; all blocks of all shards run through one pool, and
-        every block's result is accumulated as a
-        :class:`~repro.core.results.PartialResult` (a worker block *is* a
-        trial shard — disjoint by construction), so the assembled result is
-        bit-identical for any worker count, scheduling policy or shard
-        count.
-        """
-        config = self.config
-        wall = Timer().start()
-
-        fused = config.fused_layers or not plan.has_layers
-        use_shm = fused and self._uses_shared_memory()
-        parallel_config = self._parallel_config()
-
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-
-        workspace: SharedWorkspace | None = None
-        owns_workspace = False
-        workspace_reused = False
-        try:
-            if fused:
-                stack = plan.stack()
-                if use_shm:
-                    # Publish the big read-only arrays once; workers attach
-                    # zero-copy views instead of unpickling them per worker.
-                    # Under retention a re-executed plan reuses the segments
-                    # published by its first run.
-                    workspace, owns_workspace, workspace_reused = self._acquire_workspace(
-                        plan, stack
-                    )
-                    executor = TrialBlockExecutor(
-                        parallel_config,
-                        context_factory=_SharedPlanContext(
-                            workspace.descriptors(),
-                            plan.terms,
-                            plan.row_map,
-                            config.use_aggregate_shortcut,
-                            config.record_max_occurrence,
-                        ),
-                    )
-                else:
-                    context = MulticoreContext(
-                        event_ids=plan.yet.event_ids,
-                        trial_offsets=plan.yet.trial_offsets,
-                        matrices=None,
-                        terms=(),
-                        use_shortcut=config.use_aggregate_shortcut,
-                        record_max_occurrence=config.record_max_occurrence,
-                        stack=stack,
-                        terms_vectors=plan.terms,
-                        row_map=plan.row_map,
-                    )
-                    executor = TrialBlockExecutor(parallel_config, context=context)
-            else:
-                context = MulticoreContext(
-                    event_ids=plan.yet.event_ids,
-                    trial_offsets=plan.yet.trial_offsets,
-                    matrices=[layer.loss_matrix() for layer in plan.layers],
-                    terms=[layer.terms for layer in plan.layers],
-                    use_shortcut=config.use_aggregate_shortcut,
-                    record_max_occurrence=config.record_max_occurrence,
-                )
-                executor = TrialBlockExecutor(parallel_config, context=context)
-
-            # Each shard is decomposed into the configured worker schedule;
-            # the flattened block list runs through one pool (one worker
-            # start-up for the whole plan, however many shards it has).
-            blocks: List[TrialRange] = []
-            for trials in shards:
-                schedule = executor.schedule_for(trials.size)
-                blocks.extend(
-                    TrialRange(trials.start + block.start, trials.start + block.stop)
-                    for block in schedule.blocks
-                )
-            block_results: List[tuple[int, np.ndarray, np.ndarray | None]] = executor.run(
-                _analyse_block, work_items=blocks
-            )
-        finally:
-            # A worker dying mid-block must not leak the shared segments:
-            # the owner unlinks them on every exit path (an atexit guard in
-            # shared_memory.py backstops even this).  Retained workspaces
-            # are closed by release_workspaces() or the plan's finalizer.
-            if workspace is not None and owns_workspace:
-                workspace.close()
-
-        accumulator = ResultAccumulator.for_plan(plan)
-        for start, block_losses, block_max in block_results:
-            accumulator.add(
-                PartialResult(
-                    TrialRange(start, start + block_losses.shape[1]),
-                    block_losses,
-                    block_max,
-                )
-            )
-        details: Dict[str, Any] = {
-            "n_workers": config.n_workers,
-            "scheduling": str(config.scheduling),
-            "oversubscription": config.oversubscription,
-            "n_blocks": len(blocks),
-            "fused_layers": fused,
-            "shared_memory": use_shm,
-            "workspace_reused": workspace_reused,
-            "trial_shards": len(shards),
-        }
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            details,
-        )

@@ -1,7 +1,6 @@
 """Native compiled-kernel backend.
 
-:class:`NativeEngine` is the sixth backend under the unified ``run_plan``
-scheduler interface: the same shard-loop + accumulate shape as
+:class:`NativeEngine` prices a trial window like
 :class:`~repro.core.vectorized.VectorizedEngine`, but with the fused hot
 path — stacked gather, occurrence terms, trial-local segment sum/max,
 aggregate clip — executed by the in-repo C kernel
@@ -40,14 +39,11 @@ import warnings
 
 import numpy as np
 
-from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses_batch
+from repro.core.driver import ShardPricer, ShardRun, window_pricer
 from repro.core.native.build import NativeBuildError, NativeKernels, load_kernels
-from repro.core.phases import PHASE_EVENT_FETCH, PHASE_LAYER_TERMS
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
-from repro.core.vectorized import _per_layer_losses
-from repro.utils.timing import PhaseTimer, Timer
+from repro.core.phases import PHASE_LAYER_TERMS
+from repro.core.plan import ExecutionPlan
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["NativeEngine"]
 
@@ -70,17 +66,11 @@ def _warn_fallback_once(reason: str) -> None:
     )
 
 
-class NativeEngine:
+class NativeEngine(ShardPricer):
     """C fused-kernel backend with a byte-for-byte NumPy fallback."""
 
     name = "native"
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="native")
-
-    # ------------------------------------------------------------------ #
-    # Kernel acquisition
-    # ------------------------------------------------------------------ #
     def _kernels(self) -> tuple[NativeKernels | None, str | None]:
         """The loaded kernel library, or ``(None, reason)`` on fallback.
 
@@ -94,93 +84,50 @@ class NativeEngine:
             _warn_fallback_once(reason)
             return None, reason
 
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan`, one pass per shard."""
+    def prepare(self, plan: ExecutionPlan, fused: bool, timer: PhaseTimer) -> ShardRun:
         config = self.config
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-
-        fused = config.fused_layers or not plan.has_layers
         wants_kernel = fused and config.use_aggregate_shortcut
-        kernels: NativeKernels | None = None
-        fallback_reason: str | None = None
-        if wants_kernel:
-            kernels, fallback_reason = self._kernels()
-        use_kernel = kernels is not None
-
+        kernels, fallback_reason = self._kernels() if wants_kernel else (None, None)
         float32 = config.dtype == "float32" and fused
-        # The NumPy paths consume a float64 stack; under dtype="float32"
-        # they read the quantised values (widened back to f64) so fallback
-        # and ablation runs reproduce the C tier's bits.
-        numpy_stack: np.ndarray | None = None
-        if fused and not use_kernel:
-            numpy_stack = (
-                plan.stack_f32(timer).astype(np.float64)
-                if float32
-                else plan.stack(timer)
-            )
-
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
-            if fused:
-                with timer.phase(PHASE_EVENT_FETCH):
-                    event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-                if use_kernel:
-                    stack = plan.stack_f32(timer) if float32 else plan.stack(timer)
-                    vectors = plan.terms
-                    with timer.phase(PHASE_LAYER_TERMS):
-                        losses, max_occ = kernels.fused_rows(
-                            stack,
-                            event_ids,
-                            offsets,
-                            vectors.occurrence_retentions,
-                            vectors.occurrence_limits,
-                            vectors.aggregate_retentions,
-                            vectors.aggregate_limits,
-                            row_map=plan.row_map,
-                            record_max_occurrence=config.record_max_occurrence,
-                            n_threads=config.native_threads,
-                        )
-                else:
-                    losses, max_occ = layer_trial_losses_batch(
-                        (),
-                        event_ids,
-                        offsets,
-                        plan.terms,
-                        use_shortcut=config.use_aggregate_shortcut,
-                        record_max_occurrence=config.record_max_occurrence,
-                        timer=timer,
-                        stack=numpy_stack,
-                        row_map=plan.row_map,
-                    )
-            else:
-                losses, max_occ = _per_layer_losses(plan, trials, config, timer)
-            accumulator.add(PartialResult(trials, losses, max_occ))
 
         details = {
-            "fused_layers": fused,
-            "trial_shards": len(shards),
-            "native_kernel": use_kernel,
+            "native_kernel": kernels is not None,
             "dtype": config.dtype if fused else "float64",
         }
-        if use_kernel:
-            details["native_threads"] = (
-                config.native_threads if config.native_threads > 0 else kernels.max_threads()
-            )
-            details["native_openmp"] = kernels.openmp
-        elif wants_kernel:
-            details["native_fallback"] = True
-            details["native_fallback_reason"] = fallback_reason
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            details,
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
+        if kernels is None:
+            if wants_kernel:
+                details["native_fallback"] = True
+                details["native_fallback_reason"] = fallback_reason
+            # The NumPy paths consume a float64 stack; under dtype="float32"
+            # they read the quantised values (widened back to f64) so fallback
+            # and ablation runs reproduce the C tier's bits.
+            stack: np.ndarray | None = None
+            if fused:
+                stack = (
+                    plan.stack_f32(timer).astype(np.float64) if float32 else plan.stack(timer)
+                )
+            return ShardRun(window_pricer(plan, config, fused, stack=stack), details)
+
+        details["native_threads"] = (
+            config.native_threads if config.native_threads > 0 else kernels.max_threads()
         )
+        details["native_openmp"] = kernels.openmp
+        stack = plan.stack_f32(timer) if float32 else plan.stack(timer)
+        vectors = plan.terms
+
+        def price(event_ids: np.ndarray, offsets: np.ndarray, timer: PhaseTimer):
+            with timer.phase(PHASE_LAYER_TERMS):
+                return kernels.fused_rows(
+                    stack,
+                    event_ids,
+                    offsets,
+                    vectors.occurrence_retentions,
+                    vectors.occurrence_limits,
+                    vectors.aggregate_retentions,
+                    vectors.aggregate_limits,
+                    row_map=plan.row_map,
+                    record_max_occurrence=config.record_max_occurrence,
+                    n_threads=config.native_threads,
+                )
+
+        return ShardRun(price, details)

@@ -5,21 +5,19 @@ data-parallel computation — trials x layers over a Year Event Table.  The
 plan layer turns that observation into architecture: every engine workload
 (``run``, ``run_many``, ``run_stacked``, replication blocks, portfolio
 sweeps) lowers to the same intermediate representation, an
-:class:`ExecutionPlan` describing tiles over
+:class:`ExecutionPlan` spanning
 
 * the **trial axis** — contiguous trial blocks of the YET, and
 * the **row axis** — stacked term-netted layer loss rows (the layout of
   :func:`~repro.core.kernels.build_layer_loss_stack`).
 
-Backends *schedule* plans instead of reimplementing workloads: the
-vectorized backend executes the single full-size tile, the chunked backend
-streams the trial-flattened events of that tile, the multicore backend maps
-trial blocks over worker processes (publishing the stack and YET columns
-through shared memory so workers attach zero-copy), the simulated GPU
-launches one ``threads_per_block x 1`` tile per simulated CUDA block, and
-the sequential reference iterates the plan's source layers.  Scaling
-features — row deduplication, sharding, streaming — therefore land once, in
-the plan, and apply to every entry point.
+Nothing reimplements a workload: the one shard driver
+(:mod:`repro.core.driver`) cuts every plan into trial shards and the
+selected backend only *prices* a shard's event window — in one fused NumPy
+or C pass, streamed in chunks, mapped over worker processes, one simulated
+CUDA block at a time, or trial by trial in the sequential reference.
+Scaling features — row deduplication, sharding, streaming — therefore land
+once, in the plan and its driver, and apply to every entry point.
 
 Lowering is the job of :class:`PlanBuilder`:
 
@@ -51,7 +49,7 @@ from repro.core.kernels import build_layer_loss_stack
 from repro.core.results import EngineResult
 from repro.financial.terms import LayerTerms, LayerTermsVectors
 from repro.parallel.device import WorkloadShape
-from repro.parallel.partitioner import Tile, TrialRange, shard_partition, tile_partition
+from repro.parallel.partitioner import TrialRange, shard_partition
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.utils.timing import PhaseTimer
@@ -92,7 +90,11 @@ class ExecutionPlan:
     Parameters
     ----------
     yet:
-        The Year Event Table every row is priced over.
+        The Year Event Table every row is priced over (at least one trial) —
+        or, for out-of-core runs, a shard source over a stored table
+        (:class:`~repro.yet.io.YetShardReader` and the stores' sources:
+        ``n_trials``, ``mean_events_per_trial``, ``shard(trials)``), whose
+        columns the shard driver materialises one shard at a time.
     terms:
         Per-row layer terms (``n_rows`` entries).
     layers:
@@ -126,7 +128,7 @@ class ExecutionPlan:
         ``details["plan"]["trial_range"]`` so a
         :class:`~repro.core.results.ResultAccumulator` can place them).
     n_shards:
-        Shard count the schedulers should execute this plan with (``0`` =
+        Shard count the shard driver executes this plan with (``0`` =
         defer to ``EngineConfig.trial_shards``).  Shard-restricted children
         are created with ``n_shards=1`` so they never re-shard themselves.
     """
@@ -146,6 +148,11 @@ class ExecutionPlan:
         trial_range: TrialRange | None = None,
         n_shards: int = 0,
     ) -> None:
+        if yet.n_trials <= 0:
+            raise ValueError(
+                f"cannot plan over an empty Year Event Table: {yet!r} holds "
+                f"{yet.n_trials} trials"
+            )
         self.yet = yet
         self.terms = (
             terms if isinstance(terms, LayerTermsVectors) else LayerTermsVectors.from_terms(terms)
@@ -285,7 +292,7 @@ class ExecutionPlan:
         )
 
     # ------------------------------------------------------------------ #
-    # Stack materialisation & tiling
+    # Stack materialisation
     # ------------------------------------------------------------------ #
     def stack(self, timer: PhaseTimer | None = None) -> np.ndarray:
         """The ``(n_unique_rows, catalog_size)`` term-netted loss stack.
@@ -360,12 +367,6 @@ class ExecutionPlan:
         """The stack if it has been built/adopted already (``None`` otherwise)."""
         return self._stack
 
-    def tiles(
-        self, trial_block: int | None = None, row_block: int | None = None
-    ) -> List[Tile]:
-        """The plan's iteration space split into (trial x row) tiles."""
-        return tile_partition(self.n_trials, self.n_rows, trial_block, row_block)
-
     # ------------------------------------------------------------------ #
     # Trial sharding
     # ------------------------------------------------------------------ #
@@ -415,7 +416,7 @@ class ExecutionPlan:
         """The global trial ranges a shard loop over this plan iterates.
 
         At most ``n_shards`` contiguous non-empty ranges (one range covering
-        everything when ``n_shards <= 1``); schedulers call this with
+        everything when ``n_shards <= 1``); the shard driver calls this with
         ``plan.n_shards or config.trial_shards``.
         """
         base = self.trials.start
@@ -455,7 +456,7 @@ class PlanBuilder:
     ) -> ExecutionPlan:
         """Lower ``run``: one row per layer of one program, one segment.
 
-        ``n_shards`` asks the scheduler to execute the plan as that many
+        ``n_shards`` asks the shard driver to execute the plan as that many
         trial shards (``0`` = defer to ``EngineConfig.trial_shards``); the
         merged result is bit-identical either way.
         """
@@ -569,11 +570,10 @@ def finalize_plan_result(
     modeled: Sequence = (),
     modeled_seconds: float | None = None,
 ) -> EngineResult:
-    """Assemble the :class:`EngineResult` every plan scheduler returns.
+    """Assemble the :class:`EngineResult` of one plan execution.
 
     Merges the plan's provenance (source, row counts, dedup factor) into the
-    backend's ``details`` so the one result-assembly path exists here rather
-    than once per backend.
+    run's ``details``; called by the shard driver, once per run.
     """
     merged = dict(details)
     merged["plan"] = {

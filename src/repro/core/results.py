@@ -14,8 +14,8 @@ over trials (its map step); this module supplies the matching *reduce* step:
   squares / max per layer row) that streaming consumers can keep without the
   blocks.
 
-Every backend's plan scheduler is written in shard-loop + accumulate form on
-top of these types, which is what makes ``EngineConfig.trial_shards``,
+The one shard driver (:mod:`repro.core.driver`) is a shard loop + accumulate
+on top of these types, which is what makes ``EngineConfig.trial_shards``,
 ``plan.shard(n)`` and the out-of-core
 :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded` path one
 mechanism rather than three.
@@ -147,9 +147,8 @@ class EngineResult:
     def with_extra_details(self, **extra: Any) -> "EngineResult":
         """A copy of this result with ``extra`` merged into ``details``.
 
-        Used by the sequential backend's plan scheduler, which delegates to
-        its reference execution loop and then stamps the plan provenance
-        onto the result.
+        Used by :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded`
+        to stamp the out-of-core provenance onto the driver's result.
         """
         details = dict(self.details)
         details.update(extra)
@@ -287,7 +286,7 @@ class PartialResult:
     ) -> "PartialResult":
         """Wrap a shard-restricted run's :class:`EngineResult` as a partial.
 
-        ``trials`` defaults to the plan trial range the schedulers record in
+        ``trials`` defaults to the plan trial range the shard driver records in
         ``result.details["plan"]["trial_range"]`` — the global coordinates of
         a plan produced by :meth:`~repro.core.plan.ExecutionPlan.shard`.
         """

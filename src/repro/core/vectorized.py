@@ -1,112 +1,31 @@
 """Vectorized (whole-shard) backend.
 
-By default (``EngineConfig.fused_layers``) each trial shard of the plan is
-priced in one fused pass: every row's term-netted dense losses are stacked
-into a single ``(n_rows, catalog_size)`` matrix, the shard's flattened
-event-id window is gathered from it in one fancy-indexing operation, and the
-layer terms are applied as broadcast expressions over the resulting
-``(n_rows, n_events)`` matrix.  With ``fused_layers=False`` the backend
-falls back to one kernel call per layer (re-gathering the window against
-each layer's matrix separately).  Either way this is the "make the inner
-loops disappear" translation of the paper's one-thread-per-trial data
-parallelism to NumPy.
-
-:meth:`VectorizedEngine.run_plan` is the scheduler for the unified
-:class:`~repro.core.plan.ExecutionPlan` IR, written — like every backend's —
-in shard-loop + accumulate form: the plan's trial range is split into
-``plan.n_shards or EngineConfig.trial_shards`` disjoint shards, each shard's
-:class:`~repro.core.results.PartialResult` is computed independently, and a
-:class:`~repro.core.results.ResultAccumulator` reassembles the monolithic
-result.  Per-trial reductions are trial-local, so the merge is exact: any
-shard count produces bit-identical output, and ``trial_shards > 1`` bounds
-the per-pass gather to one shard's events.
+By default (``EngineConfig.fused_layers``) a trial window is priced in one
+fused pass: every row's term-netted dense losses are stacked into a single
+``(n_rows, catalog_size)`` matrix, the window's flattened event ids are
+gathered from it in one fancy-indexing operation, and the layer terms are
+applied as broadcast expressions over the resulting ``(n_rows, n_events)``
+matrix.  With ``fused_layers=False`` the window is priced with one kernel
+call per layer instead (re-gathering it against each layer's matrix
+separately).  Either way this is the "make the inner loops disappear"
+translation of the paper's one-thread-per-trial data parallelism to NumPy;
+``trial_shards > 1`` bounds the per-pass gather to one shard's events.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.config import EngineConfig
-from repro.core.kernels import layer_trial_losses, layer_trial_losses_batch
-from repro.core.plan import ExecutionPlan, finalize_plan_result
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
-from repro.parallel.partitioner import TrialRange
-from repro.utils.timing import PhaseTimer, Timer
+from repro.core.driver import ShardPricer, ShardRun, window_pricer
+from repro.core.plan import ExecutionPlan
+from repro.utils.timing import PhaseTimer
 
 __all__ = ["VectorizedEngine"]
 
 
-class VectorizedEngine:
+class VectorizedEngine(ShardPricer):
     """NumPy data-parallel backend operating on whole trial shards at once."""
 
     name = "vectorized"
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig(backend="vectorized")
-
-    # ------------------------------------------------------------------ #
-    # Plan scheduler
-    # ------------------------------------------------------------------ #
-    def run_plan(self, plan: ExecutionPlan) -> EngineResult:
-        """Execute an :class:`~repro.core.plan.ExecutionPlan`, one pass per shard."""
-        config = self.config
-        timer = PhaseTimer(enabled=config.record_phases)
-        wall = Timer().start()
-
-        fused = config.fused_layers or not plan.has_layers
-        shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
-        accumulator = ResultAccumulator.for_plan(plan)
-        for trials in shards:
-            if fused:
-                event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-                losses, max_occ = layer_trial_losses_batch(
-                    (),
-                    event_ids,
-                    offsets,
-                    plan.terms,
-                    use_shortcut=config.use_aggregate_shortcut,
-                    record_max_occurrence=config.record_max_occurrence,
-                    timer=timer,
-                    stack=plan.stack(timer),
-                    row_map=plan.row_map,
-                )
-            else:
-                losses, max_occ = _per_layer_losses(plan, trials, config, timer)
-            accumulator.add(PartialResult(trials, losses, max_occ))
-
-        return finalize_plan_result(
-            plan,
-            self.name,
-            accumulator.year_losses(),
-            accumulator.max_occurrence_losses(),
-            wall.stop(),
-            {"fused_layers": fused, "trial_shards": len(shards)},
-            phase_breakdown=timer.breakdown() if config.record_phases else None,
-        )
-
-
-def _per_layer_losses(
-    plan: ExecutionPlan, trials: TrialRange, config: EngineConfig, timer: PhaseTimer
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ``fused_layers=False`` ablation: one kernel call per plan row."""
-    event_ids, offsets = plan.yet.trial_window(trials.start, trials.stop)
-    losses = np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-    max_occ = (
-        np.zeros((plan.n_rows, trials.size), dtype=np.float64)
-        if config.record_max_occurrence
-        else None
-    )
-    for row, layer in enumerate(plan.layers):
-        year_losses, trial_max = layer_trial_losses(
-            layer.loss_matrix(),
-            event_ids,
-            offsets,
-            layer.terms,
-            use_shortcut=config.use_aggregate_shortcut,
-            record_max_occurrence=config.record_max_occurrence,
-            timer=timer,
-        )
-        losses[row] = year_losses
-        if max_occ is not None and trial_max is not None:
-            max_occ[row] = trial_max
-    return losses, max_occ
+    def prepare(self, plan: ExecutionPlan, fused: bool, timer: PhaseTimer) -> ShardRun:
+        stack = plan.stack(timer) if fused else None
+        return ShardRun(window_pricer(plan, self.config, fused, stack=stack))

@@ -10,14 +10,6 @@ helpers split the trial index range ``[0, n_trials)`` into work items:
   workers are queued);
 * :func:`cyclic_partition` — round-robin assignment of individual trials (kept
   for completeness; poor locality makes it a baseline, not a recommendation).
-
-The plan layer (:mod:`repro.core.plan`) generalises the work item from a
-trial range to a :class:`Tile`: a (trial block x stacked-row block) rectangle
-of the workload, produced by :func:`tile_partition` and exposed as
-:meth:`~repro.core.plan.ExecutionPlan.tiles`.  The simulated-GPU backend
-schedules plans as ``threads_per_block x 1`` tiles (one per simulated CUDA
-block); the whole-space default (one full tile) describes the vectorized
-pass.
 """
 
 from __future__ import annotations
@@ -29,12 +21,10 @@ import numpy as np
 
 __all__ = [
     "TrialRange",
-    "Tile",
     "block_partition",
     "chunk_partition",
     "cyclic_partition",
     "shard_partition",
-    "tile_partition",
 ]
 
 
@@ -59,57 +49,6 @@ class TrialRange:
 
     def __len__(self) -> int:
         return self.size
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One rectangle of a plan's (trial x stacked-row) iteration space.
-
-    ``trials`` delimits the contiguous trial block the tile covers and
-    ``rows`` the contiguous block of stacked term-netted loss rows.  A tile is
-    the unit of work a plan scheduler hands to one executor slot (a worker
-    process, a chunk iteration, a simulated CUDA block).
-    """
-
-    trials: TrialRange
-    rows: TrialRange
-
-    @property
-    def n_trials(self) -> int:
-        """Number of trials the tile covers."""
-        return self.trials.size
-
-    @property
-    def n_rows(self) -> int:
-        """Number of stacked rows the tile covers."""
-        return self.rows.size
-
-
-def tile_partition(
-    n_trials: int,
-    n_rows: int,
-    trial_block: int | None = None,
-    row_block: int | None = None,
-) -> List[Tile]:
-    """Split an ``n_trials x n_rows`` iteration space into contiguous tiles.
-
-    ``trial_block`` / ``row_block`` bound the tile edge along each axis;
-    ``None`` leaves that axis unsplit (one block spanning the full range).
-    Tiles are emitted row-block-major: all trial blocks of the first row
-    block, then the next row block, matching how the streaming sweep yields
-    whole row blocks (program groups) in order.
-    """
-    trial_ranges = (
-        [TrialRange(0, n_trials)]
-        if trial_block is None
-        else chunk_partition(n_trials, trial_block)
-    )
-    row_ranges = (
-        [TrialRange(0, n_rows)]
-        if row_block is None
-        else chunk_partition(n_rows, row_block)
-    )
-    return [Tile(t, r) for r in row_ranges for t in trial_ranges]
 
 
 def block_partition(n_trials: int, n_blocks: int) -> List[TrialRange]:

@@ -13,7 +13,7 @@ would pickle and copy gigabytes per worker.  :class:`SharedArray` wraps
 :class:`SharedWorkspace` manages a named collection of such arrays (the YET's
 event ids and offsets plus the fused loss stack) and can reconstruct the
 views on the worker side from a compact, picklable descriptor.  This is the
-transport the multicore plan scheduler uses: the
+transport the multicore backend uses: the
 :class:`~repro.core.plan.ExecutionPlan`'s stack and YET columns are published
 once and every worker attaches zero-copy instead of unpickling
 ``n_layers x catalog_size`` doubles per run.
@@ -29,7 +29,7 @@ make leaks impossible in practice:
   closes and unlinks any segment still open at interpreter shutdown (so an
   exception that skips a ``finally`` block cannot leak past process exit);
 * :class:`SharedWorkspace` and :class:`SharedArray` are context managers, and
-  the multicore scheduler wraps its workspace in ``try/finally`` — a worker
+  the multicore backend wraps its workspace in ``try/finally`` — a worker
   dying mid-block (raising, or killed outright) still ends with the parent
   unlinking every segment;
 * worker-side attachments bypass Python's per-process resource tracker

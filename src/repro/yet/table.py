@@ -167,7 +167,7 @@ class YearEventTable:
 
         The event ids are a zero-copy view into the flat array; the offsets
         are rebased to the window (``local_offsets[0] == 0``).  This is the
-        form the shard-loop schedulers feed to the kernels: per-trial
+        form the shard driver feeds to the backends: per-trial
         reductions are trial-local, so pricing a window produces exactly the
         columns a whole-table run would produce for those trials.
         """

@@ -79,21 +79,22 @@ class TestCompareBackends:
     def test_disagreement_detected(self, tiny_workload, monkeypatch):
         # Force the chunked backend to produce corrupted results and make sure
         # the comparison catches it.
-        from repro.core import chunked as chunked_module
+        from repro.core.chunked import ChunkedEngine
 
-        original_perlayer = chunked_module.layer_trial_losses_chunked
-        original_batch = chunked_module.layer_trial_losses_batch
+        original_prepare = ChunkedEngine.prepare
 
-        def corrupted_perlayer(*args, **kwargs):
-            year, occ = original_perlayer(*args, **kwargs)
-            return year * 1.5, occ
+        def corrupted_prepare(self, plan, fused, timer):
+            run = original_prepare(self, plan, fused, timer)
+            price = run.price
 
-        def corrupted_batch(*args, **kwargs):
-            year, occ = original_batch(*args, **kwargs)
-            return year * 1.5, occ
+            def corrupted_price(*args, **kwargs):
+                year, occ = price(*args, **kwargs)
+                return year * 1.5, occ
 
-        monkeypatch.setattr(chunked_module, "layer_trial_losses_chunked", corrupted_perlayer)
-        monkeypatch.setattr(chunked_module, "layer_trial_losses_batch", corrupted_batch)
+            run.price = corrupted_price
+            return run
+
+        monkeypatch.setattr(ChunkedEngine, "prepare", corrupted_prepare)
         with pytest.raises(AssertionError, match="disagrees"):
             AggregateRiskEngine.compare_backends(
                 tiny_workload.program, tiny_workload.yet, backends=("vectorized", "chunked")

@@ -69,6 +69,19 @@ class TestMulticoreEngine:
         assert result.details["oversubscription"] == 3
         assert result.details["n_blocks"] >= 2
 
+    @pytest.mark.parametrize("n_workers", (1, 2))
+    def test_record_phases_sums_worker_phases(self, tiny_workload, n_workers):
+        """record_phases is honoured: workers return their per-block seconds."""
+        from repro.core.phases import PHASE_ELT_LOOKUP, PHASE_LAYER_TERMS
+
+        engine = MulticoreEngine(
+            EngineConfig(backend="multicore", n_workers=n_workers, record_phases=True)
+        )
+        breakdown = _run(engine, tiny_workload.program, tiny_workload.yet).phase_breakdown
+        assert breakdown is not None
+        assert breakdown.seconds[PHASE_ELT_LOOKUP] > 0
+        assert breakdown.seconds[PHASE_LAYER_TERMS] > 0
+
     def test_single_layer_accepted(self, tiny_workload):
         engine = MulticoreEngine(EngineConfig(backend="multicore", n_workers=2))
         result = _run(engine, tiny_workload.program[0], tiny_workload.yet)

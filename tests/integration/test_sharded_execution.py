@@ -187,6 +187,41 @@ def test_shard_plans_share_one_stack(workload):
     assert stacks == {id(plan.stack())}
 
 
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_reader_path_matches_in_memory_path(workload, backend, tmp_path):
+    """run_sharded(reader) == run_sharded(table): the bits AND the metadata.
+
+    Both sources run through the one shard driver, so the out-of-core path
+    reports what the in-memory path reports: the phase breakdown, the plan
+    provenance, the path taken, and the backend's own details.
+    """
+    engine = AggregateRiskEngine(
+        EngineConfig(backend=backend, n_workers=N_WORKERS, record_phases=True)
+    )
+    in_memory = engine.run_sharded(workload.program, workload.yet, n_shards=4)
+    store = save_yet_store(workload.yet, tmp_path / "yet_store")
+    with YetShardReader(store) as reader:
+        out_of_core = engine.run_sharded(workload.program, reader, n_shards=4)
+
+    _assert_identical(out_of_core.ylt, in_memory.ylt)
+    assert out_of_core.workload_shape == in_memory.workload_shape
+    assert out_of_core.phase_breakdown is not None
+    assert set(out_of_core.phase_breakdown.seconds) == set(in_memory.phase_breakdown.seconds)
+    assert set(in_memory.details) <= set(out_of_core.details)
+    for key in ("plan", "fused_layers", "trial_shards"):
+        assert out_of_core.details[key] == in_memory.details[key]
+    assert out_of_core.details["trial_shards"] == 4
+    assert out_of_core.details["sharded"] == {"n_shards": 4, "source": "reader"}
+    if backend == "native":
+        assert out_of_core.details["native_kernel"] == in_memory.details["native_kernel"]
+        assert out_of_core.details.get("native_fallback") == in_memory.details.get(
+            "native_fallback"
+        )
+    if backend == "gpu":
+        assert out_of_core.modeled_seconds == in_memory.modeled_seconds
+        assert out_of_core.modeled_seconds is not None
+
+
 class TestOutOfCore:
     """Pricing a stored YET larger than the shard budget, memory bounded."""
 
