@@ -297,7 +297,7 @@ class ExecutionPlan:
     def stack(self, timer: PhaseTimer | None = None) -> np.ndarray:
         """The ``(n_unique_rows, catalog_size)`` term-netted loss stack.
 
-        Built lazily from the unique layers' dense matrices and cached on
+        Built lazily from the unique layers' combined net rows and cached on
         the plan, so repeated executions (conformance runs, backend sweeps)
         pay the build once.  Shard-restricted children delegate to the plan
         they were split from, so a sharded execution also builds it once.

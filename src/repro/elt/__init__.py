@@ -14,8 +14,9 @@ dominated (78 % of runtime, Fig. 6b) by random lookups into the ELTs:
   pointer-chasing access patterns.
 
 All three are implemented here with a common interface so the ablation
-benchmark can compare them, plus :class:`~repro.elt.combined.LayerLossMatrix`,
-the dense ``n_elts x catalog_size`` matrix the vectorized backends gather from.
+benchmark can compare them, plus :class:`~repro.elt.combined.LayerLossMatrix`:
+a layer's combined term-netted row (what the fused kernels gather from) and,
+on demand, the dense ``n_elts x catalog_size`` stack for per-ELT lookups.
 """
 
 from repro.elt.combined import LayerLossMatrix

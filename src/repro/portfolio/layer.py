@@ -88,7 +88,7 @@ class Layer:
     # Engine-facing helpers
     # ------------------------------------------------------------------ #
     def loss_matrix(self) -> LayerLossMatrix:
-        """The dense per-layer loss matrix (built lazily and cached)."""
+        """The layer's :class:`LayerLossMatrix` (made on first use and cached)."""
         if self._loss_matrix is None:
             self._loss_matrix = LayerLossMatrix(self.elts)
         return self._loss_matrix
@@ -102,12 +102,13 @@ class Layer:
 
         This is the primitive behind the real-time pricing scenario of
         Section IV: the underwriter re-evaluates the *same* exposure (same
-        ELTs) under alternative contractual terms.  The cached loss matrix is
-        shared between the copies because it does not depend on the terms.
+        ELTs) under alternative contractual terms.  The loss matrix is always
+        shared between the copies because it does not depend on the terms
+        (making one allocates nothing until a row or the dense stack is read).
         """
         clone = Layer(self.elts, terms, name=self.name if name is None else name,
                       premium=self.premium)
-        clone._loss_matrix = self._loss_matrix
+        clone._loss_matrix = self.loss_matrix()
         return clone
 
     def expected_ground_up_loss(self) -> float:

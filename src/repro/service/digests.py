@@ -99,7 +99,12 @@ def clear_digest_memo() -> None:
     _PREFIX_MEMO.clear()
 
 
-def _hexdigest(parts: Iterable[bytes]) -> str:
+def _hexdigest(parts: Iterable[bytes | np.ndarray]) -> str:
+    """SHA-256 over framed parts: ``bytes``, or arrays hashed in place.
+
+    An array part contributes exactly its C-order bytes (what ``tobytes()``
+    would return) but is handed to the hash as a buffer, not copied first.
+    """
     digest = hashlib.sha256()
     for part in parts:
         # Length-prefix every part: concatenating variable-length fields
@@ -107,7 +112,12 @@ def _hexdigest(parts: Iterable[bytes]) -> str:
         # b"bc"), so a crafted boundary shift could collide two distinct
         # inputs.  An 8-byte big-endian length per part makes the framing
         # injective.
-        digest.update(len(part).to_bytes(8, "big"))
+        if type(part) is bytes:  # most parts are short: no buffer wrapping
+            size = len(part)
+        else:
+            part = np.ascontiguousarray(part)  # copies only a strided array
+            size = part.nbytes
+        digest.update(size.to_bytes(8, "big"))
         digest.update(part)
     return digest.hexdigest()
 
@@ -115,13 +125,7 @@ def _hexdigest(parts: Iterable[bytes]) -> str:
 def array_digest(array: np.ndarray) -> str:
     """SHA-256 of an array's dtype, shape and raw bytes."""
     array = np.ascontiguousarray(array)
-    return _hexdigest(
-        (
-            array.dtype.str.encode(),
-            repr(array.shape).encode(),
-            array.tobytes(),
-        )
-    )
+    return _hexdigest((array.dtype.str.encode(), repr(array.shape).encode(), array))
 
 
 def _financial_terms_bytes(terms: FinancialTerms) -> bytes:
@@ -148,8 +152,8 @@ def elt_digest(elt) -> str:
         (
             b"elt",
             repr(int(elt.catalog_size)).encode(),
-            np.ascontiguousarray(elt.event_ids).tobytes(),
-            np.ascontiguousarray(elt.losses).tobytes(),
+            elt.event_ids,
+            elt.losses,
             _financial_terms_bytes(elt.terms),
         )
     )
@@ -187,8 +191,8 @@ def _yet_parts(
     event_ids: np.ndarray,
     trial_offsets: np.ndarray,
     timestamps: np.ndarray | None,
-) -> tuple[bytes, ...]:
-    """The framed byte parts of a YET digest.
+) -> tuple:
+    """The framed parts of a YET digest.
 
     Covers *every* field of the table: the trial count, the catalog size
     (two YETs sharing events but indexing catalogs of different width must
@@ -199,10 +203,10 @@ def _yet_parts(
         b"yet",
         repr(int(n_trials)).encode(),
         repr(int(catalog_size)).encode(),
-        np.ascontiguousarray(event_ids).tobytes(),
-        np.ascontiguousarray(trial_offsets).tobytes(),
+        event_ids,
+        trial_offsets,
         b"ts" if timestamps is not None else b"no-ts",
-        np.ascontiguousarray(timestamps).tobytes() if timestamps is not None else b"",
+        timestamps if timestamps is not None else b"",
     )
 
 

@@ -85,18 +85,14 @@ def candidate_variants(
     """N candidate-term variants of a program (the Section IV pricing sweep).
 
     Variant ``i`` scales every layer's occurrence and aggregate retentions by
-    ``1 + 0.25 i`` (variant 0 is the program as written).  The layers' cached
-    dense loss matrices are shared across variants — only the layer terms
-    differ — so a batch over the variants prices them all from one stacked
-    gather without rebuilding any matrix.
+    ``1 + 0.25 i`` (variant 0 is the program as written).  The layers' loss
+    matrices are shared across variants — only the layer terms differ — so
+    a batch over the variants prices them all from one stacked gather,
+    building each layer's combined row once.
     """
     program = ReinsuranceProgram.wrap(program)
     if n <= 0:
         raise ValueError(f"variant count must be positive, got {n}")
-    # with_terms only shares a matrix that already exists, so build each
-    # layer's dense matrix (and its term-netted combined row) before cloning.
-    for layer in program.layers:
-        layer.loss_matrix().combined_net_losses()
     variants = []
     for i in range(n):
         scale = 1.0 + 0.25 * i

@@ -46,7 +46,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.kernels import replication_portfolio_losses
 from repro.core.plan import PlanBuilder
-from repro.financial.policies import apply_financial_terms
+from repro.elt.combined import scatter_net_losses
 from repro.financial.terms import LayerTerms, LayerTermsVectors
 from repro.portfolio.layer import Layer
 from repro.portfolio.pricing import ProgramQuote, price_program
@@ -101,15 +101,11 @@ class UncertainLayer:
         net of the per-ELT financial terms, combined across the layer's ELTs
         — bit-identical to building the sampled
         :class:`~repro.portfolio.layer.Layer` and asking its loss matrix for
-        :meth:`~repro.elt.combined.LayerLossMatrix.combined_net_losses`.
-        The terms are applied to the sampled *records* and scatter-added in
-        ELT order rather than via the dense ``(n_elts, catalog_size)``
-        matrix: zero entries net to exactly zero under the financial terms
-        and the dense ELT-axis reduction is sequential in ELT order, so the
-        sparse path reproduces the dense bits at ``O(records)`` cost per
-        replication instead of ``O(n_elts * catalog_size)`` — the saving
-        that makes batched replication sampling cheap.  ``scratch`` may
-        supply a reusable ``(catalog_size,)`` buffer.
+        :meth:`~repro.elt.combined.LayerLossMatrix.combined_net_losses`,
+        because both scatter the netted records through
+        :func:`~repro.elt.combined.scatter_net_losses` (``O(records)`` per
+        replication).  ``scratch`` may supply a reusable ``(catalog_size,)``
+        buffer.
         """
         generator = derive_rng(rng)
         if scratch is None:
@@ -120,10 +116,10 @@ class UncertainLayer:
                     f"scratch shape {scratch.shape} does not match ({self.catalog_size},)"
                 )
             scratch.fill(0.0)
-        for elt in self.elts:
-            net = apply_financial_terms(elt.sample_losses(generator), elt.terms)
-            scratch[elt.event_ids] += net
-        return scratch
+        return scatter_net_losses(
+            ((elt.event_ids, elt.sample_losses(generator), elt.terms) for elt in self.elts),
+            scratch,
+        )
 
 
 @dataclass(frozen=True)

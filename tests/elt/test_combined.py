@@ -55,9 +55,25 @@ class TestLayerLossMatrix:
         with pytest.raises(ValueError):
             matrix.row(0)[0] = 1.0
 
-    def test_memory_bytes(self):
+    def test_memory_bytes_reports_what_is_resident(self):
         matrix = LayerLossMatrix(make_elts())
-        assert matrix.memory_bytes >= 2 * 10 * 8
+        terms_only = 4 * 2 * 8
+        assert matrix.memory_bytes == terms_only  # construction allocates no catalog row
+        matrix.combined_net_losses()
+        assert matrix.memory_bytes == terms_only + 10 * 8
+        matrix.gather(np.array([3]))  # first per-ELT read builds the dense stack
+        assert matrix.memory_bytes == terms_only + 10 * 8 + 2 * 10 * 8
+
+    def test_combined_row_is_built_without_the_dense_stack(self):
+        matrix = LayerLossMatrix(make_elts())
+        net = matrix.combined_net_losses()
+        assert matrix._losses is None
+        expected = np.zeros(10)
+        expected[[1, 3, 4]] = [5.0, 15.0 + 3.0, 38.0]
+        np.testing.assert_array_equal(net, expected)
+        assert matrix.combined_net_losses() is net
+        with pytest.raises(ValueError):
+            net[0] = 1.0
 
     def test_requires_common_catalog_size(self):
         other = EventLossTable(np.array([0]), np.array([1.0]), catalog_size=5)

@@ -50,6 +50,13 @@ class TestLayer:
         assert clone.name == "original"
         assert clone.premium == 100.0
 
+    def test_with_terms_shares_matrix_before_first_pricing(self):
+        layer = Layer(make_elts())
+        first = layer.with_terms(LayerTerms(aggregate_limit=1e6))
+        second = layer.with_terms(LayerTerms(occurrence_retention=5.0))
+        assert first.loss_matrix() is second.loss_matrix() is layer.loss_matrix()
+        assert first.loss_matrix().combined_net_losses() is layer.loss_matrix().combined_net_losses()
+
     def test_with_terms_new_name(self):
         clone = Layer(make_elts(), name="a").with_terms(LayerTerms(), name="b")
         assert clone.name == "b"

@@ -12,13 +12,21 @@ the distributional contracts regardless of the draw:
   the replication axis and always satisfies ``low <= mean <= high``;
 * :meth:`UncertainLayer.sample_net_row` is bit-identical to building the
   sampled layer and combining its dense loss matrix — the identity the
-  batched replication engine rests on.
+  batched replication engine rests on;
+* :meth:`LayerLossMatrix.combined_net_losses`, built from the ELT records, has
+  the bytes of the dense reduction written out here (:func:`dense_net_row`) —
+  the identity every fused quote rests on — and the lazily built dense stack
+  still serves the per-ELT reads.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.elt.combined import LayerLossMatrix
+from repro.elt.table import EventLossTable
+from repro.financial.policies import apply_financial_terms_matrix
 from repro.financial.terms import FinancialTerms, LayerTerms
 from repro.uncertainty.analysis import ReplicationSummary, UncertainLayer
 from repro.uncertainty.table import (
@@ -66,6 +74,38 @@ def uncertain_elt(draw, min_records: int = 1):
         catalog_size=CATALOG_SIZE,
         family=draw(families),
         terms=terms,
+    )
+
+
+def dense_net_row(matrix: LayerLossMatrix) -> np.ndarray:
+    """The reference: net the dense ``(n_elts, catalog)`` stack, reduce over ELTs."""
+    net = apply_financial_terms_matrix(
+        matrix.losses, matrix.retentions, matrix.limits, matrix.shares, matrix.fx_rates
+    )
+    return net.sum(axis=0)
+
+
+@st.composite
+def plain_elt(draw):
+    """0-8 unsorted records; retention, finite / zero limit, share < 1, fx != 1."""
+    event_ids = draw(
+        st.lists(st.integers(min_value=0, max_value=CATALOG_SIZE - 1), max_size=8, unique=True)
+    )
+    losses = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+            min_size=len(event_ids), max_size=len(event_ids),
+        )
+    )
+    terms = FinancialTerms(
+        retention=draw(st.sampled_from([0.0, 3.5, 250.0])),
+        limit=draw(st.sampled_from([0.0, 40.0, 2e3, float("inf")])),
+        share=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        fx_rate=draw(st.sampled_from([0.5, 1.0, 1.37])),
+    )
+    return EventLossTable(
+        np.array(event_ids, dtype=np.int64), np.array(losses, dtype=np.float64),
+        catalog_size=CATALOG_SIZE, terms=terms,
     )
 
 
@@ -176,5 +216,56 @@ class TestSampleNetRowIdentity:
         elts = [data.draw(uncertain_elt()) for _ in range(n_elts)]
         layer = UncertainLayer(elts, LayerTerms(), name="prop")
         direct = layer.sample_net_row(rng=seed)
-        rebuilt = layer.sample_layer(rng=seed).loss_matrix().combined_net_losses()
-        np.testing.assert_array_equal(direct, rebuilt)
+        sampled = layer.sample_layer(rng=seed).loss_matrix()
+        assert direct.tobytes() == sampled.combined_net_losses().tobytes()
+        assert direct.tobytes() == dense_net_row(sampled).tobytes()
+
+
+class TestCombinedNetRowIsTheDenseReduction:
+    # 1..33 ELTs crosses NumPy's 8-wide unrolled reduction (8, 9, 16, 17, 32, 33).
+    @given(elts=st.lists(plain_elt(), min_size=1, max_size=33))
+    @settings(max_examples=60, deadline=None)
+    def test_records_first_row_has_the_dense_bytes(self, elts):
+        matrix = LayerLossMatrix(elts)
+        net = matrix.combined_net_losses()
+        assert matrix._losses is None  # built from records, not from the dense stack
+        assert net.tobytes() == dense_net_row(matrix).tobytes()
+        assert not net.flags.writeable
+
+    @given(elts=st.lists(plain_elt(), min_size=1, max_size=9), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_dense_stack_serves_per_elt_reads(self, elts, data):
+        matrix = LayerLossMatrix(elts)
+        matrix.combined_net_losses()
+        dense = np.stack([elt.dense_losses() for elt in elts])
+        ids = np.array(
+            data.draw(st.lists(st.integers(min_value=0, max_value=CATALOG_SIZE - 1), max_size=12)),
+            dtype=np.int64,
+        )
+        np.testing.assert_array_equal(matrix.gather(ids), dense[:, ids])
+        np.testing.assert_array_equal(matrix.ground_up_event_losses(ids), dense[:, ids].sum(axis=0))
+        for index in range(len(elts)):
+            np.testing.assert_array_equal(matrix.row(index), dense[index])
+            assert not matrix.row(index).flags.writeable
+        assert matrix.losses is matrix.losses
+
+    @pytest.mark.parametrize("n_elts", [1, 2, 8, 9, 17, 33])
+    def test_named_corners(self, n_elts):
+        """Disjoint and overlapping ids, an empty ELT and a zero limit, wide catalog."""
+        rng = np.random.default_rng(n_elts)
+        catalog = 4_000
+        elts = []
+        for index in range(n_elts):
+            lo = 0 if index % 2 else (index * 97) % 3_000  # odd ELTs overlap, even ones drift
+            ids = rng.permutation(np.arange(lo, lo + 600))[: 0 if index == 1 else 400]
+            terms = FinancialTerms(
+                retention=float(index % 3) * 40.0,
+                limit=0.0 if index == 2 else (5e3 if index % 4 else float("inf")),
+                share=0.25 + 0.75 * (index % 2),
+                fx_rate=1.0 + 0.1 * (index % 5),
+            )
+            elts.append(
+                EventLossTable(ids, rng.uniform(0.0, 1e4, size=ids.size), catalog, terms)
+            )
+        matrix = LayerLossMatrix(elts)
+        assert matrix.combined_net_losses().tobytes() == dense_net_row(matrix).tobytes()

@@ -9,6 +9,9 @@ the digests completely:
   byte sequences (``"ab"+"c"`` vs ``"a"+"bc"``) collided;
 * ``PlanCache.get_or_build`` raced: two threads missing the same key both
   ran the (expensive) builder.
+
+Digest *values* are pinned too: they key the on-disk result cache, so hashing
+arrays as buffers instead of ``tobytes()`` copies must not move a single bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,18 @@ from repro.core.config import EngineConfig
 from repro.parallel.partitioner import TrialRange
 from repro.service import RiskService
 from repro.service.cache import PlanCache
-from repro.service.digests import _hexdigest, yet_digest, yet_prefix_digest
+from repro.elt.table import EventLossTable
+from repro.financial.terms import FinancialTerms, LayerTerms
+from repro.portfolio.layer import Layer
+from repro.portfolio.program import ReinsuranceProgram
+from repro.service.digests import (
+    _hexdigest,
+    array_digest,
+    elt_digest,
+    program_digest,
+    yet_digest,
+    yet_prefix_digest,
+)
 from repro.yet.io import YetShardReader, save_yet_store, shard_count_for_budget
 from repro.yet.table import YearEventTable
 
@@ -116,6 +130,56 @@ class TestHexdigestFraming:
 
     def test_deterministic(self):
         assert _hexdigest([b"a", b"bc"]) == _hexdigest([b"a", b"bc"])
+
+
+class TestDigestValuesArePinned:
+    """Hex strings recorded at commit 889ed6b (``tobytes()``-based hashing)."""
+
+    def test_elt_and_program_digests(self):
+        elt = EventLossTable(
+            np.array([5, 1, 3]), np.array([10.0, 2.5, 7.25]), catalog_size=8,
+            terms=FinancialTerms(retention=1.0, limit=50.0, share=0.5, fx_rate=1.25),
+            name="x",
+        )
+        empty = EventLossTable(np.array([], dtype=np.int64), np.array([]), catalog_size=8,
+                               name="e")
+        terms = LayerTerms(occurrence_retention=1.0, occurrence_limit=20.0,
+                           aggregate_retention=0.5, aggregate_limit=40.0)
+        program = ReinsuranceProgram([Layer([elt, empty], terms, name="L")], name="P")
+        assert elt_digest(elt) == (
+            "329cb4184c02572c1c5f3eb559ffa4dcbb86f8b82623d13abdc8864d65be0277")
+        assert elt_digest(empty) == (
+            "bbac2bc2471572ca53808974835f5f9f57711d5a92001c5b08f06a93500d5d5e")
+        assert program_digest(program) == (
+            "00618a26bddef70ed47a990067422dbe5866ccb5faef26ccae4cee802f39dc1c")
+
+    def test_yet_digests(self):
+        stamped = YearEventTable.from_trials(
+            [[3, 7], [1], [2, 5]], catalog_size=8,
+            timestamps=[[0.1, 0.6], [0.4], [0.2, 0.5]],
+        )
+        plain = YearEventTable.from_trials([[3, 7], [], [2, 5]], catalog_size=8)
+        assert yet_digest(stamped) == (
+            "424697160cb188b9721dcc5a99011f81c50be4cce8b2f9fc40a8679eeb535d95")
+        assert yet_digest(plain) == (
+            "216238639c197a792ac5e1f247f82c649ef35a30a0f7678f648c52d18d0d4e97")
+        assert yet_prefix_digest(stamped, 2) == (
+            "b88a67b708e4eb1e60a24fae5b22f00d2c0c1da200fa3bfec6151fe776fd7558")
+
+    def test_array_digests_contiguous_strided_and_empty(self):
+        grid = np.arange(12.0).reshape(3, 4)
+        assert array_digest(grid) == (
+            "be57a868482d5edd03858704034894a0f3630604c7e05093b094cb3d54eea058")
+        assert array_digest(grid[:, ::2]) == (
+            "18b8a97ed9c715f0b28e650f1bdfe80ac3dda6d6e459123625f8c7f7c102c0a5")
+        assert array_digest(np.zeros((0, 3))) == (
+            "973b085e884d4399ce0611fbeab904ce03426a0ee319863ffe52f91db7426c5c")
+        assert array_digest(np.arange(4, dtype=np.int32)) == (
+            "399afb7139c338830324dc299fc6893d471b9c071345ec0e9659db5f4a81ff57")
+
+    def test_array_parts_hash_like_their_bytes(self):
+        strided = np.arange(12.0).reshape(3, 4)[:, ::2]
+        assert _hexdigest([b"a", strided]) == _hexdigest([b"a", strided.tobytes()])
 
 
 class TestPlanCacheBuildRace:

@@ -17,7 +17,9 @@ import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
+from repro.portfolio.layer import Layer
 from repro.portfolio.pricing import price_layer, price_program
+from repro.portfolio.program import ReinsuranceProgram
 from repro.service import RiskService
 from repro.service.service import candidate_variants
 
@@ -91,6 +93,41 @@ class TestServedQuotesEqualColdPriceProgram:
             np.testing.assert_equal(
                 dataclasses.asdict(quote.layer_pricings[index]), dataclasses.asdict(alone)
             )
+
+
+def never_priced(program):
+    """The same ELTs under fresh Layer objects: no loss matrix exists yet."""
+    layers = [Layer(layer.elts, layer.terms, name=layer.name) for layer in program.layers]
+    return ReinsuranceProgram(layers, name=program.name)
+
+
+class TestColdQuoteSkipsTheDenseStack:
+    def test_fused_quote_leaves_every_dense_stack_unbuilt(self, tiny_workload):
+        program, yet = never_priced(tiny_workload.program), tiny_workload.yet
+        with RiskService(EngineConfig(backend="vectorized"), result_cache=True) as service:
+            service.register_program("fresh", program)
+            service.register_yet("book", yet)
+            cold = service.submit(
+                {"kind": "run", "program": "fresh", "yet": "book", "quote": True}
+            )
+        assert cold.result_cache["status"] == "miss"
+        assert all(layer.loss_matrix()._losses is None for layer in program.layers)
+
+        per_elt = never_priced(tiny_workload.program)
+        unfused = AggregateRiskEngine(
+            EngineConfig(backend="vectorized", fused_layers=False)
+        ).run(per_elt, yet)
+        assert all(layer.loss_matrix()._losses is not None for layer in per_elt.layers)
+        np.testing.assert_array_equal(unfused.ylt.losses, cold.result.ylt.losses)
+
+    def test_variants_of_a_never_priced_program_share_matrix_and_row(self, tiny_workload):
+        base = never_priced(tiny_workload.program)
+        variants = candidate_variants(base, 3)
+        for index, layer in enumerate(base.layers):
+            matrices = {id(variant.layers[index].loss_matrix()) for variant in variants}
+            assert matrices == {id(layer.loss_matrix())}
+            rows = {id(v.layers[index].loss_matrix().combined_net_losses()) for v in variants}
+            assert len(rows) == 1
 
 
 class TestQuantileCallShape:
