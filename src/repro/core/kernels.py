@@ -5,6 +5,16 @@ paper's basic algorithm (lines 3–19) operating on *all* trials of a Year
 Event Table at once (or on a contiguous chunk of its flattened events).  They
 are shared by the vectorized, chunked, multicore and simulated-GPU backends —
 the backends differ only in *how* they partition the work, not in the maths.
+
+Layout: the ELT-lookup phase is memory-bound, so the layout its gather lands
+in sets the cost of every later pass.  The fused kernels gather with
+``np.take(stack, ids, axis=1)`` — a C-contiguous ``(n_rows, n_events)``
+scratch, strides ``(8 * n_events, 8)`` — never ``stack[:, event_ids]``, which
+returns the same values event-major (strides ``(8, 8 * n_rows)``) and makes
+the occurrence terms and both ``reduceat`` passes stride across rows.  Only
+speed depends on it here: ``reduceat`` along axis 1 reduces each row's
+segment in the same pairwise order whatever the strides (pinned in
+``tests/utils/test_arrays.py``), so year losses are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -242,9 +252,9 @@ def layer_trial_losses_batch(
     loss matrix separately (the per-layer loop of :func:`layer_trial_losses`),
     the layers' term-netted dense losses are stacked into one
     ``(n_layers, catalog_size)`` matrix, the whole YET is gathered from it
-    with a single fancy-indexing operation, and the occurrence/aggregate
-    terms are applied as broadcast expressions over the resulting
-    ``(n_layers, n_events)`` matrix.
+    with a single row-major ``np.take`` (see the module docstring), and the
+    occurrence/aggregate terms are applied as broadcast expressions over the
+    resulting C-contiguous ``(n_layers, n_events)`` matrix.
 
     Parameters
     ----------
@@ -326,7 +336,7 @@ def layer_trial_losses_batch(
         )
 
     with timer.phase(PHASE_ELT_LOOKUP):
-        combined = stack[:, ids]
+        combined = np.take(stack, ids, axis=1)
         if row_map is not None:
             # Expand the deduplicated gather to one row per layer; the copy
             # reproduces the expanded-stack gather bit for bit.
@@ -386,7 +396,7 @@ def _layer_trial_losses_batch_streamed(
         t1 = min(max(t1, t0 + 1), n_trials)
         start, stop = int(offsets[t0]), int(offsets[t1])
         with timer.phase(PHASE_ELT_LOOKUP):
-            gathered = stack[:, ids[start:stop]]
+            gathered = np.take(stack, ids[start:stop], axis=1)
             if row_map is not None:
                 gathered = gathered[row_map]
         with timer.phase(PHASE_LAYER_TERMS):

@@ -122,11 +122,17 @@ class LayerLossMatrix:
 
         Returns an ``(n_elts, len(event_ids))`` matrix — the vectorised
         equivalent of the basic algorithm's lines 3–5 (per-event ELT lookups).
+        It is C-contiguous (``np.take``; ``losses[:, event_ids]`` would be
+        event-major), and that order is part of the summation-order
+        contract: the per-layer path nets it and sums over axis 0, which adds
+        whole rows in ELT order — the order :func:`scatter_net_losses` uses —
+        only while the ELT axis is *not* the contiguous one (NumPy sums a
+        contiguous axis pairwise from 8 elements up).
         """
         ids = np.asarray(event_ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.catalog_size):
             raise IndexError("event ids out of range of the catalog")
-        return self.losses[:, ids]
+        return np.take(self.losses, ids, axis=1)
 
     def ground_up_event_losses(self, event_ids: np.ndarray) -> np.ndarray:
         """Per-event ground-up losses summed over ELTs (no financial terms)."""

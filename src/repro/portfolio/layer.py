@@ -49,11 +49,17 @@ class Layer:
             raise ValueError("all ELTs of a layer must share one catalog size")
         if premium < 0:
             raise ValueError(f"premium must be non-negative, got {premium}")
-        self.elts: tuple[EventLossTable, ...] = tuple(elts)
-        self.terms = terms if terms is not None else LayerTerms()
-        self.name = str(name)
+        self._elts: tuple[EventLossTable, ...] = tuple(elts)
+        self._terms = terms if terms is not None else LayerTerms()
+        self._name = str(name)
         self.premium = float(premium)
         self._loss_matrix: LayerLossMatrix | None = None
+
+    # Read-only: the service memoizes a layer's content digest per object
+    # (derive a changed layer with :meth:`with_terms`).
+    elts = property(lambda self: self._elts, doc="The ELTs the layer covers.")
+    terms = property(lambda self: self._terms, doc="The layer terms ``T``.")
+    name = property(lambda self: self._name, doc="Human-readable contract name.")
 
     # ------------------------------------------------------------------ #
     # Shape accessors

@@ -27,8 +27,12 @@ class ReinsuranceProgram:
                 "all layers of a program must reference the same catalog size, "
                 f"got {sorted(catalog_sizes)}"
             )
-        self.layers: tuple[Layer, ...] = tuple(layers)
-        self.name = str(name)
+        self._layers: tuple[Layer, ...] = tuple(layers)
+        self._name = str(name)
+
+    # Read-only: the service memoizes a program's content digest per object.
+    layers = property(lambda self: self._layers, doc="The layers, in program order.")
+    name = property(lambda self: self._name, doc="Program name.")
 
     @classmethod
     def wrap(cls, program_or_layer: "ReinsuranceProgram | Layer") -> "ReinsuranceProgram":

@@ -17,20 +17,22 @@ expected program a banded quote reconstructs per request), and any change to
 a term, an ELT record, the YET or a relevant config field changes the key —
 the cache can never serve a stale plan.
 
-Digesting a large array is not free, so the per-object digests of the two
-heavyweight immutable inputs — Event Loss Tables and Year Event Tables — are
-memoized by object identity in a :class:`weakref.WeakKeyDictionary`: the
-bytes are hashed once per object lifetime, and repeated requests against the
-same tables pay only a dictionary lookup.  The memo relies on the library's
-convention that ELTs and YETs are immutable after construction (mutating one
-in place would require clearing the memo via :func:`clear_digest_memo`).
+Digesting a large array is not free, so the per-object digests of the
+immutable inputs — Event Loss Tables, Year Event Tables, and the layers and
+programs framed over them — are memoized by object identity in a
+:class:`weakref.WeakKeyDictionary`: the bytes are hashed once per object
+lifetime, and repeated requests against the same objects pay only a
+dictionary lookup.  Layers and programs expose the digested attributes as
+read-only properties; for ELTs and YETs the memo relies on the library's
+convention that they are immutable after construction (mutating one in place
+would require clearing the memo via :func:`clear_digest_memo`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,8 +82,8 @@ PLAN_RELEVANT_CONFIG_FIELDS: tuple[str, ...] = (
     "native_threads",
 )
 
-# Identity-memoized digests of immutable heavyweight inputs (ELTs, YETs,
-# stacks).  WeakKeyDictionary: the memo must never keep an object alive.
+# Identity-memoized digests of immutable inputs (ELTs, YETs, layers,
+# programs).  WeakKeyDictionary: the memo must never keep an object alive.
 _MEMO: "weakref.WeakKeyDictionary[object, str]" = weakref.WeakKeyDictionary()
 
 # Per-YET memo of prefix digests ({prefix length: digest}).  The result
@@ -143,46 +145,45 @@ def _layer_terms_bytes(terms: LayerTerms) -> bytes:
     ).encode()
 
 
+def _memoized(obj: object, parts: Callable[[], Iterable[bytes | np.ndarray]]) -> str:
+    """``_hexdigest(parts())``, computed once per ``obj`` lifetime."""
+    cached = _MEMO.get(obj)
+    if cached is None:
+        cached = _MEMO[obj] = _hexdigest(parts())
+    return cached
+
+
 def elt_digest(elt) -> str:
     """Content digest of one Event Loss Table (memoized per object)."""
-    cached = _MEMO.get(elt)
-    if cached is not None:
-        return cached
-    digest = _hexdigest(
-        (
-            b"elt",
-            repr(int(elt.catalog_size)).encode(),
-            elt.event_ids,
-            elt.losses,
-            _financial_terms_bytes(elt.terms),
-        )
-    )
-    _MEMO[elt] = digest
-    return digest
+    return _memoized(elt, lambda: (
+        b"elt",
+        repr(int(elt.catalog_size)).encode(),
+        elt.event_ids,
+        elt.losses,
+        _financial_terms_bytes(elt.terms),
+    ))
 
 
 def layer_digest(layer: Layer) -> str:
-    """Content digest of one layer: its ELT contents, terms and name."""
-    return _hexdigest(
-        (
-            b"layer",
-            layer.name.encode(),
-            _layer_terms_bytes(layer.terms),
-            *(elt_digest(elt).encode() for elt in layer.elts),
-        )
-    )
+    """Content digest of one layer: its ELT contents, terms and name
+    (memoized per object — those three attributes are read-only)."""
+    return _memoized(layer, lambda: (
+        b"layer",
+        layer.name.encode(),
+        _layer_terms_bytes(layer.terms),
+        *(elt_digest(elt).encode() for elt in layer.elts),
+    ))
 
 
 def program_digest(program: ReinsuranceProgram | Layer) -> str:
-    """Content digest of a whole program (layer digests + program name)."""
+    """Content digest of a whole program (layer digests + program name;
+    memoized per program object, so a bare layer is re-framed per call)."""
     program = ReinsuranceProgram.wrap(program)
-    return _hexdigest(
-        (
-            b"program",
-            program.name.encode(),
-            *(layer_digest(layer).encode() for layer in program.layers),
-        )
-    )
+    return _memoized(program, lambda: (
+        b"program",
+        program.name.encode(),
+        *(layer_digest(layer).encode() for layer in program.layers),
+    ))
 
 
 def _yet_parts(
@@ -212,16 +213,9 @@ def _yet_parts(
 
 def yet_digest(yet: YearEventTable) -> str:
     """Content digest of a Year Event Table (memoized per object)."""
-    cached = _MEMO.get(yet)
-    if cached is not None:
-        return cached
-    digest = _hexdigest(
-        _yet_parts(
-            yet.n_trials, yet.catalog_size, yet.event_ids, yet.trial_offsets, yet.timestamps
-        )
-    )
-    _MEMO[yet] = digest
-    return digest
+    return _memoized(yet, lambda: _yet_parts(
+        yet.n_trials, yet.catalog_size, yet.event_ids, yet.trial_offsets, yet.timestamps
+    ))
 
 
 def yet_prefix_digest(yet: YearEventTable, n_trials: int) -> str:

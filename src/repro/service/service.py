@@ -207,6 +207,7 @@ class RiskService:
     ) -> None:
         self.engine = engine if engine is not None else AggregateRiskEngine(config)
         self.engine.retain_shared_workspaces(True)
+        self._config_digest = config_digest(self.engine.config)  # config is frozen
         self.cache = PlanCache(cache_size)
         if isinstance(result_cache, ResultCache):
             self.result_cache: ResultCache | None = result_cache
@@ -345,7 +346,7 @@ class RiskService:
             kind,
             tuple(program_digest(program) for program in programs),
             yet_digest(yet),
-            config_digest(self.engine.config),
+            self._config_digest,
             *extras,
         )
 
@@ -859,7 +860,7 @@ class RiskService:
             stack_digest(entry.stack),
             terms_digest(entry.terms),
             yet_digest(yet),
-            config_digest(self.engine.config),
+            self._config_digest,
             request.shards,
         )
         plan, lower_seconds = self._cached_plan(

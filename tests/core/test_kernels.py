@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.kernels import (
     combined_event_losses,
     layer_trial_losses,
+    layer_trial_losses_batch,
     layer_trial_losses_chunked,
 )
 from repro.core.phases import PHASE_ELT_LOOKUP, PHASE_FINANCIAL_TERMS
@@ -92,3 +94,48 @@ class TestChunkedKernel:
         )
         np.testing.assert_allclose(year, [0.0])
         np.testing.assert_allclose(occ, [0.0])
+
+
+class TestFusedGatherLayout:
+    """The fused gather hands every later pass a row-major scratch.
+
+    ``stack[:, ids]`` returns the same values event-major (strides
+    ``(8, 8 * n_rows)``), which is 3x slower end to end and invisible in the
+    output — so the layout itself is asserted, where the terms receive it.
+    """
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        matrices = []
+        real = kernels.apply_occurrence_terms_batch
+
+        def spy(matrix, vectors, out=None):
+            matrices.append(matrix)
+            return real(matrix, vectors, out=out)
+
+        monkeypatch.setattr(kernels, "apply_occurrence_terms_batch", spy)
+        return matrices
+
+    @pytest.mark.parametrize("chunk_events", [None, 40], ids=["monolithic", "streamed"])
+    @pytest.mark.parametrize("row_map", [None, [2, 0, 2, 1, 1]], ids=["rows", "row_map"])
+    def test_terms_receive_c_contiguous_rows(self, seen, chunk_events, row_map):
+        rng = np.random.default_rng(3)
+        stack = rng.random((3, 50))
+        n_layers = len(row_map) if row_map is not None else 3
+        offsets = np.arange(0, 201, 20)
+        year, _ = layer_trial_losses_batch(
+            (), rng.integers(0, 50, 200), offsets, [LayerTerms()] * n_layers,
+            stack=stack, chunk_events=chunk_events,
+            row_map=None if row_map is None else np.array(row_map),
+        )
+        assert year.shape == (n_layers, 10)
+        assert len(seen) == (1 if chunk_events is None else 5)
+        for matrix in seen:
+            assert matrix.shape[0] == n_layers >= 2
+            assert matrix.flags.c_contiguous
+            assert matrix.strides == (8 * matrix.shape[1], 8)
+
+    def test_per_layer_gather_is_c_contiguous(self, matrix):
+        gathered = matrix.gather(np.array([3, 1, 2, 2, 9]))
+        assert gathered.flags.c_contiguous and gathered.flags.owndata
+        np.testing.assert_array_equal(gathered, matrix.losses[:, [3, 1, 2, 2, 9]])

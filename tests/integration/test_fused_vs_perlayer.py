@@ -15,7 +15,12 @@ import pytest
 
 from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.engine import AggregateRiskEngine
+from repro.elt.table import EventLossTable
+from repro.financial.terms import FinancialTerms, LayerTerms
+from repro.portfolio.layer import Layer
+from repro.portfolio.program import ReinsuranceProgram
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
+from repro.yet.table import YearEventTable
 
 RTOL = 1e-9
 
@@ -160,3 +165,52 @@ def test_run_many_matches_individual_runs(workload):
     assert batched[1].ylt.layer_names == variant.layer_names
     assert batched[0].details["batch"]["n_programs"] == 2
     assert batched[1].workload_shape.n_layers == 2
+
+
+@pytest.mark.parametrize("backend", ("vectorized", "chunked"))
+@pytest.mark.parametrize("n_elts", (8, 9, 15, 30))
+def test_dense_overlap_book_fused_equals_perlayer_bytes(n_elts, backend):
+    """Every ELT carries every event: the per-layer ELT-axis sum has
+    ``n_elts`` non-zero addends per event, spread over 12 decades.
+
+    From 8 addends up NumPy sums a *contiguous* axis pairwise, so this holds
+    only while ``LayerLossMatrix.gather`` returns a C-contiguous matrix (the
+    ELT axis strided, reduced row by row in ELT order — the order the fused
+    path's ``scatter_net_losses`` adds in).  The generator's sparse books
+    (~15 % coverage per ELT) hide the difference on most cells; this book
+    cannot.
+    """
+    catalog_size = 300
+    rng = np.random.default_rng([n_elts, 0xDE45E])
+    everything = np.arange(catalog_size)
+    layers = [
+        Layer(
+            [
+                EventLossTable(
+                    everything,
+                    10.0 ** rng.uniform(-4, 8, size=catalog_size),
+                    catalog_size,
+                    FinancialTerms(retention=float(rng.uniform(0, 5)),
+                                   share=float(rng.uniform(0.3, 1.0))),
+                    f"elt-{k}-{e}",
+                )
+                for e in range(n_elts)
+            ],
+            LayerTerms(occurrence_retention=10.0, aggregate_retention=100.0),
+            name=f"dense-{k}",
+        )
+        for k in range(2)
+    ]
+    program = ReinsuranceProgram(layers, name="dense-overlap")
+    lengths = rng.integers(0, 40, size=60)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    yet = YearEventTable(rng.integers(0, catalog_size, int(offsets[-1])), offsets, catalog_size)
+
+    base = EngineConfig(backend=backend, chunk_events=129)
+    fused = AggregateRiskEngine(base.replace(fused_layers=True)).run(program, yet)
+    perlayer = AggregateRiskEngine(base.replace(fused_layers=False)).run(program, yet)
+    assert perlayer.details["fused_layers"] is False
+    assert fused.ylt.losses.any()
+    assert fused.ylt.losses.tobytes() == perlayer.ylt.losses.tobytes()
+    assert (fused.ylt.max_occurrence_losses.tobytes()
+            == perlayer.ylt.max_occurrence_losses.tobytes())

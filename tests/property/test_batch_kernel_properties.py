@@ -7,7 +7,9 @@ kernel must satisfy its algebraic contracts regardless of the draw:
 * permuting the layers permutes the output rows and changes nothing else;
 * a batch of one layer equals :func:`repro.core.kernels.layer_trial_losses`;
 * layers whose ELTs hold no records contribute exactly zero;
-* the chunked fused gather is independent of the chunk size.
+* the chunked fused gather is independent of the chunk size;
+* the row-major (``np.take``) gather reproduces, byte for byte, the
+  event-major ``stack[:, ids]`` kernel it replaced.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.kernels import layer_trial_losses, layer_trial_losses_batch
 from repro.elt.table import EventLossTable
-from repro.financial.terms import FinancialTerms, LayerTerms
+from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 from repro.portfolio.layer import Layer
 
 CATALOG_SIZE = 30
@@ -179,3 +181,109 @@ def test_shortcut_and_cumulative_agree_batched(drawn):
     shortcut, _ = _batch(layers, event_ids, offsets, use_shortcut=True)
     cumulative, _ = _batch(layers, event_ids, offsets, use_shortcut=False)
     np.testing.assert_allclose(shortcut, cumulative, rtol=1e-9, atol=1e-6)
+
+
+# --------------------------------------------------------------------------- #
+# Row-major gather == the event-major kernel it replaced, byte for byte
+# --------------------------------------------------------------------------- #
+STACK_FORMS = ("owned", "read-only", "buffer-backed", "column-strided", "fortran")
+
+
+def _as_form(values: np.ndarray, form: str) -> np.ndarray:
+    """The same ``(n_rows, catalog)`` values in the memory forms a stack
+    reaches the kernel in (plan-owned, cached read-only, attached to a
+    shared-memory-style foreign buffer, non-contiguous views)."""
+    if form == "read-only":
+        frozen = values.copy()
+        frozen.flags.writeable = False
+        return frozen
+    if form == "buffer-backed":
+        return np.ndarray(values.shape, dtype=np.float64, buffer=memoryview(values.tobytes()))
+    if form == "column-strided":
+        wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+        wide[:, ::2] = values
+        return wide[:, ::2]
+    if form == "fortran":
+        return np.asfortranarray(values)
+    return values.copy()
+
+
+def _event_major_reference(stack, ids, offsets, vectors, row_map, record_max):
+    """The fused pass written out with the old ``stack[:, ids]`` gather."""
+    combined = stack[:, ids]
+    if row_map is not None:
+        combined = combined[row_map]
+    occurrence = np.clip(
+        combined - vectors.occurrence_retentions[:, None],
+        0.0, vectors.occurrence_limits[:, None],
+    )
+    n_trials = offsets.size - 1
+    totals = np.zeros((vectors.n_layers, n_trials))
+    maxima = np.zeros((vectors.n_layers, n_trials))
+    non_empty = np.diff(offsets) > 0
+    if non_empty.any():
+        starts = offsets[:-1][non_empty]
+        totals[:, non_empty] = np.add.reduceat(occurrence, starts, axis=1)
+        maxima[:, non_empty] = np.maximum(
+            np.maximum.reduceat(occurrence, starts, axis=1), 0.0
+        )
+    year = np.clip(
+        totals - vectors.aggregate_retentions[:, None],
+        0.0, vectors.aggregate_limits[:, None],
+    )
+    return year, (maxima if record_max else None)
+
+
+@st.composite
+def stack_problem(draw):
+    n_stack_rows = draw(st.integers(min_value=1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Magnitudes over 12 decades and ~half zeros: any change of summation
+    # order inside a trial would show in the last bits.
+    stack = 10.0 ** rng.uniform(-4, 8, size=(n_stack_rows, CATALOG_SIZE))
+    stack[rng.random(stack.shape) < 0.5] = 0.0
+    if draw(st.booleans()):
+        n_layers = draw(st.integers(min_value=1, max_value=40))
+        row_map = rng.integers(0, n_stack_rows, size=n_layers)  # repeats and gaps
+    else:
+        n_layers, row_map = n_stack_rows, None
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=8))
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    ids = rng.integers(0, CATALOG_SIZE, size=int(offsets[-1]))
+    vectors = LayerTermsVectors(
+        10.0 ** rng.uniform(-4, 3, size=n_layers),
+        np.where(rng.random(n_layers) < 0.3, np.inf, 10.0 ** rng.uniform(0, 8, size=n_layers)),
+        10.0 ** rng.uniform(-4, 4, size=n_layers),
+        np.where(rng.random(n_layers) < 0.3, np.inf, 10.0 ** rng.uniform(0, 9, size=n_layers)),
+    )
+    return stack, ids, offsets, vectors, row_map
+
+
+@given(
+    stack_problem(),
+    st.sampled_from(STACK_FORMS),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_row_major_gather_matches_event_major_reference(
+    problem, form, chunk_events, record_max
+):
+    """Monolithic or streamed, with or without ``row_map``, from any stack
+    memory form: the same bytes as the ``stack[:, ids]`` kernel."""
+    stack, ids, offsets, vectors, row_map = problem
+    want_year, want_max = _event_major_reference(
+        stack, ids, offsets, vectors, row_map, record_max
+    )
+    year, max_occ = layer_trial_losses_batch(
+        (), ids, offsets, vectors,
+        stack=_as_form(stack, form), row_map=row_map,
+        chunk_events=chunk_events, record_max_occurrence=record_max,
+    )
+    assert year.shape == want_year.shape
+    assert year.tobytes() == want_year.tobytes()
+    if record_max:
+        assert max_occ.tobytes() == want_max.tobytes()
+    else:
+        assert max_occ is None

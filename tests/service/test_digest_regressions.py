@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.parallel.partitioner import TrialRange
-from repro.service import RiskService
+from repro.service import RiskService, digests
 from repro.service.cache import PlanCache
 from repro.elt.table import EventLossTable
 from repro.financial.terms import FinancialTerms, LayerTerms
@@ -34,6 +34,7 @@ from repro.service.digests import (
     _hexdigest,
     array_digest,
     elt_digest,
+    layer_digest,
     program_digest,
     yet_digest,
     yet_prefix_digest,
@@ -180,6 +181,64 @@ class TestDigestValuesArePinned:
     def test_array_parts_hash_like_their_bytes(self):
         strided = np.arange(12.0).reshape(3, 4)[:, ::2]
         assert _hexdigest([b"a", strided]) == _hexdigest([b"a", strided.tobytes()])
+
+
+class TestWarmRequestsFrameNothing:
+    """Layer and program digests are memoised per object, like ELTs and YETs."""
+
+    def test_second_submit_reframes_no_digest(self, tiny_workload, monkeypatch):
+        # Fresh objects: the session-scoped workload may already be memoised.
+        program = ReinsuranceProgram(
+            [Layer(layer.elts, layer.terms, name=layer.name) for layer in tiny_workload.program],
+            name="fresh",
+        )
+        service = RiskService(result_cache=True)
+        service.register_program("book", program)
+        service.register_yet("yet", tiny_workload.yet)
+        request = {"kind": "run", "program": "book", "yet": "yet", "quote": True}
+
+        framed = []
+        real = digests._hexdigest
+
+        def spy(parts):
+            parts = tuple(parts)
+            framed.append(parts[0])
+            return real(parts)
+
+        monkeypatch.setattr(digests, "_hexdigest", spy)
+        try:
+            first = service.submit(dict(request))
+            assert b"layer" in framed and b"program" in framed  # the spy sees framing
+            del framed[:]
+            second = service.submit(dict(request))
+        finally:
+            service.close()
+        assert second.result_cache["status"] == "exact"
+        assert not {b"elt", b"yet", b"layer", b"program", b"config"} & set(framed)
+        assert np.array_equal(first.result.ylt.losses, second.result.ylt.losses)
+
+    def test_memoised_digest_is_the_content_digest(self, tiny_workload):
+        layer = tiny_workload.program.layers[0]
+        twin = Layer(layer.elts, layer.terms, name=layer.name)
+        assert layer_digest(twin) == layer_digest(twin) == layer_digest(layer)
+        retermed = layer.with_terms(LayerTerms(occurrence_retention=123.0))
+        assert layer_digest(retermed) != layer_digest(layer)
+        assert program_digest(ReinsuranceProgram([twin], name="a")) != program_digest(
+            ReinsuranceProgram([twin], name="b"))
+
+    def test_digested_attributes_are_read_only(self, tiny_workload):
+        """What makes the memo sound: nothing digested can be reassigned."""
+        program = tiny_workload.program
+        layer = program.layers[0]
+        for owner, attribute, value in (
+            (layer, "terms", LayerTerms()),
+            (layer, "elts", layer.elts[:1]),
+            (layer, "name", "renamed"),
+            (program, "layers", program.layers[:1]),
+            (program, "name", "renamed"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(owner, attribute, value)
 
 
 class TestPlanCacheBuildRace:

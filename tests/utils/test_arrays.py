@@ -237,3 +237,41 @@ class TestSegmentMaxTrialLocality:
             axis=1,
         )
         np.testing.assert_array_equal(whole, merged)
+
+
+class TestReduceatIsStrideIndependent:
+    """Pin of the NumPy behaviour the row-major fused gather rests on.
+
+    The fused kernels used to reduce an event-major scratch
+    (``stack[:, ids]``, strides ``(8, 8 * n_rows)``) and now reduce a
+    C-contiguous one (``np.take``).  Year losses stay bit-identical only
+    because ``reduceat`` along axis 1 reduces each row's segment in the same
+    order for either layout; if a NumPy release ever vectorises one layout
+    differently this fails before a quote changes.
+    """
+
+    @pytest.mark.parametrize("n_rows", [2, 8, 17])
+    def test_c_contiguous_and_event_major_reduce_to_identical_bytes(self, n_rows):
+        rng = np.random.default_rng([n_rows, 0xADD])
+        # Segment lengths crossing the 8-wide unroll and the 128-element
+        # pairwise block, in shuffled order.
+        lengths = np.array([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 400, 3])
+        rng.shuffle(lengths)
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        n = int(lengths.sum())
+        # Adversarial for summation order: 16 decades, mixed signs, so any
+        # reassociation changes the rounded result.
+        values = rng.choice([-1.0, 1.0], size=(n_rows, n)) * 10.0 ** rng.uniform(-8, 8, (n_rows, n))
+        row_major = np.ascontiguousarray(values)
+        event_major = np.asfortranarray(values)
+        assert row_major.strides == (8 * n, 8) and event_major.strides == (8, 8 * n_rows)
+        for ufunc in (np.add, np.maximum):
+            a = ufunc.reduceat(row_major, starts, axis=1)
+            b = ufunc.reduceat(event_major, starts, axis=1)
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+        # ... and through the library's wrappers, ragged offsets included.
+        offsets = np.concatenate(([0, 0], np.cumsum(lengths), [n]))
+        assert (segment_sum_2d(row_major, offsets).tobytes()
+                == segment_sum_2d(event_major, offsets).tobytes())
+        assert (segment_max_2d(row_major, offsets).tobytes()
+                == segment_max_2d(event_major, offsets).tobytes())
