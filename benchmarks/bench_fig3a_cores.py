@@ -5,11 +5,11 @@ i7-2600; observed speedups 1.5x (2 cores), 2.2x (4), 2.6x (8) — limited by
 memory bandwidth.
 
 Scaled reproduction: the ``multicore`` backend (one worker process per
-"core") with static scheduling on an 8000-trial workload.  The full 1/2/4/8
+"core", one trial block per worker) on an 8000-trial workload.  The full 1/2/4/8
 sweep is always run; on machines with fewer physical cores than workers the
 measured curve flattens (workers time-share the cores), in which case the
 attached analytical memory-bandwidth model
-(:func:`repro.parallel.scheduling.memory_bound_speedup_model`) provides the
+(:func:`repro.core.projection.memory_bound_speedup_model`) provides the
 speedup-shape comparison against the paper (see EXPERIMENTS.md).
 """
 
@@ -17,8 +17,8 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.executor import available_cores
-from repro.parallel.scheduling import memory_bound_speedup_model
+from repro.core.multicore import available_cores
+from repro.core.projection import memory_bound_speedup_model
 
 CORE_COUNTS = (1, 2, 4, 8)
 

@@ -5,17 +5,16 @@ the runtime drops from 135 s to 125 s at 256 threads per core and then shows
 diminishing returns — oversubscription recovers a moderate amount of time by
 overlapping memory stalls and smoothing load imbalance.
 
-Scaled reproduction: the ``multicore`` backend with *dynamic* scheduling and
-the oversubscription factor (work items per worker) playing the role of
-"threads per core".  The sweep uses all available cores.
+Scaled reproduction: the ``multicore`` backend with the oversubscription
+factor (trial blocks per worker, handed to whichever worker is idle) playing
+the role of "threads per core".  The sweep uses all available cores.
 """
 
 import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.executor import available_cores
-from repro.parallel.scheduling import SchedulingPolicy
+from repro.core.multicore import available_cores
 
 OVERSUBSCRIPTION = (1, 4, 16, 64, 256)
 
@@ -27,7 +26,6 @@ def test_fig3b_multicore_time_vs_threads_per_core(benchmark, parallel_workload, 
     engine = AggregateRiskEngine(EngineConfig(
         backend="multicore",
         n_workers=n_workers,
-        scheduling=SchedulingPolicy.DYNAMIC if oversubscription > 1 else SchedulingPolicy.STATIC,
         oversubscription=oversubscription,
         record_max_occurrence=False,
     ))

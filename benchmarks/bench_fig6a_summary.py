@@ -23,8 +23,8 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
+from repro.core.multicore import available_cores
 from repro.core.projection import project_summary
-from repro.parallel.executor import available_cores
 from repro.workloads.presets import PAPER_FULL_SCALE
 
 from .conftest import build_workload

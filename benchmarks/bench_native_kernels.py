@@ -4,10 +4,9 @@ The native backend exists to retire interpreted overhead from the hot path:
 one C pass per (row, trial) cell fuses the stacked gather, the occurrence
 terms and the trial-local reductions, where the NumPy pipeline materialises
 and re-reads an ``(n_rows, n_events)`` intermediate several times.  This
-harness pins that down on the 64-layer shared-memory benchmark shape (800
-trials x 60 events x 64 layers over a 160k catalog — the same shape
-``BENCH_plan_sharedmem.json`` records, chosen because the stacked gather
-dominates there):
+harness pins that down on a wide-row shape (800 trials x 60 events x 64
+layers over a 160k catalog), chosen because the stacked gather dominates
+there:
 
 * ``test_native_bit_identity`` — the correctness half, kept on in CI: the
   native backend's year losses and maxima are bit-identical to the
@@ -36,7 +35,6 @@ from repro.core.engine import AggregateRiskEngine
 from repro.core.native.build import find_compiler
 from repro.core.plan import PlanBuilder
 
-from .bench_plan_sharedmem import SHM_CATALOG, SHM_ELTS, SHM_EVENTS, SHM_LAYERS, SHM_TRIALS
 from .conftest import build_workload
 from .record import record_benchmark
 
@@ -46,14 +44,22 @@ requires_compiler = pytest.mark.skipif(
 
 SPEEDUP_THRESHOLD = 2.0
 
+#: Trial/event axes of bench_batch_layers under a wide row axis and a catalog
+#: grown toward the paper's 2M-event scale (the stack is ~80 MB of doubles).
+WIDE_TRIALS = 800
+WIDE_EVENTS = 60
+WIDE_LAYERS = 64
+WIDE_ELTS = 2
+WIDE_CATALOG = 160_000
+
 
 def _workload():
     return build_workload(
-        n_trials=SHM_TRIALS,
-        events_per_trial=SHM_EVENTS,
-        n_layers=SHM_LAYERS,
-        elts_per_layer=SHM_ELTS,
-        catalog_size=SHM_CATALOG,
+        n_trials=WIDE_TRIALS,
+        events_per_trial=WIDE_EVENTS,
+        n_layers=WIDE_LAYERS,
+        elts_per_layer=WIDE_ELTS,
+        catalog_size=WIDE_CATALOG,
     )
 
 
@@ -133,11 +139,11 @@ def test_native_kernel_speedup():
         "native_kernels",
         backend="native",
         shape={
-            "n_trials": SHM_TRIALS,
-            "events_per_trial": SHM_EVENTS,
-            "n_layers": SHM_LAYERS,
-            "elts_per_layer": SHM_ELTS,
-            "catalog_size": SHM_CATALOG,
+            "n_trials": WIDE_TRIALS,
+            "events_per_trial": WIDE_EVENTS,
+            "n_layers": WIDE_LAYERS,
+            "elts_per_layer": WIDE_ELTS,
+            "catalog_size": WIDE_CATALOG,
         },
         baseline_seconds=baseline,
         candidate_seconds=candidate,

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import AggregateRiskEngine, EngineConfig
+from repro.core.multicore import available_cores
 from repro.core.projection import project_summary
 from repro.parallel.device import KernelConfig, SimulatedGPU
-from repro.parallel.executor import available_cores
 from repro.workloads import PAPER_FULL_SCALE, WorkloadGenerator, bench_spec
 
 

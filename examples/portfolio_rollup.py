@@ -20,7 +20,7 @@ Run with::
 from __future__ import annotations
 
 from repro import AggregateRiskEngine, EngineConfig
-from repro.parallel.executor import available_cores
+from repro.core.multicore import available_cores
 from repro.portfolio.rollup import portfolio_rollup
 from repro.workloads import WorkloadGenerator, bench_spec
 from repro.ylt.reporting import format_layer_comparison, format_metrics_report

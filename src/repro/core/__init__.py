@@ -18,7 +18,7 @@ the interchangeable backends only price a shard's event window:
                 chunks, bounding the working set (the analogue of the
                 optimised GPU kernel's shared-memory staging).
 ``multicore``   Multi-process backend over trial blocks (the OpenMP
-                analogue), with static or dynamic scheduling.
+                analogue): ``n_workers x oversubscription`` blocks.
 ``native``      The fused pass in the in-repo C kernel (OpenMP, optional
                 float32 stack), bit-identical to ``vectorized`` for float64.
 ==============  ==============================================================

@@ -18,13 +18,10 @@ import multiprocessing
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.parallel.scheduling import SchedulingPolicy
-
 __all__ = [
     "EngineConfig",
     "BACKEND_NAMES",
     "DTYPE_NAMES",
-    "SHARED_MEMORY_MODES",
 ]
 
 #: Names of the available engine backends.
@@ -38,12 +35,6 @@ BACKEND_NAMES: tuple[str, ...] = (
 
 #: Loss-stack precisions of the native backend's fused gather path.
 DTYPE_NAMES: tuple[str, ...] = ("float64", "float32")
-
-#: Multicore transport of the plan's read-only arrays: ``"auto"`` publishes
-#: them through shared memory whenever workers cannot inherit the parent's
-#: address space (any start method except ``fork``), ``"on"``/``"off"`` force
-#: the choice.
-SHARED_MEMORY_MODES: tuple[str, ...] = ("auto", "on", "off")
 
 
 def _default_start_method() -> str:
@@ -59,15 +50,6 @@ class EngineConfig:
     ----------
     backend:
         One of :data:`BACKEND_NAMES`.
-    shared_memory:
-        How the multicore backend transports the fused loss stack and
-        the YET columns to its workers: ``"auto"`` (default) attaches them
-        zero-copy through :class:`~repro.parallel.shared_memory.SharedArray`
-        whenever workers cannot inherit the parent's memory (``spawn`` /
-        ``forkserver``), ``"on"`` forces shared memory even under ``fork``,
-        ``"off"`` forces the per-worker pickling transport (the benchmark
-        baseline).  A single-worker run executes in-process — no transport
-        exists, so every mode behaves like ``"off"`` there.
     fused_layers:
         Price all layers of the program through the fused multi-layer batch
         kernel (one stacked ``(n_layers, catalog_size)`` gather per YET pass)
@@ -108,17 +90,20 @@ class EngineConfig:
         child streams, so the block size never changes the results.
     n_workers:
         Worker processes of the *multicore* backend (the paper's "cores").
-    scheduling:
-        Static or dynamic trial-block scheduling for the multicore backend.
     oversubscription:
-        Work items per worker under dynamic scheduling (the paper's "threads
-        per core").
+        Trial blocks per worker of the *multicore* backend (the paper's
+        "threads per core"): each shard is cut into ``n_workers *
+        oversubscription`` nearly equal blocks that idle workers take in
+        turn.  The block count never changes the results.
     start_method:
         Multiprocessing start method for the multicore backend; validated
         against :func:`multiprocessing.get_all_start_methods` at
         construction time so a typo fails here rather than deep inside the
-        executor.  Defaults to ``"fork"`` where the platform offers it and
-        ``"spawn"`` elsewhere (Windows).
+        pool.  Defaults to ``"fork"`` where the platform offers it and
+        ``"spawn"`` elsewhere (Windows).  It also picks the transport of
+        the plan's arrays: ``fork`` workers inherit them, any other start
+        method attaches them through shared memory
+        (:func:`repro.core.multicore.publishes_workspace`).
     dtype:
         Precision of the loss stack the *native* backend's fused gather
         reads: ``"float64"`` (default) is bit-identical to the vectorized
@@ -137,7 +122,6 @@ class EngineConfig:
     """
 
     backend: str = "vectorized"
-    shared_memory: str = "auto"
     fused_layers: bool = True
     record_max_occurrence: bool = True
     record_phases: bool = False
@@ -145,7 +129,6 @@ class EngineConfig:
     chunk_events: int = 8192
     replication_block: int = 0
     n_workers: int = 1
-    scheduling: SchedulingPolicy = SchedulingPolicy.STATIC
     oversubscription: int = 1
     start_method: str = field(default_factory=_default_start_method)
     dtype: str = "float64"
@@ -155,11 +138,6 @@ class EngineConfig:
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
-            )
-        if self.shared_memory not in SHARED_MEMORY_MODES:
-            raise ValueError(
-                f"unknown shared_memory mode {self.shared_memory!r}; "
-                f"expected one of {SHARED_MEMORY_MODES}"
             )
         if self.trial_shards <= 0:
             raise ValueError(f"trial_shards must be positive, got {self.trial_shards}")

@@ -3,22 +3,21 @@
 The paper's multi-core engine runs one OpenMP thread per trial with the ELT
 direct access tables shared in the process's address space.  The Python
 analogue uses worker *processes* (to sidestep the GIL) over *blocks* of
-trials.  How the read-only inputs reach the workers depends on the transport:
+trials.  How the read-only inputs reach the workers follows from the start
+method alone (:func:`publishes_workspace`):
 
 * under ``fork`` the Year Event Table and the fused loss stack are inherited
   by reference (zero-copy on Linux);
 * under ``spawn``/``forkserver`` the backend publishes the stack and the YET
   columns through :class:`~repro.parallel.shared_memory.SharedArray`
   segments, so each worker *attaches* a zero-copy NumPy view instead of
-  unpickling ``n_rows x catalog_size`` doubles per run (the pickling
-  transport remains available as the ``EngineConfig.shared_memory="off"``
-  baseline).
+  unpickling ``n_rows x catalog_size`` doubles per run.
 
 ``EngineConfig.n_workers`` plays the role of the paper's "number of cores"
-(Fig. 3a) and ``EngineConfig.oversubscription`` with dynamic scheduling plays
-the role of "threads per core" (Fig. 3b): the trial range is over-decomposed
-into ``oversubscription x n_workers`` chunks that idle workers pull from the
-pool's queue.
+(Fig. 3a) and ``EngineConfig.oversubscription`` the role of "threads per
+core" (Fig. 3b): each shard is cut into ``n_workers x oversubscription``
+nearly equal blocks, and the pool hands each block to whichever worker is
+idle.
 
 Every shard of the plan is decomposed into that schedule and the flattened
 block list runs through one pool (one worker start-up for the whole plan,
@@ -26,7 +25,7 @@ however many shards it has); each worker prices its block with the very
 window-pricing function the vectorized backend calls in-process, and returns
 its per-block phase seconds for the driver's ``record_phases`` breakdown.  A
 worker block *is* a trial shard — disjoint by construction — so the
-assembled result is bit-identical for any worker count, scheduling policy or
+assembled result is bit-identical for any worker count, oversubscription or
 shard count.
 
 For serving workloads the backend can additionally *retain* the published
@@ -42,23 +41,45 @@ guard in :mod:`repro.parallel.shared_memory` backstops process exit.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import threading
 import weakref
 from functools import partial
-from typing import Any, Iterator, List, Mapping, NamedTuple, Tuple
+from typing import Any, Callable, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.core.driver import ShardPricer, ShardRun, WindowPrice, window_pricer
 from repro.core.plan import ExecutionPlan
-from repro.parallel.executor import ParallelConfig, TrialBlockExecutor
-from repro.parallel.partitioner import TrialRange
+from repro.parallel.partitioner import TrialRange, block_partition
 from repro.parallel.shared_memory import SharedArrayDescriptor, SharedWorkspace
 from repro.utils.timing import PhaseTimer
 from repro.yet.table import YearEventTable
 
-__all__ = ["MulticoreEngine"]
+__all__ = ["MulticoreEngine", "available_cores", "publishes_workspace"]
+
+# Module-level slot the pool initializer fills in each worker process.
+_WORKER_CONTEXT: Any = None
+
+
+def available_cores() -> int:
+    """Number of usable CPU cores (respecting CPU affinity when set)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
+
+def publishes_workspace(config: EngineConfig) -> bool:
+    """Whether a fused multicore run publishes its arrays via shared memory.
+
+    ``fork`` workers inherit the parent's address space for free; any other
+    start method would otherwise pickle the arrays once per worker.  A
+    single-worker run executes in-process and has no transport at all.
+    """
+    return config.n_workers > 1 and config.start_method != "fork"
 
 
 class _WorkerContext(NamedTuple):
@@ -69,39 +90,27 @@ class _WorkerContext(NamedTuple):
     trial_offsets: np.ndarray
     record_phases: bool
     #: Worker-side keep-alive handles for shared-memory views; ``None`` when
-    #: the arrays were inherited or pickled.
+    #: the arrays were inherited.
     attachments: Any = None
 
 
-class _SharedPlanContext:
-    """Picklable worker initializer: attach the plan's shared arrays.
+def _attach_context(
+    descriptors: Mapping[str, SharedArrayDescriptor], price: WindowPrice, record_phases: bool
+) -> _WorkerContext:
+    """Worker side of a published workspace: attach zero-copy views.
 
-    The parent publishes the fused stack and the YET columns as shared
-    segments; each worker calls this factory once (in the pool initializer)
-    to attach zero-copy views and bind the window pricer to the attached
-    stack.  Only the compact descriptors and the small term vectors inside
-    ``price`` travel through the pickle channel.
+    Only the compact descriptors and the small term vectors inside ``price``
+    travel through the pickle channel; the window pricer is bound to the
+    attached stack.
     """
-
-    def __init__(
-        self,
-        descriptors: Mapping[str, SharedArrayDescriptor],
-        price: WindowPrice,
-        record_phases: bool,
-    ) -> None:
-        self.descriptors = dict(descriptors)
-        self.price = price
-        self.record_phases = record_phases
-
-    def __call__(self) -> _WorkerContext:
-        attachments = SharedWorkspace.attach_all(self.descriptors)
-        return _WorkerContext(
-            partial(self.price, stack=attachments["stack"].array),
-            attachments["event_ids"].array,
-            attachments["trial_offsets"].array,
-            self.record_phases,
-            attachments,
-        )
+    attachments = SharedWorkspace.attach_all(descriptors)
+    return _WorkerContext(
+        partial(price, stack=attachments["stack"].array),
+        attachments["event_ids"].array,
+        attachments["trial_offsets"].array,
+        record_phases,
+        attachments,
+    )
 
 
 def _analyse_block(
@@ -123,8 +132,19 @@ def _analyse_block(
     return losses, max_occ, timer
 
 
+def _init_worker(context_factory: Callable[[], _WorkerContext]) -> None:
+    """Pool initializer: build the worker's context once."""
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context_factory()
+
+
+def _run_block(block: TrialRange) -> Tuple[np.ndarray, np.ndarray | None, PhaseTimer]:
+    """Pool task: price one block against the worker's context."""
+    return _analyse_block(_WORKER_CONTEXT, block)
+
+
 class _PoolRun(ShardRun):
-    """One multicore run: shards refined into the worker schedule, mapped over a pool."""
+    """One multicore run: shards refined into worker blocks, mapped over a pool."""
 
     def __init__(
         self, engine: "MulticoreEngine", plan: ExecutionPlan, fused: bool, timer: PhaseTimer
@@ -133,13 +153,7 @@ class _PoolRun(ShardRun):
         self.engine = engine
         self.plan = plan
         self.stack = plan.stack(timer) if fused else None
-        self.use_shm = fused and engine._uses_shared_memory()
-        self.parallel_config = ParallelConfig(
-            n_workers=config.n_workers,
-            policy=config.scheduling,
-            oversubscription=config.oversubscription,
-            start_method=config.start_method,
-        )
+        self.use_shm = fused and publishes_workspace(config)
         super().__init__(
             # Under shared memory each worker binds the stack it attached.
             window_pricer(
@@ -147,7 +161,6 @@ class _PoolRun(ShardRun):
             ),
             {
                 "n_workers": config.n_workers,
-                "scheduling": str(config.scheduling),
                 "oversubscription": config.oversubscription,
                 "n_blocks": 0,
                 "shared_memory": self.use_shm,
@@ -156,12 +169,13 @@ class _PoolRun(ShardRun):
         )
 
     def blocks(self, n_trials: int) -> List[TrialRange]:
-        return list(TrialBlockExecutor(self.parallel_config).schedule_for(n_trials).blocks)
+        config = self.engine.config
+        return block_partition(n_trials, config.n_workers * config.oversubscription)
 
     def map(
         self, yet: YearEventTable, blocks: List[TrialRange], timer: PhaseTimer
     ) -> Iterator[Tuple[TrialRange, np.ndarray, np.ndarray | None]]:
-        record_phases = self.engine.config.record_phases
+        config = self.engine.config
         workspace: SharedWorkspace | None = None
         owns_workspace = False
         try:
@@ -172,20 +186,37 @@ class _PoolRun(ShardRun):
                     self.plan, yet, self.stack
                 )
                 self.details["workspace_reused"] = reused
-                executor = TrialBlockExecutor(
-                    self.parallel_config,
-                    context_factory=_SharedPlanContext(
-                        workspace.descriptors(), self.price, record_phases
-                    ),
+                context_factory = partial(
+                    _attach_context, workspace.descriptors(), self.price, config.record_phases
                 )
             else:
-                executor = TrialBlockExecutor(
-                    self.parallel_config,
-                    context=_WorkerContext(
-                        self.price, yet.event_ids, yet.trial_offsets, record_phases
-                    ),
+                context_factory = partial(
+                    _WorkerContext,
+                    self.price,
+                    yet.event_ids,
+                    yet.trial_offsets,
+                    config.record_phases,
                 )
-            results = executor.run(_analyse_block, work_items=blocks)
+            if config.n_workers == 1:
+                # In-process: no start-up cost, and profilers see the kernels.
+                context = context_factory()
+                results = [_analyse_block(context, block) for block in blocks]
+            else:
+                ctx = mp.get_context(config.start_method)
+                if config.start_method == "forkserver":
+                    # Preload the engine stack into the fork server so each
+                    # worker forks with NumPy and the kernels already imported.
+                    # Only the first call (before the server starts) has any
+                    # effect.
+                    ctx.set_forkserver_preload(["repro.core.multicore"])
+                with ctx.Pool(
+                    processes=config.n_workers,
+                    initializer=_init_worker,
+                    initargs=(context_factory,),
+                ) as pool:
+                    # chunksize=1: blocks are already coarse, and an idle
+                    # worker takes the next one.
+                    results = pool.map(_run_block, blocks, chunksize=1)
         finally:
             # A worker dying mid-block must not leak the shared segments:
             # the owner unlinks them on every exit path (an atexit guard in
@@ -218,22 +249,6 @@ class MulticoreEngine(ShardPricer):
 
     def prepare(self, plan: ExecutionPlan, fused: bool, timer: PhaseTimer) -> ShardRun:
         return _PoolRun(self, plan, fused, timer)
-
-    def _uses_shared_memory(self) -> bool:
-        """Whether the backend publishes the plan's arrays via shared memory."""
-        config = self.config
-        if config.n_workers == 1:
-            # The executor's serial fast path runs in-process: there is no
-            # transport at all, so copying the arrays into /dev/shm would be
-            # pure overhead (and tmpfs pressure) even under "on".
-            return False
-        if config.shared_memory == "on":
-            return True
-        if config.shared_memory == "off":
-            return False
-        # auto: fork inherits the parent's address space for free; any other
-        # start method would pickle the arrays once per worker.
-        return config.start_method != "fork"
 
     # ------------------------------------------------------------------ #
     # Workspace retention (warm-engine serving)

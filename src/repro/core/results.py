@@ -67,7 +67,7 @@ class EngineResult:
     phase_breakdown:
         Per-phase timing (Fig. 6b) when phase recording was enabled.
     details:
-        Backend-specific extras (e.g. scheduling information).
+        Backend-specific extras (e.g. the multicore block count).
     """
 
     ylt: YearLossTable
@@ -458,8 +458,8 @@ class ResultAccumulator:
     row_names:
         Layer names of the assembled Year Loss Table (optional).
 
-    Partials may arrive in any order (shards complete out of order under
-    dynamic scheduling, and distributed callers merge whole accumulators);
+    Partials may arrive in any order (pool workers and fleet workers
+    finish out of order, and distributed callers merge whole accumulators);
     overlapping ranges are rejected at :meth:`add` time.  Because the
     kernels' per-trial reductions are trial-local, reassembly is pure column
     placement and the merged result is bit-identical to a monolithic run —

@@ -40,7 +40,7 @@ from repro.core.results import PartialResult, ResultAccumulator
 from repro.parallel.partitioner import TrialRange, WorkloadShape, shard_partition
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
-from repro.service.digests import program_digest, yet_digest
+from repro.service.digests import plan_relevant_config, program_digest, yet_digest
 from repro.utils.timing import Timer
 from repro.yet.io import YetShardReader, yet_to_bytes
 from repro.yet.stores import InMemoryYetStore, LocalDirYetStore
@@ -48,7 +48,6 @@ from repro.yet.table import YearEventTable
 from repro.distributed.protocol import (
     MissingArtifact,
     WorkerError,
-    encode_config,
     parse_address,
     recv_frame,
     send_frame,
@@ -268,7 +267,7 @@ class FleetEngine:
         """
         program = ReinsuranceProgram.wrap(program)
         prog_digest = program_digest(program)
-        config_fields = encode_config(self.config)
+        config_fields = plan_relevant_config(self.config)
         yet_ref, yet_bytes_factory, n_trials, mean_events = self._describe_source(source)
 
         count = n_shards or max(self.config.trial_shards, 2 * len(self._states))

@@ -21,7 +21,8 @@ Requests (coordinator → worker)::
 
 ``REF`` is a YET store reference (:mod:`repro.yet.stores`); ``FIELDS`` is
 the plan-relevant config dict of :func:`repro.service.digests.plan_relevant_config`
-in its JSON form (:func:`encode_config` / :func:`decode_config_overrides`).
+(every value is already JSON-safe).  A worker applies those fields over its
+own base config and answers any other key with a structured error naming it.
 A successful ``run_shard`` answers ``{"ok": true, ..., "nbytes": N}``
 followed by the :meth:`~repro.core.results.PartialResult.to_bytes` payload.
 
@@ -43,15 +44,9 @@ from __future__ import annotations
 import json
 from typing import Any, BinaryIO, Mapping, Tuple
 
-from repro.core.config import EngineConfig
-from repro.parallel.scheduling import SchedulingPolicy
-from repro.service.digests import plan_relevant_config
-
 __all__ = [
     "MissingArtifact",
     "WorkerError",
-    "encode_config",
-    "decode_config_overrides",
     "parse_address",
     "recv_frame",
     "send_frame",
@@ -153,26 +148,3 @@ def recv_frame(stream: BinaryIO) -> Tuple[dict, bytes | None]:
             )
     return document, payload
 
-
-# --------------------------------------------------------------------------- #
-# Config codec
-# --------------------------------------------------------------------------- #
-def encode_config(config: EngineConfig) -> dict:
-    """The plan-relevant config fields in JSON-safe wire form.
-
-    Exactly the fields :func:`~repro.service.digests.config_digest` covers —
-    shipping them (and only them) is what makes a worker's numbers
-    bit-identical to the coordinator's.  The scheduling enum travels as its
-    string value.
-    """
-    fields = plan_relevant_config(config)
-    fields["scheduling"] = str(fields["scheduling"])
-    return fields
-
-
-def decode_config_overrides(fields: Mapping[str, Any]) -> dict:
-    """Wire config fields → ``EngineConfig.replace`` keyword overrides."""
-    overrides = dict(fields)
-    if "scheduling" in overrides:
-        overrides["scheduling"] = SchedulingPolicy(str(overrides["scheduling"]))
-    return overrides

@@ -37,12 +37,15 @@ from repro.core.plan import PlanBuilder
 from repro.core.results import PartialResult
 from repro.parallel.partitioner import TrialRange
 from repro.service.cache import CacheStats, PlanCache
-from repro.service.digests import config_digest, program_digest
+from repro.service.digests import (
+    PLAN_RELEVANT_CONFIG_FIELDS,
+    config_digest,
+    program_digest,
+)
 from repro.service.response import error_payload
 from repro.yet.stores import InMemoryYetStore, resolve_yet_ref
 from repro.distributed.protocol import (
     MissingArtifact,
-    decode_config_overrides,
     format_address,
     recv_frame,
     send_frame,
@@ -64,7 +67,8 @@ class FleetWorker:
         carries the coordinator's plan-relevant fields, which are applied
         over this base (``EngineConfig.replace``) — so the backend and
         precision that determine the numbers always come from the
-        coordinator, while purely local fields stay the operator's choice.
+        coordinator, while purely local fields stay the operator's choice
+        (a request naming any other field is refused).
     host, port:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`port` after :meth:`start`).
@@ -332,6 +336,15 @@ class FleetWorker:
         yet_ref = document.get("yet") or {}
         start, stop = (int(v) for v in document["trials"])
         trials = TrialRange(start, stop)
+        fields = document.get("config") or {}
+        if not isinstance(fields, dict):
+            raise ValueError("run_shard 'config' must be a JSON object")
+        unknown = sorted(set(fields) - set(PLAN_RELEVANT_CONFIG_FIELDS))
+        if unknown:
+            raise ValueError(
+                f"run_shard config field(s) {unknown} are not plan-relevant; "
+                f"a worker accepts only {list(PLAN_RELEVANT_CONFIG_FIELDS)}"
+            )
 
         missing: dict[str, str] = {}
         with self._state_lock:
@@ -345,8 +358,7 @@ class FleetWorker:
         if missing:
             raise MissingArtifact(missing)
 
-        overrides = decode_config_overrides(document.get("config") or {})
-        config = self.config.replace(**overrides) if overrides else self.config
+        config = self.config.replace(**fields) if fields else self.config
         engine, cfg_digest = self._engine_for(config)
         source = self._source_for(yet_ref)
 

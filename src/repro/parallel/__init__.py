@@ -6,39 +6,27 @@ the threads data efficiently (OpenMP threads over a shared address space on
 the CPU, CUDA blocks with global/shared/constant memory on the GPU).  This
 subpackage provides the Python equivalents:
 
-* :mod:`repro.parallel.partitioner` — splitting the trial range into blocks
-  (static block, cyclic, fixed-size chunks);
+* :mod:`repro.parallel.partitioner` — splitting the trial range into
+  contiguous, nearly equal blocks;
 * :mod:`repro.parallel.shared_memory` — NumPy arrays backed by
   :mod:`multiprocessing.shared_memory` so that worker processes share the YET
-  and the layers' dense loss matrices without copying;
-* :mod:`repro.parallel.executor` — a process-pool executor mapping trial
-  blocks to workers (the OpenMP analogue);
-* :mod:`repro.parallel.scheduling` — static vs dynamic (oversubscribed)
-  scheduling policies, mirroring the paper's threads-per-core experiments;
+  and the fused loss stack without copying;
 * :mod:`repro.parallel.device` — the :class:`SimulatedGPU` device model used
   to reproduce the GPU experiments without CUDA hardware.
+
+The process pool itself (the OpenMP analogue) lives in the multicore
+backend, :mod:`repro.core.multicore`.
 """
 
 from repro.parallel.device import GPUSpec, KernelCostModel, KernelEstimate, SimulatedGPU
-from repro.parallel.executor import ParallelConfig, TrialBlockExecutor, available_cores
-from repro.parallel.partitioner import TrialRange, block_partition, chunk_partition, cyclic_partition
-from repro.parallel.scheduling import Schedule, SchedulingPolicy, make_schedule, memory_bound_speedup_model
+from repro.parallel.partitioner import TrialRange, block_partition
 from repro.parallel.shared_memory import SharedArray, SharedWorkspace
 
 __all__ = [
     "TrialRange",
     "block_partition",
-    "cyclic_partition",
-    "chunk_partition",
     "SharedArray",
     "SharedWorkspace",
-    "ParallelConfig",
-    "TrialBlockExecutor",
-    "available_cores",
-    "SchedulingPolicy",
-    "Schedule",
-    "make_schedule",
-    "memory_bound_speedup_model",
     "GPUSpec",
     "KernelCostModel",
     "KernelEstimate",

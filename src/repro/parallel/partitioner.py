@@ -1,15 +1,10 @@
 """Trial-range partitioning.
 
-The unit of parallel work in the aggregate analysis is the trial.  These
-helpers split the trial index range ``[0, n_trials)`` into work items:
-
-* :func:`block_partition` — ``k`` contiguous, nearly-equal blocks (the static
-  OpenMP-style decomposition used with one block per core);
-* :func:`chunk_partition` — fixed-size contiguous chunks (the decomposition
-  used for dynamic scheduling / oversubscription, where many more chunks than
-  workers are queued);
-* :func:`cyclic_partition` — round-robin assignment of individual trials (kept
-  for completeness; poor locality makes it a baseline, not a recommendation).
+The unit of parallel work in the aggregate analysis is the trial.
+:func:`block_partition` splits the trial index range ``[0, n_trials)`` into
+``k`` contiguous, nearly-equal blocks: the multicore backend's worker blocks
+(``n_workers x oversubscription`` of them) and, under its sharding name
+:func:`shard_partition`, the driver's trial shards.
 
 :class:`WorkloadShape` records the dimensions of what is partitioned (trials x
 events x ELTs x layers); results carry it and the cost models consume it.
@@ -20,14 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List
 
-import numpy as np
-
 __all__ = [
     "TrialRange",
     "WorkloadShape",
     "block_partition",
-    "chunk_partition",
-    "cyclic_partition",
     "shard_partition",
 ]
 
@@ -89,7 +80,7 @@ def block_partition(n_trials: int, n_blocks: int) -> List[TrialRange]:
     ``n_trials`` single-trial blocks are produced, and zero trials produce an
     empty list.  An empty ``TrialRange`` is never emitted — a zero-size work
     item would make a worker pay its scheduling overhead for nothing and
-    forces every consumer (executors, accumulators) to special-case it.
+    forces every consumer (the worker pool, accumulators) to special-case it.
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be non-negative, got {n_trials}")
@@ -109,22 +100,6 @@ def block_partition(n_trials: int, n_blocks: int) -> List[TrialRange]:
     return ranges
 
 
-def chunk_partition(n_trials: int, chunk_size: int) -> List[TrialRange]:
-    """Split ``n_trials`` into contiguous chunks of at most ``chunk_size`` trials.
-
-    Zero trials produce an empty list; like :func:`block_partition`, an empty
-    ``TrialRange`` is never emitted.
-    """
-    if n_trials < 0:
-        raise ValueError(f"n_trials must be non-negative, got {n_trials}")
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    ranges = []
-    for start in range(0, n_trials, chunk_size):
-        ranges.append(TrialRange(start, min(start + chunk_size, n_trials)))
-    return ranges
-
-
 def shard_partition(n_trials: int, n_shards: int) -> List[TrialRange]:
     """The trial-shard decomposition of the paper's map/reduce shape.
 
@@ -137,16 +112,3 @@ def shard_partition(n_trials: int, n_shards: int) -> List[TrialRange]:
     """
     return block_partition(n_trials, n_shards)
 
-
-def cyclic_partition(n_trials: int, n_workers: int) -> List[np.ndarray]:
-    """Round-robin assignment of trial indices to ``n_workers`` workers.
-
-    Returns one index array per worker (worker ``w`` gets trials
-    ``w, w + n_workers, w + 2*n_workers, ...``).
-    """
-    if n_trials < 0:
-        raise ValueError(f"n_trials must be non-negative, got {n_trials}")
-    if n_workers <= 0:
-        raise ValueError(f"n_workers must be positive, got {n_workers}")
-    indices = np.arange(n_trials, dtype=np.int64)
-    return [indices[w::n_workers] for w in range(n_workers)]

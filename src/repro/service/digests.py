@@ -59,9 +59,12 @@ __all__ = [
 
 #: EngineConfig fields that participate in the plan-cache key: everything
 #: that changes the lowered plan, the kernel path taken over it, or the
-#: recorded outputs.  Cosmetic fields (``record_phases``) and fields of other
-#: backends are deliberately excluded so that toggling them does not evict
-#: warm plans.
+#: recorded outputs — including the fields only one backend reads
+#: (``chunk_events``, the multicore pool's, the native kernel's), whatever
+#: backend the config names.  Two fields are left out so that toggling them
+#: does not evict warm plans: ``record_phases`` (timing only) and
+#: ``replication_block`` (read by the uncertainty analysis, not the engine).
+#: These are also exactly the fields a fleet worker accepts on the wire.
 PLAN_RELEVANT_CONFIG_FIELDS: tuple[str, ...] = (
     "backend",
     "fused_layers",
@@ -69,10 +72,8 @@ PLAN_RELEVANT_CONFIG_FIELDS: tuple[str, ...] = (
     "trial_shards",
     "chunk_events",
     "n_workers",
-    "scheduling",
     "oversubscription",
     "start_method",
-    "shared_memory",
     "dtype",
     "native_threads",
 )

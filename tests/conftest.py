@@ -48,6 +48,22 @@ def rng():
 
 
 @pytest.fixture()
+def publish_under_fork(monkeypatch):
+    """Multicore runs publish a shared workspace even under ``fork``.
+
+    The transport rule publishes only when workers cannot inherit the
+    parent's memory (``spawn``/``forkserver``), whose workers re-import the
+    package on start-up; forcing it under ``fork`` exercises the same
+    segments, attach path and teardown at a forked worker's start-up cost.
+    """
+    from repro.core import multicore
+
+    monkeypatch.setattr(
+        multicore, "publishes_workspace", lambda config: config.n_workers > 1
+    )
+
+
+@pytest.fixture()
 def quantile_calls(monkeypatch):
     """The ``axis`` keyword of every ``np.quantile`` call made under the fixture.
 

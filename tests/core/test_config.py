@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.core.config import BACKEND_NAMES, EngineConfig
-from repro.parallel.scheduling import SchedulingPolicy
 
 
 class TestEngineConfig:
@@ -17,9 +16,9 @@ class TestEngineConfig:
     def test_field_names_are_pinned(self):
         # Adding (or dropping) an option must show up as a diff here.
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-            "backend", "shared_memory", "fused_layers", "record_max_occurrence",
+            "backend", "fused_layers", "record_max_occurrence",
             "record_phases", "trial_shards", "chunk_events", "replication_block",
-            "n_workers", "scheduling", "oversubscription", "start_method",
+            "n_workers", "oversubscription", "start_method",
             "dtype", "native_threads",
         ]
 
@@ -66,8 +65,8 @@ class TestEngineConfig:
         assert updated.chunk_events == 128
 
     def test_replace(self):
-        updated = EngineConfig().replace(scheduling=SchedulingPolicy.DYNAMIC, oversubscription=8)
-        assert updated.scheduling is SchedulingPolicy.DYNAMIC
+        updated = EngineConfig().replace(n_workers=2, oversubscription=8)
+        assert updated.n_workers == 2
         assert updated.oversubscription == 8
 
     def test_frozen(self):

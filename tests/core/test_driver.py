@@ -171,15 +171,15 @@ class TestDriver:
         with pytest.raises(RuntimeError, match="pricer blew up"):
             _ExplodingPricer(EngineConfig(trial_shards=2)).run_plan(plan)
 
-    def test_failing_pricer_leaves_no_multicore_workspace(self, tiny_workload, monkeypatch):
+    def test_failing_pricer_leaves_no_multicore_workspace(
+        self, tiny_workload, monkeypatch, publish_under_fork
+    ):
         """The pool's workspace is closed on the exception path too."""
         monkeypatch.setattr(
             multicore_module, "window_pricer", lambda *args, **kwargs: _exploding_window_price
         )
         engine = MulticoreEngine(
-            EngineConfig(
-                backend="multicore", n_workers=2, start_method="fork", shared_memory="on"
-            )
+            EngineConfig(backend="multicore", n_workers=2, start_method="fork")
         )
         plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
         before = {p.name for p in SHM_DIR.iterdir()} if SHM_DIR.exists() else set()

@@ -1,11 +1,13 @@
 """Tests for the multicore (multi-process) backend."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.multicore import MulticoreEngine
-from repro.parallel.scheduling import SchedulingPolicy
+from repro.core.engine import AggregateRiskEngine
+from repro.core.multicore import MulticoreEngine, available_cores
 from repro.core.plan import PlanBuilder
 
 
@@ -29,16 +31,20 @@ class TestMulticoreEngine:
             result.ylt.losses, tiny_reference_result.ylt.losses, rtol=1e-9, atol=1e-6
         )
 
-    def test_dynamic_scheduling_matches_reference(self, tiny_workload, tiny_reference_result):
+    @pytest.mark.parametrize("oversubscription", (1, 3, 64))
+    def test_oversubscription_sets_the_blocks(self, tiny_workload, oversubscription):
+        """Each shard is cut into n_workers x oversubscription blocks; same bytes."""
+        program, yet = tiny_workload.program, tiny_workload.yet
         engine = MulticoreEngine(EngineConfig(
-            backend="multicore",
-            n_workers=2,
-            scheduling=SchedulingPolicy.DYNAMIC,
-            oversubscription=4,
+            backend="multicore", n_workers=2, oversubscription=oversubscription,
+            start_method="fork",
         ))
-        result = _run(engine, tiny_workload.program, tiny_workload.yet)
-        np.testing.assert_allclose(
-            result.ylt.losses, tiny_reference_result.ylt.losses, rtol=1e-9, atol=1e-6
+        result = _run(engine, program, yet)
+        reference = AggregateRiskEngine(EngineConfig(backend="vectorized")).run(program, yet)
+        assert result.details["n_blocks"] == min(yet.n_trials, 2 * oversubscription)
+        assert np.array_equal(result.ylt.losses, reference.ylt.losses)
+        assert np.array_equal(
+            result.ylt.max_occurrence_losses, reference.ylt.max_occurrence_losses
         )
 
     def test_worker_count_independent_results(self, tiny_workload):
@@ -61,13 +67,13 @@ class TestMulticoreEngine:
 
     def test_details_report_schedule(self, tiny_workload):
         engine = MulticoreEngine(EngineConfig(
-            backend="multicore", n_workers=2,
-            scheduling=SchedulingPolicy.DYNAMIC, oversubscription=3,
+            backend="multicore", n_workers=2, oversubscription=3,
         ))
         result = _run(engine, tiny_workload.program, tiny_workload.yet)
         assert result.details["n_workers"] == 2
         assert result.details["oversubscription"] == 3
-        assert result.details["n_blocks"] >= 2
+        assert result.details["n_blocks"] == 6
+        assert "scheduling" not in result.details
 
     @pytest.mark.parametrize("n_workers", (1, 2))
     def test_record_phases_sums_worker_phases(self, tiny_workload, n_workers):
@@ -86,3 +92,51 @@ class TestMulticoreEngine:
         engine = MulticoreEngine(EngineConfig(backend="multicore", n_workers=2))
         result = _run(engine, tiny_workload.program[0], tiny_workload.yet)
         assert result.ylt.n_layers == 1
+
+
+SHM_DIR = Path("/dev/shm")
+
+
+def _shm_entries() -> set:
+    return {p.name for p in SHM_DIR.iterdir()} if SHM_DIR.exists() else set()
+
+
+class TestTransportRule:
+    """The start method alone picks how the plan's arrays reach the workers."""
+
+    def test_fork_inherits_forkserver_publishes(self, tiny_workload):
+        import multiprocessing
+
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform has no forkserver start method")
+        before = _shm_entries()
+        program, yet = tiny_workload.program, tiny_workload.yet
+        results = {
+            method: _run(
+                MulticoreEngine(EngineConfig(
+                    backend="multicore", n_workers=2, start_method=method,
+                )),
+                program,
+                yet,
+            )
+            for method in ("fork", "forkserver")
+        }
+        assert results["fork"].details["shared_memory"] is False
+        assert results["forkserver"].details["shared_memory"] is True
+        assert np.array_equal(results["forkserver"].ylt.losses, results["fork"].ylt.losses)
+        assert np.array_equal(
+            results["forkserver"].ylt.max_occurrence_losses,
+            results["fork"].ylt.max_occurrence_losses,
+        )
+        assert _shm_entries() - before == set()
+
+    def test_single_worker_runs_in_process(self, tiny_workload):
+        engine = MulticoreEngine(EngineConfig(
+            backend="multicore", n_workers=1, start_method="spawn",
+        ))
+        result = _run(engine, tiny_workload.program, tiny_workload.yet)
+        assert result.details["shared_memory"] is False
+
+
+def test_available_cores_positive():
+    assert available_cores() >= 1

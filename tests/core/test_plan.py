@@ -198,10 +198,6 @@ class TestPlanDetails:
         assert result.details["plan"]["source"] == "program"
         assert result.details["plan"]["n_rows"] == tiny_workload.program.n_layers
 
-    def test_unknown_shared_memory_mode_rejected(self):
-        with pytest.raises(ValueError, match="shared_memory"):
-            EngineConfig(shared_memory="sometimes")
-
 
 class TestTermsVectorsRoundtrip:
     def test_plan_terms_match_layers(self, tiny_workload):

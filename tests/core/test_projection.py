@@ -2,10 +2,37 @@
 
 import pytest
 
-from repro.core.projection import CPUCostModel, project_summary
+from repro.core.projection import CPUCostModel, memory_bound_speedup_model, project_summary
 from repro.parallel.device import WorkloadShape
 
 PAPER_SHAPE = WorkloadShape(n_trials=1_000_000, events_per_trial=1000.0, n_elts=15, n_layers=1)
+
+
+class TestMemoryBoundSpeedupModel:
+    def test_single_core_speedup_is_one(self):
+        assert memory_bound_speedup_model(1) == pytest.approx(1.0)
+
+    def test_speedup_monotone_but_saturating(self):
+        speedups = [memory_bound_speedup_model(n) for n in (1, 2, 4, 8, 16)]
+        assert all(b >= a for a, b in zip(speedups, speedups[1:]))
+        # Far below linear scaling at 8+ cores (the paper reports 2.6x at 8).
+        assert speedups[3] < 4.0
+
+    def test_matches_paper_ballpark(self):
+        # Paper: 1.5x (2 cores), 2.2x (4), 2.6x (8).  The simple roofline model
+        # reproduces the saturating shape within ~35 %.
+        assert memory_bound_speedup_model(2) == pytest.approx(1.5, rel=0.4)
+        assert memory_bound_speedup_model(4) == pytest.approx(2.2, rel=0.35)
+        assert memory_bound_speedup_model(8) == pytest.approx(2.6, rel=0.25)
+
+    def test_pure_compute_scales_linearly(self):
+        assert memory_bound_speedup_model(8, memory_bound_fraction=0.0) == pytest.approx(8.0)
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            memory_bound_speedup_model(0)
+        with pytest.raises(ValueError):
+            memory_bound_speedup_model(2, memory_bound_fraction=1.5)
 
 
 class TestCPUCostModel:

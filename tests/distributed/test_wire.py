@@ -1,19 +1,23 @@
-"""The PartialResult wire format: round-trips and decode validation.
+"""The fleet wire: PartialResult round-trips, decode validation, config input.
 
 The wire payload reuses the ``.npy`` block layout of ``PartialResult.save``/
 ``load`` behind a fixed ``ARPT`` header, so a corrupted or truncated frame
-must fail loudly on decode — never produce a plausible but wrong block.
+must fail loudly on decode — never produce a plausible but wrong block.  On
+the request side, a ``run_shard`` config may carry only the plan-relevant
+fields; anything else is refused by name, never silently applied.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.results import (
     _WIRE_HEADER,
     _WIRE_MAGIC,
@@ -21,7 +25,11 @@ from repro.core.results import (
     _WIRE_VERSION,
     PartialResult,
 )
+from repro.distributed import FleetWorker, WorkerError
+from repro.distributed.fleet import WorkerClient
 from repro.parallel.partitioner import TrialRange
+from repro.service.digests import plan_relevant_config, program_digest, yet_digest
+from repro.yet.io import yet_to_bytes
 
 
 def make_partial(start=4, stop=9, n_rows=3, with_occurrence=True, details=None):
@@ -176,3 +184,24 @@ class TestDecodeValidation:
         out.write(blob)
         with pytest.raises(ValueError):
             PartialResult.from_bytes(out.getvalue())
+
+
+class TestRunShardConfigInput:
+    def test_non_plan_relevant_field_refused_by_name(self, tiny_workload):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        config = EngineConfig(backend="vectorized")
+        digest, ydigest = program_digest(program), yet_digest(yet)
+        ref = {"kind": "inline", "digest": ydigest}
+        with FleetWorker(config=config) as worker:
+            with WorkerClient(worker.address, timeout=30.0) as client:
+                client.put_program(digest, pickle.dumps(program))
+                client.put_yet(ydigest, yet_to_bytes(yet))
+                fields = {"backend": "vectorized", "record_phases": True}
+                with pytest.raises(WorkerError, match="record_phases") as excinfo:
+                    client.run_shard(digest, ref, fields, TrialRange(0, 8))
+                assert excinfo.value.type == "ValueError"
+                # The refusal is a structured reply: the connection still serves.
+                partial = client.run_shard(
+                    digest, ref, plan_relevant_config(config), TrialRange(0, 8)
+                )
+                assert partial.trials == TrialRange(0, 8)

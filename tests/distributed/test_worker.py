@@ -17,9 +17,8 @@ from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.distributed import FleetWorker, MissingArtifact, WorkerError
 from repro.distributed.fleet import WorkerClient, probe_worker
-from repro.distributed.protocol import encode_config
 from repro.parallel.partitioner import TrialRange
-from repro.service.digests import program_digest, yet_digest
+from repro.service.digests import plan_relevant_config, program_digest, yet_digest
 from repro.yet.io import yet_to_bytes
 
 
@@ -84,7 +83,7 @@ class TestArtifactShipping:
             client.run_shard(
                 digest,
                 {"kind": "inline", "digest": ydigest},
-                encode_config(CONFIG),
+                plan_relevant_config(CONFIG),
                 TrialRange(0, 8),
             )
         missing = excinfo.value.missing
@@ -103,7 +102,7 @@ class TestRunShard:
         partial = client.run_shard(
             digest,
             {"kind": "inline", "digest": ydigest},
-            encode_config(CONFIG),
+            plan_relevant_config(CONFIG),
             TrialRange(16, 48),
         )
         mono = AggregateRiskEngine(CONFIG).run(program, yet)
@@ -119,8 +118,8 @@ class TestRunShard:
         client.put_yet(ydigest, yet_to_bytes(yet))
 
         ref = {"kind": "inline", "digest": ydigest}
-        first = client.run_shard(digest, ref, encode_config(CONFIG), TrialRange(0, 16))
-        again = client.run_shard(digest, ref, encode_config(CONFIG), TrialRange(0, 16))
+        first = client.run_shard(digest, ref, plan_relevant_config(CONFIG), TrialRange(0, 16))
+        again = client.run_shard(digest, ref, plan_relevant_config(CONFIG), TrialRange(0, 16))
         assert first.details["plan_cache_hit"] is False
         assert again.details["plan_cache_hit"] is True
         assert np.array_equal(first.losses, again.losses)
@@ -130,7 +129,7 @@ class TestRunShard:
         client.put_program(digest, pickle.dumps(tiny_workload.program))
         with pytest.raises(WorkerError, match="kind"):
             client.run_shard(
-                digest, {"kind": "carrier-pigeon"}, encode_config(CONFIG), TrialRange(0, 8)
+                digest, {"kind": "carrier-pigeon"}, plan_relevant_config(CONFIG), TrialRange(0, 8)
             )
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.scheduling import SchedulingPolicy
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 
@@ -43,8 +42,7 @@ CONFIGS = [
     EngineConfig(backend="chunked", chunk_events=37),
     EngineConfig(backend="chunked", chunk_events=4096),
     EngineConfig(backend="multicore", n_workers=2),
-    EngineConfig(backend="multicore", n_workers=3,
-                 scheduling=SchedulingPolicy.DYNAMIC, oversubscription=4),
+    EngineConfig(backend="multicore", n_workers=3, oversubscription=4),
     EngineConfig(backend="native"),
     # The Figure 4/5 benchmarks time the simulated GPU kernels' year losses
     # as these per-layer configurations (basic kernel; optimised kernel at

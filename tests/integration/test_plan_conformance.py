@@ -11,7 +11,7 @@ plan pipeline — on seeded end-to-end workloads, these must hold exactly
 * the fused multi-layer path and the ``fused_layers=False`` per-layer
   ablation agree bit-for-bit on every backend (same floating-point
   operations in the same order);
-* the two multicore transports (shared-memory vs pickling/inheritance) and
+* the two multicore transports (inherited vs published shared memory) and
   the warm workspace-reuse path agree bit-for-bit (a transport moves bytes,
   it must never touch them);
 * ``run_many`` equals the concatenate-run-split recipe, with and without
@@ -94,28 +94,31 @@ def test_fused_vs_perlayer_plan_bit_identical(workload, backend):
 
 
 @pytest.mark.parametrize("shared_memory", ("on", "off"))
-def test_multicore_transports_bit_identical(workload, shared_memory):
-    """Shared-memory and pickling transports agree exactly.
+def test_multicore_transports_bit_identical(workload, monkeypatch, shared_memory):
+    """Inherited and published (shared-memory) transports agree exactly.
 
     The transport decides how the fused stack and the YET columns reach the
     workers; it must never change a byte of what the kernels read.  The
-    pickling/inheritance run is the reference.
+    inherited ``fork`` run is the reference; the ``on`` case patches the
+    transport rule so the same ``fork`` workers attach published segments,
+    the ``off`` case repeats the inherited run.
     """
-    reference = AggregateRiskEngine(
-        EngineConfig(backend="multicore", n_workers=N_WORKERS, shared_memory="off")
-    ).run(workload.program, workload.yet)
-    candidate = AggregateRiskEngine(
-        EngineConfig(
-            backend="multicore", n_workers=N_WORKERS, shared_memory=shared_memory
-        )
-    ).run(workload.program, workload.yet)
+    from repro.core import multicore
+
+    config = EngineConfig(backend="multicore", n_workers=N_WORKERS, start_method="fork")
+    reference = AggregateRiskEngine(config).run(workload.program, workload.yet)
+    publish = shared_memory == "on"
+    monkeypatch.setattr(multicore, "publishes_workspace", lambda _: publish)
+    candidate = AggregateRiskEngine(config).run(workload.program, workload.yet)
+    assert reference.details["shared_memory"] is False
+    assert candidate.details["shared_memory"] is publish
     _assert_identical(candidate, reference)
 
 
-def test_multicore_workspace_reuse_bit_identical(workload):
+def test_multicore_workspace_reuse_bit_identical(workload, publish_under_fork):
     """The warm workspace-reuse transport equals cold publication exactly."""
     engine = AggregateRiskEngine(
-        EngineConfig(backend="multicore", n_workers=N_WORKERS, shared_memory="on")
+        EngineConfig(backend="multicore", n_workers=N_WORKERS, start_method="fork")
     )
     engine.retain_shared_workspaces(True)
     try:

@@ -1,15 +1,8 @@
 """Tests for repro.parallel.partitioner."""
 
-import numpy as np
 import pytest
 
-from repro.parallel.partitioner import (
-    TrialRange,
-    block_partition,
-    chunk_partition,
-    cyclic_partition,
-    shard_partition,
-)
+from repro.parallel.partitioner import TrialRange, block_partition, shard_partition
 
 
 class TestTrialRange:
@@ -69,31 +62,6 @@ class TestBlockPartition:
             block_partition(10, 0)
 
 
-class TestChunkPartition:
-    def test_chunk_sizes(self):
-        chunks = chunk_partition(10, 3)
-        assert [c.size for c in chunks] == [3, 3, 3, 1]
-
-    def test_covers_all_trials(self):
-        chunks = chunk_partition(25, 4)
-        covered = [i for chunk in chunks for i in chunk]
-        assert covered == list(range(25))
-
-    def test_zero_trials_yields_no_chunks(self):
-        assert chunk_partition(0, 5) == []
-
-    def test_never_emits_empty_ranges_across_boundaries(self):
-        for n_trials in range(0, 9):
-            for chunk_size in range(1, 12):
-                chunks = chunk_partition(n_trials, chunk_size)
-                assert all(chunk.size > 0 for chunk in chunks), (n_trials, chunk_size)
-                assert sum(chunk.size for chunk in chunks) == n_trials
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            chunk_partition(10, 0)
-
-
 class TestShardPartition:
     def test_covers_in_order_without_empties(self):
         shards = shard_partition(103, 8)
@@ -107,18 +75,3 @@ class TestShardPartition:
     def test_zero_trials(self):
         assert shard_partition(0, 4) == []
 
-
-class TestCyclicPartition:
-    def test_round_robin_assignment(self):
-        parts = cyclic_partition(10, 3)
-        np.testing.assert_array_equal(parts[0], [0, 3, 6, 9])
-        np.testing.assert_array_equal(parts[1], [1, 4, 7])
-        np.testing.assert_array_equal(parts[2], [2, 5, 8])
-
-    def test_covers_all_trials(self):
-        parts = cyclic_partition(17, 4)
-        assert sorted(np.concatenate(parts).tolist()) == list(range(17))
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            cyclic_partition(10, 0)

@@ -217,7 +217,9 @@ class TestLifecycleGuarantees:
         # The guard (not the stderr-spamming resource tracker) did the work.
         assert "leaked shared_memory" not in proc.stderr
 
-    def test_worker_dying_mid_block_leaks_no_segment(self, tiny_workload, monkeypatch):
+    def test_worker_dying_mid_block_leaks_no_segment(
+        self, tiny_workload, monkeypatch, publish_under_fork
+    ):
         """A worker raising mid-block: run fails, but every segment is gone."""
         from repro.core import multicore as multicore_module
         from repro.core.config import EngineConfig
@@ -227,12 +229,7 @@ class TestLifecycleGuarantees:
         monkeypatch.setattr(multicore_module, "_analyse_block", _exploding_block)
         before = _shm_entries()
         engine = MulticoreEngine(
-            EngineConfig(
-                backend="multicore",
-                n_workers=2,
-                start_method="fork",
-                shared_memory="on",
-            )
+            EngineConfig(backend="multicore", n_workers=2, start_method="fork")
         )
         plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
         with pytest.raises(RuntimeError, match="worker died mid-block"):

@@ -71,7 +71,7 @@ class TestDigests:
             dict(record_max_occurrence=False),
             dict(chunk_events=999),
             dict(n_workers=3),
-            dict(shared_memory="on"),
+            dict(oversubscription=3),
         ],
     )
     def test_config_digest_tracks_relevant_fields(self, overrides):

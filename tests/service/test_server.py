@@ -253,10 +253,10 @@ class TestGracefulDrain:
                 client.close()
                 handle.stop()
 
-    def test_drain_leaves_dev_shm_clean(self, tiny_workload):
+    def test_drain_leaves_dev_shm_clean(self, tiny_workload, publish_under_fork):
         """Shared-memory serving: after drain + close, no leaked segments."""
         before = _shm_entries()
-        config = EngineConfig(backend="multicore", n_workers=2, shared_memory="on")
+        config = EngineConfig(backend="multicore", n_workers=2)
         service = RiskService(config)
         service.register_workload("w", tiny_workload)
         with service:

@@ -283,10 +283,11 @@ class TestWarmVsColdIdentity:
             )
 
 
+@pytest.mark.usefixtures("publish_under_fork")
 class TestSharedWorkspaceReuse:
     def test_workspace_reused_and_shm_clean(self, tiny_workload):
         before = _shm_entries()
-        config = EngineConfig(backend="multicore", n_workers=2, shared_memory="on")
+        config = EngineConfig(backend="multicore", n_workers=2)
         with RiskService(config) as svc:
             svc.register_workload("tiny", tiny_workload)
             cold = svc.submit({"kind": "run", "program": "tiny"})
@@ -303,7 +304,7 @@ class TestSharedWorkspaceReuse:
         assert _shm_entries() - before == set()
 
     def test_release_workspaces_idempotent(self, tiny_workload):
-        config = EngineConfig(backend="multicore", n_workers=2, shared_memory="on")
+        config = EngineConfig(backend="multicore", n_workers=2)
         svc = RiskService(config)
         svc.register_workload("tiny", tiny_workload)
         svc.submit({"kind": "run", "program": "tiny"})
@@ -315,7 +316,7 @@ class TestSharedWorkspaceReuse:
         import gc
 
         before = _shm_entries()
-        config = EngineConfig(backend="multicore", n_workers=2, shared_memory="on")
+        config = EngineConfig(backend="multicore", n_workers=2)
         with RiskService(config, cache_size=1) as svc:
             svc.register_workload("tiny", tiny_workload)
             svc.submit({"kind": "run", "program": "tiny"})
