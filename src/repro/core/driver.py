@@ -19,12 +19,15 @@ lookup structures, loaded C kernels, pool configuration) and returns a
 multicore backend, whose mapping is finer than a shard — how a shard is
 refined into blocks and how the blocks are mapped (one block per shard,
 priced serially, here; the worker schedule over a process pool in
-:mod:`repro.core.multicore`).
+:mod:`repro.core.multicore`; socket workers in
+:mod:`repro.distributed.fleet`).
 
 A plan lowered over an out-of-core shard source
 (:class:`~repro.yet.io.YetShardReader` and the stores' sources) runs through
 the same loop: the driver materialises one shard's table at a time, so the
-resident working set is one shard plus the accumulated year-loss blocks.
+resident working set is one shard plus the accumulated year-loss blocks.  A
+run whose map is remote (``ShardRun.reads_tables = False``) is handed the
+source itself with every block instead, and reads nothing locally.
 """
 
 from __future__ import annotations
@@ -98,6 +101,10 @@ class ShardRun:
     result details.
     """
 
+    #: ``False`` for a remote map (the fleet): it gets the plan's shard source
+    #: once, with every block, and no shard is materialised locally.
+    reads_tables = True
+
     def __init__(self, price: WindowPrice, details: Mapping[str, Any] | None = None) -> None:
         self.price = price
         self.details = dict(details or {})
@@ -153,10 +160,10 @@ def _shifted(block: TrialRange, by: int) -> TrialRange:
 
 
 def _tables(
-    plan: ExecutionPlan, shards: List[TrialRange]
+    plan: ExecutionPlan, shards: List[TrialRange], run: ShardRun
 ) -> Iterator[Tuple[YearEventTable, int, List[TrialRange]]]:
     """``(resident table, its first global trial, the shards it holds)``."""
-    if isinstance(plan.yet, YearEventTable):
+    if isinstance(plan.yet, YearEventTable) or not run.reads_tables:
         yield plan.yet, 0, shards
     else:
         # Out-of-core shard source: exactly one shard's columns are resident.
@@ -173,7 +180,7 @@ def run_plan(plan: ExecutionPlan, config: EngineConfig, backend: ShardPricer) ->
     run = backend.prepare(plan, fused, timer)
     shards = plan.shard_ranges(plan.n_shards or config.trial_shards)
     accumulator = ResultAccumulator.for_plan(plan)
-    for yet, first, resident in _tables(plan, shards):
+    for yet, first, resident in _tables(plan, shards, run):
         blocks = [
             _shifted(block, shard.start - first)
             for shard in resident

@@ -195,14 +195,15 @@ class AggregateRiskEngine:
     ) -> EngineResult:
         """Price a program across a fleet of socket workers; exact merge.
 
-        The fleet form of :meth:`run_sharded`: the trial domain is cut into
-        disjoint shards on a work-stealing queue, each worker executes its
-        shards remotely under this engine's plan-relevant config (shipped
-        with every request), and the streamed
-        :class:`~repro.core.results.PartialResult` blocks merge into one
-        accumulator as they arrive.  The result is **bit-identical** to a
+        The fleet form of :meth:`run_sharded`: the plan goes through the
+        same shard driver, whose map sends the disjoint trial shards to the
+        workers over a work-stealing queue.  Each worker prices its shards
+        under this engine's plan-relevant config (shipped with every
+        request), and the streamed
+        :class:`~repro.core.results.PartialResult` blocks merge in the
+        driver as they arrive.  The result is **bit-identical** to a
         monolithic :meth:`run` on every backend; a worker that times out or
-        dies has its shards retried once and then reassigned to survivors.
+        dies has its shard retried once and then requeued to survivors.
 
         ``workers`` are ``"host:port"`` addresses of ``are worker``
         processes.  ``source`` is an in-memory YET (shipped once per

@@ -1,21 +1,25 @@
 """Distributed fleet execution over the PartialResult algebra.
 
-The scaling axis beyond one box: a coordinator ships ``(program digest,
-shard trial range, YET store reference)`` tuples to worker processes over
-TCP, each worker executes ``run_plan`` on its configured backend, and the
-serialized :class:`~repro.core.results.PartialResult` blocks stream back
-into one :class:`~repro.core.results.ResultAccumulator` as they arrive.
-Because disjoint trial-shard merges are bit-identical to monolithic runs
-(PR 5's invariant), the fleet's answer is exactly the single-process
-answer — whatever the backend, the shard count, or the completion order.
+The scaling axis beyond one box, and one more parallel mapping of the same
+algorithm: the coordinator prices a plan through the shard driver
+(:func:`repro.core.driver.run_plan`) like every backend, but its map ships
+``(program digest, shard trial range, YET store reference)`` tuples to
+worker processes over TCP.  Each worker prices its shard with ``run_plan``
+on its configured backend, and the serialized
+:class:`~repro.core.results.PartialResult` blocks stream back into the
+driver as they arrive.  Because disjoint trial-shard merges are
+bit-identical to monolithic runs, the fleet's answer is exactly the
+single-process answer — whatever the backend, the shard count, or the
+completion order.
 
 * :mod:`repro.distributed.protocol` — NDJSON control lines + length-framed
   binary payloads, and the config codec both sides agree on;
 * :mod:`repro.distributed.worker` — ``are worker``: a warm, digest-keyed
-  artifact/plan cache behind a threaded socket server;
-* :mod:`repro.distributed.fleet` — the coordinator: work-stealing shard
-  queue, per-worker timeout + one retry, and reassignment of a dead
-  worker's shards to survivors via ``ResultAccumulator.missing_ranges()``.
+  artifact cache and one cached plan per workload behind a threaded socket
+  server;
+* :mod:`repro.distributed.fleet` — the coordinator: a remote-map
+  ``ShardRun`` with work stealing, per-worker timeout + one retry, and
+  requeue of a dead worker's shard to the survivors.
 
 Entry points: :meth:`repro.core.engine.AggregateRiskEngine.run_distributed`,
 the ``workers`` field of :class:`~repro.service.request.AnalysisRequest`,

@@ -1,47 +1,49 @@
-"""The fleet coordinator: shard queue out, PartialResult stream in.
+"""The fleet coordinator: the shard driver, with its blocks priced on sockets.
 
-:class:`FleetEngine` drives a set of :class:`~repro.distributed.worker.FleetWorker`
-processes through one analysis.  The trial domain is partitioned into
-disjoint shards on a shared **work-stealing queue**: one coordinator thread
-per worker pulls the next shard, sends a ``run_shard`` control line, and
-folds the streamed :class:`~repro.core.results.PartialResult` straight into
-one shared :class:`~repro.core.results.ResultAccumulator` as it arrives —
-merge overlaps compute; there is no barrier, and a fast worker simply
-prices more shards than a slow one.
+:class:`FleetEngine` runs one analysis across a set of
+:class:`~repro.distributed.worker.FleetWorker` processes.  The fleet is one
+more parallel mapping of the same algorithm: the program is lowered to an
+:class:`~repro.core.plan.ExecutionPlan` and priced by
+:func:`repro.core.driver.run_plan` like every backend, but the run's ``map``
+sends the trial shards to workers and reads no shard itself.  The map holds
+the fleet's scheduling: **work stealing** (one thread per worker over a
+shared deque, blocks streamed back to the calling thread as they arrive),
+**ship on demand** (a ``MissingArtifact`` reply ships the program, and an
+inline YET, once), **timeout + one retry** on a fresh connection, and
+**death → requeue** (idle threads wait until every shard is priced or no
+worker survives, so a survivor always picks a requeued shard up).  Any
+other failure, such as a structured worker error, is re-raised on the
+calling thread; if every worker dies, :class:`FleetError` names the
+unpriced trial ranges.
 
-Failure semantics (the part a fleet actually needs):
-
-* **timeout + one retry** — a request that times out (or whose connection
-  drops) is retried once against the same worker over a fresh connection;
-* **death → reassignment** — a worker that fails its retry is marked dead
-  and its shard goes back on the queue for the survivors; any ranges still
-  uncovered after the threads drain (the race where the queue emptied
-  before the death was noticed) are recovered explicitly from
-  ``ResultAccumulator.missing_ranges()`` and priced on surviving workers;
-* **total loss** — if every worker dies, :class:`FleetError` names the
-  missing trial ranges.
-
-Because shard merges are pure column placement, none of this scheduling —
-work stealing, retries, reassignment order — can change a single bit of the
-final result; the conformance suite pins the merged output to the
-monolithic run on every backend.
+Shard merges are pure column placement, so none of this scheduling can
+change a single bit of the result; the conformance suite pins the fleet's
+output to the monolithic run on every backend.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
+import queue
 import socket
 import threading
 from collections import deque
-from typing import Any, Callable, List, Mapping, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Iterator, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.results import PartialResult, ResultAccumulator
-from repro.parallel.partitioner import TrialRange, WorkloadShape, shard_partition
+from repro.core.driver import ShardPricer, ShardRun, run_plan
+from repro.core.engine import _BACKEND_CLASSES
+from repro.core.plan import ExecutionPlan, PlanBuilder
+from repro.core.results import EngineResult, PartialResult
+from repro.parallel.partitioner import TrialRange
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service.digests import plan_relevant_config, program_digest, yet_digest
-from repro.utils.timing import Timer
+from repro.utils.timing import PhaseTimer
 from repro.yet.io import YetShardReader, yet_to_bytes
 from repro.yet.stores import InMemoryYetStore, LocalDirYetStore
 from repro.yet.table import YearEventTable
@@ -76,9 +78,6 @@ class WorkerClient:
         self._sock: socket.socket | None = None
         self._stream = None
 
-    # ------------------------------------------------------------------ #
-    # Connection lifecycle
-    # ------------------------------------------------------------------ #
     def connect(self) -> "WorkerClient":
         if self._sock is None:
             sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
@@ -92,18 +91,11 @@ class WorkerClient:
         return self.connect()
 
     def close(self) -> None:
-        if self._stream is not None:
-            try:
-                self._stream.close()
-            except OSError:
-                pass
-            self._stream = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        for handle in (self._stream, self._sock):
+            if handle is not None:
+                with contextlib.suppress(OSError):
+                    handle.close()
+        self._stream = self._sock = None
 
     def __enter__(self) -> "WorkerClient":
         return self.connect()
@@ -111,9 +103,6 @@ class WorkerClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Requests
-    # ------------------------------------------------------------------ #
     def request(
         self, document: Mapping[str, Any], payload: bytes | None = None
     ) -> Tuple[dict, bytes | None]:
@@ -186,17 +175,6 @@ def probe_worker(address: str, timeout: float = 2.0) -> dict:
         return {"reachable": False, "error": str(exc)}
 
 
-class _WorkerState:
-    """One worker's coordinator-side bookkeeping."""
-
-    def __init__(self, client: WorkerClient) -> None:
-        self.client = client
-        self.alive = True
-        self.shards_done = 0
-        self.shipped_program = False
-        self.shipped_yet = False
-
-
 class FleetEngine:
     """Coordinate one analysis across a fleet of socket workers.
 
@@ -223,19 +201,11 @@ class FleetEngine:
         if not workers:
             raise ValueError("a fleet needs at least one worker address")
         self.config = config if config is not None else EngineConfig()
-        self.timeout = float(timeout)
-        self._states = [
-            _WorkerState(WorkerClient(address, timeout=self.timeout))
-            for address in workers
-        ]
-
-    @property
-    def worker_addresses(self) -> List[str]:
-        return [state.client.address for state in self._states]
+        self._clients = [WorkerClient(address, timeout=timeout) for address in workers]
 
     def close(self) -> None:
-        for state in self._states:
-            state.client.close()
+        for client in self._clients:
+            client.close()
 
     def __enter__(self) -> "FleetEngine":
         return self
@@ -243,264 +213,206 @@ class FleetEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # The run
-    # ------------------------------------------------------------------ #
     def run(
         self,
         program: ReinsuranceProgram | Layer,
         source: YearEventTable | YetShardReader,
         n_shards: int = 0,
         on_partial: Callable[[PartialResult], None] | None = None,
-    ):
+    ) -> EngineResult:
         """Price ``program`` over ``source`` on the fleet; exact merge.
 
         ``source`` is an in-memory YET (shipped to each worker once,
         digest-cached there) or a :class:`~repro.yet.io.YetShardReader`
         whose store directory every worker can reach on a shared
-        filesystem (workers mmap it independently and materialise only
-        their own shards).  ``n_shards`` defaults to two shards per worker
-        (work stealing needs more shards than workers to balance), or the
-        config's ``trial_shards`` when that is larger.  ``on_partial`` is
-        called (on a coordinator thread) after each block is accumulated —
-        the hook the progress displays and the worker-kill drill use.
+        filesystem (workers mmap it independently; the coordinator reads no
+        shard).  ``n_shards`` defaults to two shards per worker (work
+        stealing needs more shards than workers), or the config's
+        ``trial_shards`` when larger.  ``on_partial`` is called on the
+        calling thread after each block is accumulated.
         """
         program = ReinsuranceProgram.wrap(program)
-        prog_digest = program_digest(program)
-        config_fields = plan_relevant_config(self.config)
-        yet_ref, yet_bytes_factory, n_trials, mean_events = self._describe_source(source)
+        run = _FleetRun(self._clients, program, source, self.config, on_partial)
+        count = n_shards or max(self.config.trial_shards, 2 * len(self._clients))
+        plan = PlanBuilder.from_program(program, source, n_shards=count)
+        return run_plan(plan, self.config, _FleetPricer(self.config, run))
 
-        count = n_shards or max(self.config.trial_shards, 2 * len(self._states))
-        shard_queue: "deque[TrialRange]" = deque(shard_partition(n_trials, count))
-        total_shards = len(shard_queue)
 
-        wall = Timer().start()
-        accumulator = ResultAccumulator(
-            program.n_layers, n_trials, row_names=program.layer_names
-        )
-        lock = threading.Lock()
-        program_bytes: List[bytes | None] = [None]  # pickled lazily, at most once
-        retries = [0]
-        ship = _ArtifactShipper(
-            prog_digest, program, program_bytes, yet_ref, yet_bytes_factory
-        )
+class _FleetPricer(ShardPricer):
+    """One fleet run as a backend: ``prepare`` hands the driver its remote map."""
 
-        def worker_loop(state: _WorkerState) -> None:
-            while True:
-                with lock:
-                    if not shard_queue:
+    def __init__(self, config: EngineConfig, run: "_FleetRun") -> None:
+        super().__init__(config)
+        self.name = config.backend
+        # The workers price under this backend, so it decides the fused path.
+        self.fuses = _BACKEND_CLASSES[config.backend].fuses
+        self._run = run
+
+    def prepare(self, plan: ExecutionPlan, fused: bool, timer: PhaseTimer) -> ShardRun:
+        return self._run
+
+
+def _yet_ref(source) -> dict:
+    """The store reference workers resolve a fleet source by."""
+    if isinstance(source, YearEventTable):
+        return {"kind": InMemoryYetStore.kind, "digest": yet_digest(source)}
+    if isinstance(source, YetShardReader):
+        return {"kind": LocalDirYetStore.kind, "path": str(source.path.resolve())}
+    kind = type(source).__name__
+    raise TypeError(f"source must be a YearEventTable or a YetShardReader, got {kind}")
+
+
+class _FleetRun(ShardRun):
+    """One fleet run: blocks mapped over socket workers, retried and requeued."""
+
+    reads_tables = False
+
+    def __init__(
+        self,
+        clients: List[WorkerClient],
+        program: ReinsuranceProgram,
+        source,
+        config: EngineConfig,
+        on_partial: Callable[[PartialResult], None] | None,
+    ) -> None:
+        self.clients = clients
+        self.program = program
+        self.prog_digest = program_digest(program)
+        self.config_fields = plan_relevant_config(config)
+        self.source = source
+        self.yet_ref = _yet_ref(source)
+        self.on_partial = on_partial
+        self._payloads: dict[str, bytes] = {}
+        self._payload_lock = threading.Lock()
+        addresses = [client.address for client in clients]
+        fleet = {
+            "workers": addresses,
+            "shards_per_worker": dict.fromkeys(addresses, 0),
+            "n_shards": 0,
+            "dead_workers": [],
+            "requeued_shards": 0,
+        }
+        super().__init__(None, {"fleet": fleet})  # every window is priced remotely
+
+    def map(
+        self, yet, blocks: List[TrialRange], timer: PhaseTimer
+    ) -> Iterator[Tuple[TrialRange, np.ndarray, np.ndarray | None]]:
+        """Work-steal ``blocks`` over the workers; yield each as it arrives.
+
+        A thread whose worker dies requeues its block and exits; an idle
+        thread waits until every block is priced or no worker survives, so a
+        survivor always picks a requeued block up.
+        """
+        fleet = self.details["fleet"]
+        fleet["n_shards"] = len(blocks)
+        todo, cond, arrived = deque(blocks), threading.Condition(), queue.Queue()
+        unpriced, alive, stop = len(blocks), len(self.clients), False
+
+        def next_block() -> TrialRange | None:
+            with cond:
+                while not todo and unpriced and not stop:
+                    cond.wait()
+                return None if stop or not todo else todo.popleft()
+
+        def serve(client: WorkerClient) -> None:
+            nonlocal unpriced, alive, stop
+            try:
+                while (block := next_block()) is not None:
+                    priced = self._price(client, block)
+                    if priced is None:
+                        with cond:
+                            todo.append(block)
+                            alive -= 1
+                            fleet["requeued_shards"] += 1
+                            fleet["dead_workers"].append(client.address)
+                            if not alive:
+                                arrived.put(None)  # nobody is left to price ``todo``
+                            cond.notify_all()
                         return
-                    trials = shard_queue.popleft()
-                try:
-                    partial = self._run_shard_with_retry(
-                        state, trials, prog_digest, yet_ref, config_fields, ship
-                    )
-                except _WorkerLost:
-                    with lock:
-                        state.alive = False
-                        shard_queue.append(trials)
-                        retries[0] += 1
-                    return
-                with lock:
-                    accumulator.add(partial)
-                    state.shards_done += 1
-                if on_partial is not None:
-                    on_partial(partial)
+                    arrived.put(priced)
+                    with cond:
+                        unpriced -= 1
+                        fleet["shards_per_worker"][client.address] += 1
+                        cond.notify_all()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+                with cond:
+                    stop = True
+                    cond.notify_all()
+                arrived.put(exc)
 
         threads = [
-            threading.Thread(
-                target=worker_loop,
-                args=(state,),
-                name=f"fleet-{state.client.address}",
-                daemon=True,
-            )
-            for state in self._states
+            threading.Thread(target=serve, args=(c,), name=f"fleet-{c.address}", daemon=True)
+            for c in self.clients
         ]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
+        try:
+            for _ in blocks:
+                item = arrived.get()
+                if isinstance(item, BaseException):
+                    raise item
+                if item is None:
+                    lost = sorted(todo, key=lambda block: block.start)
+                    raise FleetError(
+                        "fleet lost trial ranges "
+                        + ", ".join(f"[{b.start}, {b.stop})" for b in lost)
+                        + f": no surviving worker (workers: {', '.join(fleet['workers'])})"
+                    )
+                yield item.trials, item.losses, item.max_occurrence
+                if self.on_partial is not None:
+                    self.on_partial(item)
+        finally:
+            with cond:
+                stop = True
+                cond.notify_all()
+            for thread in threads:
+                thread.join()
 
-        reassigned = self._reassign_missing(
-            accumulator, prog_digest, yet_ref, config_fields, ship, on_partial
+    def _price(self, client: WorkerClient, block: TrialRange) -> PartialResult | None:
+        """One block on one worker: ship-on-missing, then timeout + one retry.
+
+        ``None`` means the worker failed its retry and is considered dead.
+        """
+        send = partial(
+            client.run_shard, self.prog_digest, self.yet_ref, self.config_fields, block
         )
-
-        gaps = accumulator.missing_ranges()
-        if gaps:
-            ranges = ", ".join(f"[{g.start}, {g.stop})" for g in gaps)
-            raise FleetError(
-                f"fleet lost trial ranges {ranges}: no surviving worker "
-                f"(workers: {', '.join(self.worker_addresses)})"
-            )
-
-        shape = WorkloadShape(
-            n_trials=n_trials,
-            events_per_trial=max(mean_events, 1e-9),
-            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
-            n_layers=program.n_layers,
-        )
-        dead = [s.client.address for s in self._states if not s.alive]
-        return accumulator.finalize(
-            self.config.backend,
-            wall_seconds=wall.stop(),
-            workload_shape=shape,
-            details={
-                "fleet": {
-                    "workers": self.worker_addresses,
-                    "shards_per_worker": {
-                        s.client.address: s.shards_done for s in self._states
-                    },
-                    "n_shards": total_shards,
-                    "dead_workers": dead,
-                    "requeued_shards": retries[0],
-                    "reassigned_ranges": reassigned,
-                },
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _describe_source(self, source):
-        """``(ref, inline-bytes factory, n_trials, mean events/trial)``."""
-        if isinstance(source, YearEventTable):
-            digest = yet_digest(source)
-            ref = {"kind": InMemoryYetStore.kind, "digest": digest}
-            return ref, (lambda: yet_to_bytes(source)), source.n_trials, (
-                source.mean_events_per_trial
-            )
-        if isinstance(source, YetShardReader):
-            ref = {"kind": LocalDirYetStore.kind, "path": str(source.path.resolve())}
-            return ref, None, source.n_trials, source.mean_events_per_trial
-        raise TypeError(
-            "source must be a YearEventTable or a YetShardReader, got "
-            f"{type(source).__name__}"
-        )
-
-    def _run_shard_with_retry(
-        self,
-        state: _WorkerState,
-        trials: TrialRange,
-        prog_digest: str,
-        yet_ref: Mapping[str, Any],
-        config_fields: Mapping[str, Any],
-        ship: "_ArtifactShipper",
-    ) -> PartialResult:
-        """One shard on one worker: ship-on-missing, then timeout + one retry."""
         for attempt in (0, 1):
             try:
                 try:
-                    return state.client.run_shard(
-                        prog_digest, yet_ref, config_fields, trials
-                    )
+                    return send()
                 except MissingArtifact as exc:
                     # Not a failure: ship what the worker asked for, resend.
-                    ship.ship(state, exc.missing)
-                    return state.client.run_shard(
-                        prog_digest, yet_ref, config_fields, trials
-                    )
+                    self._ship(client, exc.missing)
+                    return send()
             except (socket.timeout, ConnectionError, OSError, EOFError):
                 if attempt == 1:
                     break
                 try:
-                    state.client.reconnect()
+                    client.reconnect()
                 except OSError:
                     break
                 # A fresh connection forgets nothing worker-side (the caches
                 # are per-worker, not per-connection), so the retry is warm.
-                continue
-            except WorkerError:
-                # The worker is alive but rejected the request — that is a
-                # programming error, not a transport failure; surface it.
-                raise
-        state.client.close()
-        raise _WorkerLost(state.client.address)
+        client.close()
+        return None
 
-    def _reassign_missing(
-        self,
-        accumulator: ResultAccumulator,
-        prog_digest: str,
-        yet_ref: Mapping[str, Any],
-        config_fields: Mapping[str, Any],
-        ship: "_ArtifactShipper",
-        on_partial: Callable[[PartialResult], None] | None,
-    ) -> int:
-        """Price any still-missing ranges on surviving workers.
-
-        Covers the drain race: a worker can die after the queue emptied, so
-        its requeued shard was never picked up.  ``missing_ranges()`` is the
-        ground truth of what remains — the reassignment loop prices each gap
-        on the next surviving worker until the domain is tiled or no
-        survivors remain.
-        """
-        reassigned = 0
-        while True:
-            gaps = accumulator.missing_ranges()
-            survivors = [s for s in self._states if s.alive]
-            if not gaps or not survivors:
-                return reassigned
-            progressed = False
-            for trials in gaps:
-                state = next((s for s in self._states if s.alive), None)
-                if state is None:
-                    return reassigned
-                try:
-                    partial = self._run_shard_with_retry(
-                        state, trials, prog_digest, yet_ref, config_fields, ship
-                    )
-                except _WorkerLost:
-                    state.alive = False
-                    continue
-                accumulator.add(partial)
-                if on_partial is not None:
-                    on_partial(partial)
-                reassigned += 1
-                progressed = True
-            if not progressed:
-                return reassigned
-
-
-class _WorkerLost(RuntimeError):
-    """A worker failed its retry and is considered dead (internal signal)."""
-
-
-class _ArtifactShipper:
-    """Ships missing artifacts to a worker, serialising the program once."""
-
-    def __init__(
-        self,
-        prog_digest: str,
-        program: ReinsuranceProgram,
-        program_bytes: List[bytes | None],
-        yet_ref: Mapping[str, Any],
-        yet_bytes_factory: Callable[[], bytes] | None,
-    ) -> None:
-        self._prog_digest = prog_digest
-        self._program = program
-        self._program_bytes = program_bytes
-        self._yet_ref = yet_ref
-        self._yet_bytes_factory = yet_bytes_factory
-        self._yet_bytes: bytes | None = None
-        self._lock = threading.Lock()
-
-    def ship(self, state: _WorkerState, missing: Mapping[str, str]) -> None:
+    def _ship(self, client: WorkerClient, missing: Mapping[str, str]) -> None:
         if "program" in missing:
-            with self._lock:
-                if self._program_bytes[0] is None:
-                    self._program_bytes[0] = pickle.dumps(self._program)
-                payload = self._program_bytes[0]
-            state.client.put_program(self._prog_digest, payload)
-            state.shipped_program = True
+            payload = self._payload("program", partial(pickle.dumps, self.program))
+            client.put_program(self.prog_digest, payload)
         if "yet" in missing:
-            if self._yet_bytes_factory is None:
+            if not isinstance(self.source, YearEventTable):
                 raise WorkerError(
-                    f"worker {state.client.address} reports the YET store "
-                    f"{self._yet_ref} missing, but it is a filesystem reference "
+                    f"worker {client.address} reports the YET store "
+                    f"{self.yet_ref} missing, but it is a filesystem reference "
                     "the coordinator cannot ship — check the shared mount"
                 )
-            with self._lock:
-                if self._yet_bytes is None:
-                    self._yet_bytes = self._yet_bytes_factory()
-                payload = self._yet_bytes
-            state.client.put_yet(str(self._yet_ref.get("digest")), payload)
-            state.shipped_yet = True
+            payload = self._payload("yet", partial(yet_to_bytes, self.source))
+            client.put_yet(self.yet_ref["digest"], payload)
+
+    def _payload(self, name: str, build: Callable[[], bytes]) -> bytes:
+        """``build()`` at most once per run, shared by every worker thread."""
+        with self._payload_lock:
+            if name not in self._payloads:
+                self._payloads[name] = build()
+            return self._payloads[name]

@@ -1,13 +1,14 @@
 """The fleet worker: ``are worker`` — a warm shard-pricing socket server.
 
 One worker process hosts one warm engine per requested configuration plus a
-digest-keyed artifact cache (programs, inline-shipped YETs, fused loss
-stacks, shard-restricted plans).  The first ``run_shard`` request for a
-workload ships the program (and, without a shared filesystem, the YET)
-once; every later request — from the same analysis or the next one — sends
-only digests, so a warm worker goes straight from the control line to the
-kernel pass, exactly like :class:`~repro.service.cache.PlanCache` does
-in-process.
+digest-keyed artifact cache (programs, inline-shipped YETs) and one plan per
+workload — ``(program, YET reference, config)`` — lowered over the
+referenced shard source.  Each ``run_shard`` request prices that plan
+restricted to its trial range; the restricted children share the parent's
+lazily built loss stack, so every shard of a workload after the first goes
+straight from the control line to the kernel pass.  The first request ships
+the program (and, without a shared filesystem, the YET) once; every later
+request — from the same analysis or the next one — sends only digests.
 
 The server is deliberately *threaded-blocking*, not asyncio: a worker's job
 is to saturate its cores with one kernel pass at a time (executions
@@ -23,11 +24,11 @@ suite exercises worker death) and reports its ephemeral port back.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import socket
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Mapping, Tuple
 
@@ -53,9 +54,6 @@ from repro.distributed.protocol import (
 
 __all__ = ["FleetWorker", "WorkerProcess"]
 
-#: Fused stacks retained per worker ((program digest, config digest) keyed).
-_MAX_STACKS = 8
-
 
 class FleetWorker:
     """A warm shard-pricing worker behind a threaded TCP socket server.
@@ -76,7 +74,7 @@ class FleetWorker:
         Provenance label stamped into every produced partial's ``details``
         (and therefore into accumulator overlap diagnostics).
     cache_size:
-        Capacity of the digest-keyed shard-plan cache.
+        Capacity of the digest-keyed workload-plan cache.
     """
 
     def __init__(
@@ -95,9 +93,7 @@ class FleetWorker:
         self.served = 0
         self._programs: dict[str, Any] = {}
         self._yets = InMemoryYetStore()
-        self._sources: dict[tuple, Any] = {}
         self._engines: dict[str, AggregateRiskEngine] = {}
-        self._stacks: "OrderedDict[tuple, Any]" = OrderedDict()
         self._exec_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._shutdown = threading.Event()
@@ -154,22 +150,16 @@ class FleetWorker:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
         if self._listener is not None:
-            try:
+            with contextlib.suppress(OSError):
                 self._listener.close()
-            except OSError:  # pragma: no cover - teardown best-effort
-                pass
             self._listener = None
         with self._state_lock:
             connections = list(self._connections)
         for conn in connections:
-            try:
+            with contextlib.suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover - teardown best-effort
-                pass
         for engine in self._engines.values():
             engine.close()
 
@@ -184,7 +174,7 @@ class FleetWorker:
         return f"served {self.served} requests | {self.plan_cache.stats.summary()}"
 
     def cache_stats(self) -> CacheStats:
-        """Shard-plan cache counters."""
+        """Workload-plan cache counters."""
         return self.plan_cache.stats
 
     # ------------------------------------------------------------------ #
@@ -235,14 +225,10 @@ class FleetWorker:
         finally:
             with self._state_lock:
                 self._connections.discard(conn)
-            try:
+            with contextlib.suppress(OSError):
                 stream.close()
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------ #
     # Ops
@@ -270,6 +256,7 @@ class FleetWorker:
         with self._state_lock:
             programs = sorted(self._programs)
             yets = self._yets.keys()
+        stats = self.plan_cache.stats
         return {
             "ok": True,
             "worker": self.name,
@@ -277,11 +264,7 @@ class FleetWorker:
             "served": self.served,
             "programs": programs,
             "yets": yets,
-            "plan_cache": {
-                "entries": self.plan_cache.stats.entries,
-                "hits": self.plan_cache.stats.hits,
-                "misses": self.plan_cache.stats.misses,
-            },
+            "plan_cache": {"entries": stats.entries, "hits": stats.hits, "misses": stats.misses},
         }
 
     def _put_program(self, document: Mapping[str, Any], payload: bytes | None) -> dict:
@@ -307,22 +290,6 @@ class FleetWorker:
             self._yets.put_bytes(digest, payload)
         return {"ok": True, "stored": digest}
 
-    def _source_for(self, ref: Mapping[str, Any]):
-        """A (cached) shard source for a store reference.
-
-        Sources are cached per reference so a local-dir store is mmap'd
-        once per worker, not once per shard — concurrent workers each hold
-        their own read-only mapping of the same files.
-        """
-        kind = ref.get("kind")
-        key = (kind, ref.get("path") or ref.get("digest"))
-        with self._state_lock:
-            source = self._sources.get(key)
-            if source is None:
-                source = resolve_yet_ref(ref, inline_store=self._yets)
-                self._sources[key] = source
-        return source
-
     def _engine_for(self, config: EngineConfig) -> Tuple[AggregateRiskEngine, str]:
         digest = config_digest(config)
         with self._state_lock:
@@ -334,8 +301,7 @@ class FleetWorker:
     def _run_shard(self, document: Mapping[str, Any]) -> Tuple[dict, bytes]:
         prog_digest = str(document["program"])
         yet_ref = document.get("yet") or {}
-        start, stop = (int(v) for v in document["trials"])
-        trials = TrialRange(start, stop)
+        trials = TrialRange(*(int(v) for v in document["trials"]))
         fields = document.get("config") or {}
         if not isinstance(fields, dict):
             raise ValueError("run_shard 'config' must be a JSON object")
@@ -360,49 +326,26 @@ class FleetWorker:
 
         config = self.config.replace(**fields) if fields else self.config
         engine, cfg_digest = self._engine_for(config)
-        source = self._source_for(yet_ref)
-
-        yet_key = yet_ref.get("digest") or yet_ref.get("path")
-        plan_key = (prog_digest, yet_key, cfg_digest, start, stop)
-        stack_key = (prog_digest, cfg_digest)
+        plan_key = (prog_digest, yet_ref.get("digest") or yet_ref.get("path"), cfg_digest)
 
         def build():
-            shard_yet = source.shard(trials)
-            plan = PlanBuilder.from_program(program, shard_yet)
-            with self._state_lock:
-                stack = self._stacks.get(stack_key)
-            if stack is not None:
-                # Adopt the fused stack built pricing an earlier shard of
-                # this workload — the warm-worker analogue of run_sharded's
-                # shared-stack loop.
-                plan.adopt_stack(stack)
-            return plan
+            # The source is opened here, once per cached plan, and lives as
+            # long as the plan does; the driver materialises one shard of it.
+            source = resolve_yet_ref(yet_ref, inline_store=self._yets)
+            return PlanBuilder.from_program(program, source)
 
         plan, was_hit = self.plan_cache.get_or_build(plan_key, build)
         with self._exec_lock:
-            result = engine.run_plan(plan)
-        if plan.cached_stack is not None:
-            with self._state_lock:
-                if stack_key not in self._stacks:
-                    self._stacks[stack_key] = plan.cached_stack
-                    while len(self._stacks) > _MAX_STACKS:
-                        self._stacks.popitem(last=False)
+            result = engine.run_plan(plan.restrict(trials))
 
+        provenance = {"worker": self.name, "plan_cache_hit": was_hit}
         partial = PartialResult.from_result(result, trials=trials)
-        partial = replace(
-            partial,
-            details={**partial.details, "worker": self.name, "plan_cache_hit": was_hit},
-        )
+        partial = replace(partial, details={**partial.details, **provenance})
         with self._state_lock:
             self.served += 1
-        reply = {
-            "ok": True,
-            "worker": self.name,
-            "trials": [trials.start, trials.stop],
-            "wall_seconds": result.wall_seconds,
-            "plan_cache_hit": was_hit,
-        }
-        return reply, partial.to_bytes()
+        trial_range = [trials.start, trials.stop]
+        reply = {"ok": True, "trials": trial_range, "wall_seconds": result.wall_seconds}
+        return {**reply, **provenance}, partial.to_bytes()
 
 
 # --------------------------------------------------------------------------- #
@@ -480,9 +423,6 @@ class WorkerProcess:
         if self._process.is_alive():
             self.kill()
         self._process = None
-
-    def is_alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
 
     def __enter__(self) -> "WorkerProcess":
         return self.start()

@@ -527,24 +527,10 @@ class RiskService:
                 timings={"lower": 0.0, "execute": execute_seconds},
                 details={"fleet": dict(result.details.get("fleet", {}))},
             )
+        # prepare() serves every other plain run; what reaches here uses the
+        # result cache.
         key = self._program_key("run", [program], yet, request.shards)
-        if self.result_cache is not None and request.result_cache:
-            return self._run_with_result_cache(request, program, yet, key, acct)
-        plan, lower_seconds = self._cached_plan(
-            key,
-            lambda: PlanBuilder.from_program(program, yet, n_shards=request.shards),
-            acct,
-            key[1][0][:12],
-        )
-        executed = time.perf_counter()
-        result = self.engine.run_plan(plan)
-        execute_seconds = time.perf_counter() - executed
-        return AnalysisResponse(
-            request=request,
-            results=(result,),
-            quotes=self._quotes_for(request, [program], [result]),
-            timings={"lower": lower_seconds, "execute": execute_seconds},
-        )
+        return self._run_with_result_cache(request, program, yet, key, acct)
 
     # ------------------------------------------------------------------ #
     # Result-cache serving (the exact/append/row delta paths of `run`)

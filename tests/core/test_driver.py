@@ -1,9 +1,10 @@
 """The one shard driver: unit tests with fake pricers + the architecture guard.
 
 The guard pins the refactor's point — exactly one module in ``repro.core``
-turns a plan into a result — so an eighth hand-rolled ``run_plan`` loop
-cannot creep back into a backend module; and the simulated GPU stays a cost
-model outside the engine, consulted only by the projections.
+turns a plan into a result — so a hand-rolled ``run_plan`` loop cannot creep
+back into a backend module or into the distributed coordinator and worker;
+and the simulated GPU stays a cost model outside the engine, consulted only
+by the projections.
 """
 
 import ast
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.core
+import repro.distributed
 from repro.core import multicore as multicore_module
 from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.driver import ShardPricer, ShardRun, run_plan
@@ -30,6 +32,7 @@ BACKEND_MODULES = (
     "native_backend.py",
     "multicore.py",
 )
+DISTRIBUTED_DIR = Path(repro.distributed.__file__).parent
 SHM_DIR = Path("/dev/shm")
 
 
@@ -94,6 +97,22 @@ class TestArchitectureGuard:
         assert not loaded & {"ResultAccumulator", "PartialResult", "finalize_plan_result"}
         called = {name.rsplit(".", 1)[-1] for name in _called_names(CORE_DIR / module)}
         assert not called & {"shard_ranges", "shard_partition", "shard", "iter_shards"}
+
+    @pytest.mark.parametrize("module", ("fleet.py", "worker.py"))
+    def test_the_fleet_prices_through_the_driver(self, module):
+        """Coordinator and worker hand plans to ``run_plan``; neither merges."""
+        path = DISTRIBUTED_DIR / module
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        assert not named & {"ResultAccumulator", "finalize_plan_result"}
+        called = {name.rsplit(".", 1)[-1] for name in _called_names(path)}
+        assert not called & {"missing_ranges", "finalize", "for_plan"}
 
 
 # --------------------------------------------------------------------------- #

@@ -7,12 +7,23 @@ reassignment may change a single bit of the merged result.
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.distributed import FleetEngine, FleetError, FleetWorker, WorkerProcess
+from repro.distributed import (
+    FleetEngine,
+    FleetError,
+    FleetWorker,
+    WorkerClient,
+    WorkerError,
+    WorkerProcess,
+)
 from repro.service.request import AnalysisRequest
 from repro.service.service import RiskService
 from repro.yet.io import YetShardReader, save_yet_store
@@ -29,9 +40,17 @@ def test_bit_identical_to_monolithic_on_every_backend(tiny_workload, backend):
             program, yet, workers=[w1.address, w2.address], n_shards=4
         )
     assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
+    assert np.array_equal(
+        mono.ylt.max_occurrence_losses, fleet.ylt.max_occurrence_losses
+    )
     assert fleet.backend == backend
+    assert fleet.workload_shape == mono.workload_shape
     assert fleet.details["fleet"]["n_shards"] == 4
     assert fleet.details["fleet"]["dead_workers"] == []
+    # The driver stamps the common details, as it does for every backend.
+    assert fleet.details["trial_shards"] == 4
+    assert fleet.details["fused_layers"] is (backend != "sequential")
+    assert fleet.details["plan"]["n_rows"] == program.n_layers
 
 
 def test_work_is_distributed_across_workers(tiny_workload):
@@ -53,19 +72,26 @@ def test_work_is_distributed_across_workers(tiny_workload):
 def test_partials_stream_as_they_arrive(tiny_workload):
     program, yet = tiny_workload.program, tiny_workload.yet
     config = EngineConfig(backend="vectorized")
-    seen = []
+    seen, callers = [], set()
+
+    def on_partial(partial):
+        seen.append(partial)
+        callers.add(threading.current_thread())
+
     with FleetWorker(config=config) as worker:
         with FleetEngine([worker.address], config=config) as fleet:
-            result = fleet.run(program, yet, n_shards=4, on_partial=seen.append)
+            result = fleet.run(program, yet, n_shards=4, on_partial=on_partial)
     assert len(seen) == 4
+    assert callers == {threading.current_thread()}  # the calling thread, not a fleet thread
     covered = sorted((p.trials.start, p.trials.stop) for p in seen)
     assert covered[0][0] == 0 and covered[-1][1] == yet.n_trials
     assert result.details["fleet"]["n_shards"] == 4
 
 
-def test_local_dir_store_reference(tiny_workload, tmp_path):
+def test_local_dir_store_reference(tiny_workload, tmp_path, monkeypatch):
     # Shared-filesystem topology: the YET travels by path, not by bytes —
-    # each worker opens its own memory-mapped YetShardReader.
+    # each worker opens its own memory-mapped YetShardReader, and the
+    # coordinator never reads a shard of its own reader.
     program, yet = tiny_workload.program, tiny_workload.yet
     config = EngineConfig(backend="vectorized")
     engine = AggregateRiskEngine(config)
@@ -73,9 +99,15 @@ def test_local_dir_store_reference(tiny_workload, tmp_path):
     store = save_yet_store(yet, tmp_path / "store")
     with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
         with YetShardReader(store) as reader:
+            reads = []
+            shard = reader.shard
+            monkeypatch.setattr(
+                reader, "shard", lambda trials: reads.append(trials) or shard(trials)
+            )
             fleet = engine.run_distributed(
                 program, reader, workers=[w1.address, w2.address], n_shards=4
             )
+    assert reads == []
     assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
 
 
@@ -110,7 +142,135 @@ def test_all_workers_dead_names_missing_ranges(tiny_workload):
         engine.run_distributed(program, yet, workers=[address], n_shards=2, timeout=2.0)
 
 
+def _count_shard_sends(monkeypatch) -> Counter:
+    """Count ``run_shard`` requests per worker address."""
+    sends: Counter = Counter()
+    original = WorkerClient.request
+
+    def counted(client, document, payload=None):
+        if document.get("op") == "run_shard":
+            sends[client.address] += 1
+        return original(client, document, payload)
+
+    monkeypatch.setattr(WorkerClient, "request", counted)
+    return sends
+
+
+def test_worker_error_reaches_the_caller_once(tiny_workload, monkeypatch):
+    # A structured worker error is not a transport failure: it must surface
+    # on the calling thread, without a resend and without escaping a thread.
+    program, yet = tiny_workload.program, tiny_workload.yet
+    config = EngineConfig(backend="vectorized")
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    sends = _count_shard_sends(monkeypatch)
+
+    def broken(document):
+        raise RuntimeError("shard pricing broke")
+
+    with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+        for worker in (w1, w2):
+            monkeypatch.setattr(worker, "_run_shard", broken)
+        with pytest.raises(WorkerError, match="shard pricing broke"):
+            AggregateRiskEngine(config).run_distributed(
+                program, yet, workers=[w1.address, w2.address], n_shards=4
+            )
+    assert sends and max(sends.values()) == 1
+    assert hooked == []
+
+
 class TestWorkerDeath:
+    def test_dead_address_is_requeued_to_the_survivor(self, tiny_workload):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        config = EngineConfig(backend="vectorized")
+        engine = AggregateRiskEngine(config)
+        mono = engine.run(program, yet)
+        with FleetWorker(config=config) as doomed:
+            dead = doomed.address  # nothing listens here any more
+        with FleetWorker(config=config) as survivor:
+            # The dead address is listed first, so its thread pops a shard
+            # before the survivor can drain the deque.
+            fleet = engine.run_distributed(
+                program, yet, workers=[dead, survivor.address], n_shards=8, timeout=5.0
+            )
+        details = fleet.details["fleet"]
+        assert details["dead_workers"] == [dead]
+        assert details["requeued_shards"] == 1
+        assert details["shards_per_worker"] == {dead: 0, survivor.address: 8}
+        assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
+
+    def test_death_after_the_deque_drains_is_priced_by_the_survivor(
+        self, tiny_workload, monkeypatch
+    ):
+        # The drain race: the flaky worker's link drops only once the deque
+        # is empty and the survivor has finished its own shard.  The idle
+        # survivor thread must still be there to take the requeued shard.
+        program, yet = tiny_workload.program, tiny_workload.yet
+        config = EngineConfig(backend="vectorized")
+        engine = AggregateRiskEngine(config)
+        mono = engine.run(program, yet)
+        flaky_sent, survivor_done = threading.Event(), threading.Event()
+        original = WorkerClient.request
+
+        with FleetWorker(config=config) as survivor, FleetWorker(config=config) as flaky:
+
+            def request(client, document, payload=None):
+                if document.get("op") != "run_shard":
+                    return original(client, document, payload)
+                if client.address == flaky.address:
+                    flaky_sent.set()
+                    survivor_done.wait(10.0)
+                    raise ConnectionResetError("link dropped")
+                flaky_sent.wait(10.0)
+                reply = original(client, document, payload)
+                survivor_done.set()
+                return reply
+
+            monkeypatch.setattr(WorkerClient, "request", request)
+            fleet = engine.run_distributed(
+                program, yet, workers=[survivor.address, flaky.address], n_shards=2
+            )
+        details = fleet.details["fleet"]
+        assert details["dead_workers"] == [flaky.address]
+        assert details["requeued_shards"] == 1
+        assert details["shards_per_worker"] == {survivor.address: 2, flaky.address: 0}
+        assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
+
+    def test_stealing_stays_exact_under_thread_contention(self, tiny_workload):
+        # More coordinator threads than cores, a tiny switch interval and one
+        # dead address: a lost update to the shared deque or counters would
+        # drop, double or strand a shard.
+        program, yet = tiny_workload.program, tiny_workload.yet
+        config = EngineConfig(backend="vectorized")
+        engine = AggregateRiskEngine(config)
+        mono = engine.run(program, yet)
+        with FleetWorker(config=config) as doomed:
+            dead = doomed.address
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with FleetWorker(config=config) as a, FleetWorker(config=config) as b, FleetWorker(
+                config=config
+            ) as c:
+                workers = [dead, a.address, b.address, c.address]
+                runner = threading.Thread(
+                    target=lambda: outcome.append(
+                        engine.run_distributed(program, yet, workers, n_shards=32, timeout=5.0)
+                    ),
+                    daemon=True,
+                )
+                runner.start()
+                runner.join(timeout=120.0)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        details = outcome[0].details["fleet"]
+        assert sum(details["shards_per_worker"].values()) == 32
+        assert details["shards_per_worker"][dead] == 0
+        assert details["requeued_shards"] == len(details["dead_workers"])
+        assert np.array_equal(mono.ylt.losses, outcome[0].ylt.losses)
+
     def test_killed_worker_shards_are_reassigned(self, tiny_workload):
         program, yet = tiny_workload.program, tiny_workload.yet
         config = EngineConfig(backend="vectorized")
@@ -135,10 +295,6 @@ class TestWorkerDeath:
                 on_partial=kill_victim_once,
             )
         assert np.array_equal(mono.ylt.losses, fleet.ylt.losses)
-        details = fleet.details["fleet"]
-        assert details["dead_workers"] == [victim.address] or details[
-            "requeued_shards"
-        ] + details["reassigned_ranges"] >= 0
 
 
 class TestServiceRoute:

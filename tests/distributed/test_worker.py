@@ -110,19 +110,25 @@ class TestRunShard:
         assert np.array_equal(partial.losses, mono.ylt.losses[:, 16:48])
         assert partial.details["worker"] == "proto-test"
 
-    def test_warm_digests_hit_the_plan_cache(self, client, tiny_workload):
+    def test_warm_digests_hit_the_plan_cache(self, tiny_workload):
+        # One plan per workload: a *different* range of a warm workload is a
+        # hit, priced over the same cached plan (and its one loss stack).
         program, yet = tiny_workload.program, tiny_workload.yet
         digest = program_digest(program)
         ydigest = yet_digest(yet)
-        client.put_program(digest, pickle.dumps(program))
-        client.put_yet(ydigest, yet_to_bytes(yet))
-
         ref = {"kind": "inline", "digest": ydigest}
-        first = client.run_shard(digest, ref, plan_relevant_config(CONFIG), TrialRange(0, 16))
-        again = client.run_shard(digest, ref, plan_relevant_config(CONFIG), TrialRange(0, 16))
+        fields = plan_relevant_config(CONFIG)
+        with FleetWorker(config=CONFIG) as fresh, WorkerClient(fresh.address) as client:
+            client.put_program(digest, pickle.dumps(program))
+            client.put_yet(ydigest, yet_to_bytes(yet))
+            first = client.run_shard(digest, ref, fields, TrialRange(0, 16))
+            other = client.run_shard(digest, ref, fields, TrialRange(16, 40))
+            assert fresh.cache_stats().entries == 1
+        mono = AggregateRiskEngine(CONFIG).run(program, yet)
         assert first.details["plan_cache_hit"] is False
-        assert again.details["plan_cache_hit"] is True
-        assert np.array_equal(first.losses, again.losses)
+        assert other.details["plan_cache_hit"] is True
+        assert np.array_equal(first.losses, mono.ylt.losses[:, 0:16])
+        assert np.array_equal(other.losses, mono.ylt.losses[:, 16:40])
 
     def test_unknown_yet_ref_kind_rejected(self, client, tiny_workload):
         digest = program_digest(tiny_workload.program)
