@@ -14,9 +14,9 @@ result is bit-identical to the unchunked gather for any chunk size, and
 resident, the chunk bounds what is gathered.
 
 With ``EngineConfig.fused_layers`` (the default) the chunking happens inside
-the fused multi-layer kernel: all plan rows are gathered from the stacked
-``(n_rows, catalog_size)`` loss matrix chunk by chunk and the per-trial
-reductions are computed as each chunk is processed.  With
+the fused multi-layer kernel: all plan rows are gathered from the rows the
+plan references (:meth:`~repro.core.plan.ExecutionPlan.rows`) chunk by
+chunk and the per-trial reductions are computed as each chunk is processed.  With
 ``fused_layers=False`` each layer streams through
 :func:`~repro.core.kernels.layer_trial_losses_chunked` — with
 ``chunk_events = threads_per_block * chunk_size`` that is the year-loss
@@ -47,7 +47,7 @@ class ChunkedEngine(ShardPricer):
             plan,
             self.config,
             fused,
-            stack=plan.stack(timer) if fused else None,
+            stack=plan.rows(timer) if fused else None,
             chunk_events=chunk_events,
             kernel=partial(layer_trial_losses_chunked, chunk_events=chunk_events),
         )

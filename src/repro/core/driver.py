@@ -12,8 +12,8 @@ one call to :func:`~repro.core.plan.finalize_plan_result`.  Per-trial
 reductions are trial-local, so the merge is pure column placement: any shard
 count, block refinement or completion order yields bit-identical output.
 
-A backend is a :class:`ShardPricer`.  Once per run it *prepares* (stack,
-lookup structures, loaded C kernels, pool configuration) and returns a
+A backend is a :class:`ShardPricer`.  Once per run it *prepares* (rows or
+stack, lookup structures, loaded C kernels, pool configuration) and returns a
 :class:`ShardRun`: the function pricing one trial window to
 ``(losses, max_occurrence)``, the backend's own ``details``, and — for the
 multicore backend, whose mapping is finer than a shard — how a shard is
@@ -33,7 +33,7 @@ source itself with every block instead, and reads nothing locally.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, List, Mapping, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ def window_pricer(
     config: EngineConfig,
     fused: bool,
     *,
-    stack: np.ndarray | None = None,
+    stack: np.ndarray | Sequence[np.ndarray] | None = None,
     chunk_events: int | None = None,
     kernel: Callable[..., Any] = layer_trial_losses,
 ) -> WindowPrice:

@@ -11,14 +11,19 @@ the paper's literal cumulative pass is kept in the sequential reference and in
 :func:`~repro.financial.policies.apply_aggregate_terms_cumulative`.
 
 Layout: the ELT-lookup phase is memory-bound, so the layout its gather lands
-in sets the cost of every later pass.  The fused kernels gather with
-``np.take(stack, ids, axis=1)`` — a C-contiguous ``(n_rows, n_events)``
-scratch, strides ``(8 * n_events, 8)`` — never ``stack[:, event_ids]``, which
-returns the same values event-major (strides ``(8, 8 * n_rows)``) and makes
-the occurrence terms and both ``reduceat`` passes stride across rows.  Only
-speed depends on it here: ``reduceat`` along axis 1 reduces each row's
-segment in the same pairwise order whatever the strides (pinned in
-``tests/utils/test_arrays.py``), so year losses are bit-identical either way.
+in sets the cost of every later pass.  The fused kernel gathers a C-contiguous
+``(n_rows, n_events)`` block — row by row from the layers' cached combined
+net rows (referenced, never copied into a stack; whole-window blocks are
+kept in :mod:`~repro.core.row_store`), or in one ``np.take`` from a backend's
+contiguous stack — never ``stack[:, event_ids]``, whose event-major result
+makes the occurrence terms and both ``reduceat`` passes stride across rows.
+
+Summation-order contract, on which bit-identity across backends, shards and
+caches rests: an event's combined loss is the left-to-right ELT-order sum
+from ``0.0`` (:func:`~repro.elt.combined.scatter_net_losses`;
+:func:`~repro.elt.combined.sum_elt_rows` on the per-ELT paths); a trial's
+year loss is NumPy's pairwise ``reduceat`` over its segment, in the same
+order whatever the strides (pinned in ``tests/utils/test_arrays.py``).
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ from typing import Any, Callable, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import row_store
 from repro.core.phases import (
     PHASE_ELT_LOOKUP,
     PHASE_EVENT_FETCH,
     PHASE_FINANCIAL_TERMS,
     PHASE_LAYER_TERMS,
 )
-from repro.elt.combined import LayerLossMatrix
+from repro.elt.combined import LayerLossMatrix, sum_elt_rows
 from repro.financial.policies import (
     aggregate_terms_shortcut,
     aggregate_terms_shortcut_batch,
@@ -89,7 +95,7 @@ def combined_event_losses(
         net = apply_financial_terms_matrix(
             gathered, matrix.retentions, matrix.limits, matrix.shares, matrix.fx_rates
         )
-        combined = net.sum(axis=0)
+        combined = sum_elt_rows(net)
     return combined
 
 
@@ -202,17 +208,13 @@ def build_layer_loss_stack(
     matrices: Sequence[LayerLossMatrix],
     timer: PhaseTimer | None = None,
 ) -> np.ndarray:
-    """Stack every layer's term-netted dense losses into one matrix.
+    """Copy every layer's combined net row into one contiguous matrix.
 
     Row ``i`` of the returned ``(n_layers, catalog_size)`` float64 matrix is
-    layer ``i``'s per-catalog-entry loss net of its ELTs' financial terms,
-    already combined across the layer's ELTs
-    (:meth:`~repro.elt.combined.LayerLossMatrix.combined_net_losses`).  The
-    financial terms depend only on the dense loss values, never on the trial,
-    so applying them to the catalog axis once — instead of to every gathered
-    occurrence, layer by layer — is what makes the fused multi-layer path
-    cheap: the per-trial work left is a single ``(n_layers, n_events)``
-    gather plus the layer terms.
+    :meth:`~repro.elt.combined.LayerLossMatrix.combined_net_losses` of
+    ``matrices[i]``.  The fused NumPy paths gather from those rows in place;
+    this on-demand copy is for callers whose contract is one buffer (the
+    native C kernel, multicore's shared memory, the float32 tier).
     """
     if not matrices:
         raise ValueError("at least one layer loss matrix is required")
@@ -238,48 +240,41 @@ def layer_trial_losses_batch(
     record_max_occurrence: bool = True,
     timer: PhaseTimer | None = None,
     chunk_events: int | None = None,
-    stack: np.ndarray | None = None,
+    stack: np.ndarray | Sequence[np.ndarray] | None = None,
     row_map: np.ndarray | None = None,
 ) -> Tuple[np.ndarray, np.ndarray | None]:
     """Year losses of *all* layers in one fused pass over the YET.
 
     Instead of re-gathering the event-id array against each layer's dense
     loss matrix separately (the per-layer loop of :func:`layer_trial_losses`),
-    the layers' term-netted dense losses are stacked into one
-    ``(n_layers, catalog_size)`` matrix, the whole YET is gathered from it
-    with a single row-major ``np.take`` (see the module docstring), and the
-    occurrence/aggregate terms are applied as broadcast expressions over the
-    resulting C-contiguous ``(n_layers, n_events)`` matrix.
+    each unique term-netted row is gathered once into a row-major block (see
+    the module docstring) and the occurrence/aggregate terms are applied as
+    broadcast expressions over the resulting ``(n_layers, n_events)`` matrix.
 
     Parameters
     ----------
     matrices:
-        One dense loss matrix per layer (ignored when ``stack`` is given).
+        One dense loss matrix per row (ignored when ``stack`` is given).
     terms:
         Per-layer :class:`LayerTerms` (or an already-stacked
         :class:`LayerTermsVectors`).
     chunk_events:
         When given, the stream is processed in trial-aligned chunks of about
-        this many event occurrences, so the working set stays bounded at
-        roughly ``(n_layers, chunk_events)`` doubles plus the outputs (the
-        fused analogue of :func:`layer_trial_losses_chunked`).  Chunks are
-        cut at trial boundaries only — no trial ever straddles a chunk — so
-        every per-trial reduction happens inside one chunk and the streamed
-        result is *bit-identical* to the unchunked gather for any chunk size
-        (a single trial larger than ``chunk_events`` is processed whole).
+        this many event occurrences, bounding the working set at roughly
+        ``(n_layers, chunk_events)`` doubles — bit-identically to the
+        unchunked gather (see :func:`_layer_trial_losses_batch_streamed`).
     stack:
-        Optional precomputed :func:`build_layer_loss_stack` result; pass it
-        when the same layers are priced repeatedly (or when the stack is
-        shared with worker processes).
+        The rows to gather from: a contiguous :func:`build_layer_loss_stack`
+        matrix, or a sequence of ``(catalog_size,)`` rows
+        (:meth:`~repro.core.plan.ExecutionPlan.rows`), whose whole-window
+        gathers go through the :mod:`~repro.core.row_store`.
     row_map:
-        Optional ``(n_layers,)`` int array mapping each output row to a row
-        of a *deduplicated* stack: when many layers share one term-netted
-        loss row (candidate-term variants of the same exposure), the stack
-        holds each distinct row once and ``row_map`` expands the gathered
-        values back to per-layer rows before the layer terms are applied.
-        The expansion copies identical floats, so results are bit-identical
-        to gathering from the fully expanded stack.  Without ``row_map`` the
-        stack must carry one row per layer.
+        Optional ``(n_layers,)`` int array mapping each output row to one of
+        the *deduplicated* rows: when many layers share one term-netted loss
+        row (candidate-term variants of the same exposure), it is gathered
+        once and every layer mapped to it reads that gather — the same
+        floats as gathering from a fully expanded stack.  Without
+        ``row_map`` there must be one row per layer.
 
     Returns
     -------
@@ -291,10 +286,15 @@ def layer_trial_losses_batch(
     timer = timer if timer is not None else PhaseTimer(enabled=False)
     vectors = terms if isinstance(terms, LayerTermsVectors) else LayerTermsVectors.from_terms(terms)
     if stack is None:
-        stack = build_layer_loss_stack(matrices, timer)
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 2:
-        raise ValueError(f"stack must be 2-D (n_layers, catalog_size), got shape {stack.shape}")
+        stack = [matrix.combined_net_losses() for matrix in matrices]
+    if isinstance(stack, np.ndarray):
+        stack = np.asarray(stack, dtype=np.float64)
+        if stack.ndim != 2:
+            raise ValueError(f"stack must be 2-D (n_layers, catalog_size), got shape {stack.shape}")
+    elif len({len(row) for row in stack}) != 1:
+        sizes = sorted({len(row) for row in stack})
+        raise ValueError(f"all layers must share one catalog size, got {sizes}")
+    catalog_size = len(stack[0])
     if row_map is not None:
         row_map = np.ascontiguousarray(row_map, dtype=np.int64)
         if row_map.ndim != 1 or row_map.shape[0] != vectors.n_layers:
@@ -302,13 +302,12 @@ def layer_trial_losses_batch(
                 f"row_map must have one entry per layer ({vectors.n_layers}), "
                 f"got shape {row_map.shape}"
             )
-        if row_map.size and (row_map.min() < 0 or row_map.max() >= stack.shape[0]):
+        if row_map.size and (row_map.min() < 0 or row_map.max() >= len(stack)):
             raise IndexError("row_map indices out of range of the stack")
-    elif stack.shape[0] != vectors.n_layers:
+    elif len(stack) != vectors.n_layers:
         raise ValueError(
-            f"stack has {stack.shape[0]} layers but terms describe {vectors.n_layers}"
+            f"stack has {len(stack)} layers but terms describe {vectors.n_layers}"
         )
-    catalog_size = stack.shape[1]
 
     with timer.phase(PHASE_EVENT_FETCH):
         ids = np.ascontiguousarray(event_ids, dtype=np.int64)
@@ -324,16 +323,10 @@ def layer_trial_losses_batch(
         )
 
     with timer.phase(PHASE_ELT_LOOKUP):
-        combined = np.take(stack, ids, axis=1)
-        if row_map is not None:
-            # Expand the deduplicated gather to one row per layer; the copy
-            # reproduces the expanded-stack gather bit for bit.
-            combined = combined[row_map]
+        gathered = _gather(stack, ids, row_store.ROW_STORE.take)
 
     with timer.phase(PHASE_LAYER_TERMS):
-        # The gather is a fresh scratch buffer, so the occurrence terms can
-        # transform it in place — peak memory stays at one full-size matrix.
-        occurrence = apply_occurrence_terms_batch(combined, vectors, out=combined)
+        occurrence = _occurrence_losses(gathered, vectors, row_map)
         year_losses = aggregate_terms_shortcut_batch(occurrence, trial_offsets, vectors)
         max_occurrence = (
             segment_max_2d(occurrence, trial_offsets) if record_max_occurrence else None
@@ -341,8 +334,21 @@ def layer_trial_losses_batch(
     return year_losses, max_occurrence
 
 
+def _gather(stack, ids: np.ndarray, take_rows) -> np.ndarray:
+    """One take from a contiguous stack, else ``take_rows(rows, ids)``."""
+    return np.take(stack, ids, axis=1) if isinstance(stack, np.ndarray) else take_rows(stack, ids)
+
+
+def _occurrence_losses(gathered: np.ndarray, vectors: LayerTermsVectors, row_map) -> np.ndarray:
+    """Occurrence terms; a read-only gather (a shared store block) is never written."""
+    if row_map is not None:
+        gathered = gathered[row_map]  # a private expansion
+    private = gathered.flags.writeable
+    return apply_occurrence_terms_batch(gathered, vectors, out=gathered if private else None)
+
+
 def _layer_trial_losses_batch_streamed(
-    stack: np.ndarray,
+    stack: np.ndarray | Sequence[np.ndarray],
     ids: np.ndarray,
     trial_offsets: np.ndarray,
     vectors: LayerTermsVectors,
@@ -379,11 +385,9 @@ def _layer_trial_losses_batch_streamed(
         t1 = min(max(t1, t0 + 1), n_trials)
         start, stop = int(offsets[t0]), int(offsets[t1])
         with timer.phase(PHASE_ELT_LOOKUP):
-            gathered = np.take(stack, ids[start:stop], axis=1)
-            if row_map is not None:
-                gathered = gathered[row_map]
+            gathered = _gather(stack, ids[start:stop], row_store.gather_rows)
         with timer.phase(PHASE_LAYER_TERMS):
-            occurrence = apply_occurrence_terms_batch(gathered, vectors, out=gathered)
+            occurrence = _occurrence_losses(gathered, vectors, row_map)
             local = offsets[t0 : t1 + 1] - start
             totals[:, t0:t1] = segment_sum_2d(occurrence, local)
             if max_occurrence is not None:
@@ -431,7 +435,7 @@ def layer_trial_losses_chunked(
             net = apply_financial_terms_matrix(
                 gathered, matrix.retentions, matrix.limits, matrix.shares, matrix.fx_rates
             )
-            combined[start:stop] = net.sum(axis=0)
+            combined[start:stop] = sum_elt_rows(net)
 
     with timer.phase(PHASE_LAYER_TERMS):
         occurrence = apply_occurrence_terms(combined, terms)

@@ -8,8 +8,9 @@ sweeps) lowers to the same intermediate representation, an
 :class:`ExecutionPlan` spanning
 
 * the **trial axis** — contiguous trial blocks of the YET, and
-* the **row axis** — stacked term-netted layer loss rows (the layout of
-  :func:`~repro.core.kernels.build_layer_loss_stack`).
+* the **row axis** — term-netted layer loss rows, which a plan lowered from
+  layers references (:meth:`ExecutionPlan.rows`) rather than copies; only
+  callers whose contract is one buffer ask :meth:`ExecutionPlan.stack`.
 
 Nothing reimplements a workload: the one shard driver
 (:mod:`repro.core.driver`) cuts every plan into trial shards and the
@@ -46,6 +47,7 @@ from typing import Any, List, Mapping, Sequence
 import numpy as np
 
 from repro.core.kernels import build_layer_loss_stack
+from repro.core.phases import PHASE_FINANCIAL_TERMS
 from repro.core.results import EngineResult
 from repro.financial.terms import LayerTerms, LayerTermsVectors
 from repro.parallel.partitioner import TrialRange, WorkloadShape, shard_partition
@@ -103,8 +105,8 @@ class ExecutionPlan:
         the ``fused_layers=False`` ablation need them.
     stack:
         Optional precomputed ``(n_unique_rows, catalog_size)`` stack.  When
-        absent it is built lazily (and cached) from the unique layers'
-        matrices.
+        absent, :meth:`stack` assembles it on demand (and caches it) from
+        the unique layers' rows.
     row_map:
         Optional ``(n_rows,)`` mapping of plan rows to unique stack rows
         (row deduplication); ``None`` means the identity mapping.
@@ -238,8 +240,8 @@ class ExecutionPlan:
         # Cached plans are shared across threads by the serving layer;
         # the lazy stack build must happen exactly once.
         self._stack_build_lock = threading.Lock()
-        # Lazily quantised float32 view of the stack (native backend,
-        # EngineConfig.dtype="float32"); invalidated with the stack.
+        # Lazily quantised float32 copy of the stack (native backend,
+        # EngineConfig.dtype="float32").
         self._stack_f32: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -293,13 +295,34 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Stack materialisation
     # ------------------------------------------------------------------ #
-    def stack(self, timer: PhaseTimer | None = None) -> np.ndarray:
-        """The ``(n_unique_rows, catalog_size)`` term-netted loss stack.
+    def _unique_layers(self) -> List[Layer]:
+        """The first layer mapped to each unique row, in row order."""
+        if self.row_map is None:
+            return list(self.layers)
+        representatives: List[Layer | None] = [None] * (int(self.row_map.max()) + 1)
+        for row, unique in enumerate(self.row_map):
+            if representatives[unique] is None:
+                representatives[unique] = self.layers[row]
+        return representatives
 
-        Built lazily from the unique layers' combined net rows and cached on
-        the plan, so repeated executions (conformance runs, backend sweeps)
-        pay the build once.  Shard-restricted children delegate to the plan
-        they were split from, so a sharded execution also builds it once.
+    def rows(self, timer: PhaseTimer | None = None) -> np.ndarray | tuple[np.ndarray, ...]:
+        """The unique rows the gathers read: each unique layer's cached,
+        read-only combined net row — shared by every ``with_terms`` variant,
+        never copied — or a ``from_stack`` plan's stack."""
+        if self.layers is None:
+            return self._stack
+        timer = timer if timer is not None else PhaseTimer(enabled=False)
+        with timer.phase(PHASE_FINANCIAL_TERMS):
+            return tuple(
+                layer.loss_matrix().combined_net_losses() for layer in self._unique_layers()
+            )
+
+    def stack(self, timer: PhaseTimer | None = None) -> np.ndarray:
+        """The contiguous ``(n_unique_rows, catalog_size)`` term-netted loss stack.
+
+        Copied from :meth:`rows` on demand for callers whose contract is one
+        buffer (native, multicore, :meth:`stack_f32`) and cached; shard
+        children delegate to the plan they were split from.
         """
         if self._stack is None:
             with self._stack_build_lock:
@@ -308,16 +331,9 @@ class ExecutionPlan:
                 if self._stack_owner is not None:
                     self._stack = self._stack_owner.stack(timer)
                     return self._stack
-                if self.row_map is None:
-                    matrices = [layer.loss_matrix() for layer in self.layers]
-                else:
-                    unique_count = int(self.row_map.max()) + 1
-                    representatives: List[Layer | None] = [None] * unique_count
-                    for row, unique in enumerate(self.row_map):
-                        if representatives[unique] is None:
-                            representatives[unique] = self.layers[row]
-                    matrices = [layer.loss_matrix() for layer in representatives]
-                self._stack = build_layer_loss_stack(matrices, timer)
+                self._stack = build_layer_loss_stack(
+                    [layer.loss_matrix() for layer in self._unique_layers()], timer
+                )
         return self._stack
 
     def stack_f32(self, timer: PhaseTimer | None = None) -> np.ndarray:
@@ -340,32 +356,6 @@ class ExecutionPlan:
                     self._stack_f32 = quantised
         return self._stack_f32
 
-    def adopt_stack(self, stack: np.ndarray) -> None:
-        """Install a precomputed stack (validated like the constructor's).
-
-        Lets repeated lowerings over the *same* rows — above all the
-        per-shard plans of :meth:`~repro.core.engine.AggregateRiskEngine.run_sharded`
-        — share one stack instead of rebuilding ``n_rows x catalog_size``
-        doubles per shard.
-        """
-        stack = np.ascontiguousarray(stack, dtype=np.float64)
-        if stack.ndim != 2:
-            raise ValueError(f"stack must be 2-D, got shape {stack.shape}")
-        expected = (
-            self.n_rows if self.row_map is None else int(self.row_map.max(initial=-1)) + 1
-        )
-        if stack.shape[0] < expected:
-            raise ValueError(
-                f"stack has {stack.shape[0]} rows but the plan addresses {expected}"
-            )
-        self._stack = stack
-        self._stack_f32 = None
-
-    @property
-    def cached_stack(self) -> np.ndarray | None:
-        """The stack if it has been built/adopted already (``None`` otherwise)."""
-        return self._stack
-
     # ------------------------------------------------------------------ #
     # Trial sharding
     # ------------------------------------------------------------------ #
@@ -373,7 +363,7 @@ class ExecutionPlan:
         """A shard of this plan covering only ``trials`` (globally indexed).
 
         The child shares the parent's YET, terms, layers, row map and (lazy)
-        stack cache — restricting is metadata, not data movement.  Executing
+        stack — restricting is metadata, not data movement.  Executing
         every shard of a disjoint cover and accumulating the partial results
         reproduces the monolithic run bit for bit.
         """

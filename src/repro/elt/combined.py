@@ -16,10 +16,10 @@ A layer's ELTs are read in two forms:
 The records-first row has the bytes of netting the dense stack and summing
 it over the ELT axis: a zero cell nets to exactly ``+0.0`` under validated
 terms (``fx_rate > 0``, ``retention >= 0``, ``limit >= 0``, ``share >= 0``),
-which changes no partial sum, and NumPy reduces a C-contiguous matrix over
-axis 0 by adding whole rows in ELT order — the order the scatter adds in.
-(Only a one-event catalog differs: its ELT axis is the contiguous one, which
-NumPy sums pairwise; the records order is the contract.)
+which changes no partial sum, and :func:`sum_elt_rows` adds whole rows in
+ELT order starting from ``0.0`` — the order the scatter adds in.  (An
+axis-0 ``sum`` would not do: when a window holds one event the ELT axis is
+the contiguous one, and NumPy sums that pairwise from 8 ELTs up.)
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.elt.table import EventLossTable
 from repro.financial.policies import apply_financial_terms
 from repro.financial.terms import FinancialTerms
 
-__all__ = ["LayerLossMatrix", "scatter_net_losses"]
+__all__ = ["LayerLossMatrix", "scatter_net_losses", "sum_elt_rows"]
 
 
 def scatter_net_losses(
@@ -47,6 +47,14 @@ def scatter_net_losses(
     for event_ids, losses, terms in records:
         out[event_ids] += apply_financial_terms(losses, terms)
     return out
+
+
+def sum_elt_rows(matrix: np.ndarray) -> np.ndarray:
+    """Sum ``(n_elts, n)`` over ELTs left to right from ``0.0`` (the scatter order)."""
+    total = np.zeros(matrix.shape[1], dtype=np.float64)
+    for row in matrix:
+        total += row
+    return total
 
 
 class LayerLossMatrix:
@@ -123,11 +131,8 @@ class LayerLossMatrix:
         Returns an ``(n_elts, len(event_ids))`` matrix — the vectorised
         equivalent of the basic algorithm's lines 3–5 (per-event ELT lookups).
         It is C-contiguous (``np.take``; ``losses[:, event_ids]`` would be
-        event-major), and that order is part of the summation-order
-        contract: the per-layer path nets it and sums over axis 0, which adds
-        whole rows in ELT order — the order :func:`scatter_net_losses` uses —
-        only while the ELT axis is *not* the contiguous one (NumPy sums a
-        contiguous axis pairwise from 8 elements up).
+        event-major), so every later pass streams; the per-layer path nets
+        it and reduces it with :func:`sum_elt_rows`, in ELT order.
         """
         ids = np.asarray(event_ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.catalog_size):
@@ -136,7 +141,7 @@ class LayerLossMatrix:
 
     def ground_up_event_losses(self, event_ids: np.ndarray) -> np.ndarray:
         """Per-event ground-up losses summed over ELTs (no financial terms)."""
-        return self.gather(event_ids).sum(axis=0)
+        return sum_elt_rows(self.gather(event_ids))
 
     def combined_net_losses(self) -> np.ndarray:
         """Per-catalog-entry losses net of financial terms, combined across ELTs.

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from repro.utils.arrays import as_float_array, as_int_array
+from repro.utils.arrays import as_float_array, as_int_array, read_only
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.financial.terms import FinancialTerms
@@ -71,8 +71,8 @@ class EventLossTable:
         terms: "FinancialTerms | None" = None,
         name: str = "",
     ) -> None:
-        self.event_ids = as_int_array(np.asarray(list(event_ids) if not isinstance(event_ids, np.ndarray) else event_ids), "event_ids")
-        self.losses = as_float_array(np.asarray(list(losses) if not isinstance(losses, np.ndarray) else losses), "losses")
+        self.event_ids = read_only(as_int_array(np.asarray(list(event_ids) if not isinstance(event_ids, np.ndarray) else event_ids), "event_ids"))
+        self.losses = read_only(as_float_array(np.asarray(list(losses) if not isinstance(losses, np.ndarray) else losses), "losses"))
         if self.event_ids.shape[0] != self.losses.shape[0]:
             raise ValueError(
                 f"event_ids and losses must have equal length, got "

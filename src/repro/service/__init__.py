@@ -5,9 +5,8 @@ The subsystem behind the library's serving story: declarative, validated
 round-trippable) are dispatched by a long-lived
 :class:`~repro.service.service.RiskService` that owns a warm
 :class:`~repro.core.engine.AggregateRiskEngine`, a content-addressed
-:class:`~repro.service.cache.PlanCache` of lowered execution plans and
-fused loss stacks (:mod:`repro.service.digests` provides the content
-digests), and retained multicore shared-memory workspaces; every answer is
+:class:`~repro.service.cache.PlanCache` of lowered execution plans
+(:mod:`repro.service.digests` provides the content digests), and retained multicore shared-memory workspaces; every answer is
 a uniform :class:`~repro.service.response.AnalysisResponse` carrying the
 engine results, quotes and bands plus cache and timing metadata.
 

@@ -2,14 +2,15 @@
 
 The expensive part of answering a pricing request is not the kernel pass —
 it is everything *before* it: lowering the program to an
-:class:`~repro.core.plan.ExecutionPlan`, building each layer's dense loss
-matrix and stacking the term-netted rows into the fused
-``(n_layers, catalog_size)`` matrix.  All of that work is a pure function of
-the program contents, the YET and the plan-relevant config — exactly what
-the content digests of :mod:`repro.service.digests` capture — so
+:class:`~repro.core.plan.ExecutionPlan` and building each layer's
+term-netted combined row.  All of that work is a pure function of the
+program contents, the YET and the plan-relevant config — exactly what the
+content digests of :mod:`repro.service.digests` capture — so
 :class:`PlanCache` memoizes it: the first request for a workload pays the
 lowering ("cold"), every later request for the same content reuses the
-cached plan together with its already-materialised stack ("warm").
+cached plan ("warm").  A plan references its layers' rows instead of
+copying them into a stack, so an entry is a cheap shell; the gathers
+themselves are reused through :mod:`repro.core.row_store`.
 
 A cached :class:`~repro.core.plan.ExecutionPlan` keeps its source layers and
 YET alive; the cache is therefore bounded (LRU, ``maxsize`` entries) and the
@@ -71,9 +72,9 @@ class PlanCache:
 
     Keys are hashable tuples of content digests (built by
     :class:`~repro.service.service.RiskService` from
-    :mod:`repro.service.digests`); values are plans whose lazily-built fused
-    stack is cached on the plan object itself, so a hit skips both the
-    lowering and the stack build.
+    :mod:`repro.service.digests`); values are plans — cheap shells that
+    reference their layers' cached rows rather than copy them — so a hit
+    skips the lowering, and the row store serves the gathers.
     """
 
     def __init__(self, maxsize: int = 32) -> None:
@@ -114,8 +115,7 @@ class PlanCache:
         """The cached plan for ``key`` without counting a hit/miss.
 
         Does not refresh the LRU order either — a diagnostic/auxiliary read
-        (e.g. the result cache borrowing a prior plan's fused stack) must
-        not distort the cache's recency or its monitoring counters.
+        must not distort the cache's recency or its monitoring counters.
         """
         with self._lock:
             return self._entries.get(key)

@@ -52,7 +52,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.results import PartialResult, ResultAccumulator
 from repro.parallel.partitioner import TrialRange
@@ -134,7 +134,6 @@ class _EntryMeta:
     n_rows: int
     row_digests: Tuple[str, ...] | None
     row_names: Tuple[str, ...] | None
-    plan_key: Hashable | None = None  # in-process only; not persisted
 
 
 @dataclass(frozen=True)
@@ -155,15 +154,11 @@ class ResultCacheMatch:
         append matches get a fresh extension that is safe to fill.
     changed_rows:
         Row indices whose per-row digests differ (``"rows"`` only).
-    plan_key:
-        The plan-cache key recorded when the entry was stored (if any) —
-        lets the service borrow the prior plan's fused stack.
     """
 
     status: str
     accumulator: ResultAccumulator | None = None
     changed_rows: Tuple[int, ...] = ()
-    plan_key: Hashable | None = None
 
 
 class ResultCache:
@@ -249,9 +244,7 @@ class ResultCache:
                 accumulator = self._get_accumulator(key)
                 if accumulator is not None:
                     self._exact_hits += 1
-                    return ResultCacheMatch(
-                        "exact", accumulator=accumulator, plan_key=meta.plan_key
-                    )
+                    return ResultCacheMatch("exact", accumulator=accumulator)
 
             base_key = self._latest.get((program_digest, config_digest))
             if base_key is not None:
@@ -263,9 +256,7 @@ class ResultCache:
                     if accumulator is not None:
                         self._append_hits += 1
                         return ResultCacheMatch(
-                            "append",
-                            accumulator=accumulator.extended(trials),
-                            plan_key=base.plan_key,
+                            "append", accumulator=accumulator.extended(trials)
                         )
 
             if row_digests is not None:
@@ -291,7 +282,6 @@ class ResultCache:
                             "rows",
                             accumulator=accumulator,
                             changed_rows=changed,
-                            plan_key=sibling.plan_key,
                         )
 
             self._misses += 1
@@ -308,7 +298,6 @@ class ResultCache:
         config_digest: str,
         accumulator: ResultAccumulator,
         row_digests: Tuple[str, ...] | None = None,
-        plan_key: Hashable | None = None,
     ) -> None:
         """Insert (or refresh) one *complete* accumulator.
 
@@ -328,7 +317,6 @@ class ResultCache:
             n_rows=accumulator.n_rows,
             row_digests=tuple(row_digests) if row_digests is not None else None,
             row_names=accumulator.row_names,
-            plan_key=plan_key,
         )
         with self._lock:
             self._meta[key] = meta

@@ -29,7 +29,9 @@ Protocol (one JSON document per line, responses in completion order):
 * ``{"op": "stats"}`` answers inline (never queued/rejected) with
   ``served``/``rejected``/``errors`` counters and ``p50``/``p99``
   processing latencies (lowering + execution, excluding executor-slot
-  wait — queue pressure shows up as ``pending`` instead);
+  wait — queue pressure shows up as ``pending`` instead), plus the
+  gathered-row store's ``row_store`` counters (entries, bytes, hits,
+  misses, evictions; :mod:`repro.core.row_store`);
   ``{"op": "ping"}`` answers ``{"ok": true}``;
   ``{"op": "shutdown"}`` begins a graceful drain;
 * the HTTP shim auto-detects ``GET``/``POST``/``HEAD`` request lines on
@@ -67,6 +69,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Mapping
 
+from repro.core import row_store
 from repro.service.request import RequestValidationError
 from repro.service.response import error_payload
 from repro.service.service import RiskService
@@ -370,6 +373,7 @@ class RiskServer:
         if op == "stats":
             payload: dict[str, Any] = {
                 "stats": self.stats.to_dict(),
+                "row_store": row_store.ROW_STORE.stats(),
                 "pending": self._pending,
                 "max_inflight": self.max_inflight,
                 "queue_depth": self.queue_depth,

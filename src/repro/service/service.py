@@ -615,7 +615,6 @@ class RiskService:
             config_digest=rc_config,
             accumulator=accumulator,
             row_digests=row_digests,
-            plan_key=plan_key,
         )
         return self._result_cache_response(
             request, program, result, info, lower_seconds, execute_seconds
@@ -648,12 +647,6 @@ class RiskService:
             acct,
             plan_key[1][0][:12],
         )
-        # The fused stack is YET-independent; borrow the base entry's still-
-        # warm plan stack so the delta pass skips the n_rows x catalog build.
-        if plan.cached_stack is None and match.plan_key is not None:
-            prior = self.cache.peek(match.plan_key)
-            if prior is not None and prior.cached_stack is not None:
-                plan.adopt_stack(prior.cached_stack)
         executed = time.perf_counter()
         repriced = 0
         for gap in accumulator.missing_ranges():
@@ -672,7 +665,6 @@ class RiskService:
             config_digest=rc_config,
             accumulator=accumulator,
             row_digests=row_digests,
-            plan_key=plan_key,
         )
         info = {
             "status": "append",
@@ -749,7 +741,6 @@ class RiskService:
             config_digest=rc_config,
             accumulator=accumulator,
             row_digests=row_digests,
-            plan_key=plan_key,
         )
         info = {
             "status": "rows",

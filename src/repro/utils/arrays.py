@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "read_only",
     "as_float_array",
     "as_int_array",
     "validate_offsets",
@@ -27,6 +28,13 @@ __all__ = [
     "cumulative_within_segments",
     "segment_ids_from_offsets",
 ]
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (the caller's array keeps its flags)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def as_float_array(values: Sequence[float] | np.ndarray, name: str = "values") -> np.ndarray:

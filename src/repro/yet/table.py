@@ -16,7 +16,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.arrays import segment_lengths, validate_offsets
+from repro.utils.arrays import read_only, segment_lengths, validate_offsets
 
 __all__ = ["YearEventTable"]
 
@@ -46,12 +46,11 @@ class YearEventTable:
         catalog_size: int,
         timestamps: np.ndarray | None = None,
     ) -> None:
-        self.event_ids = np.ascontiguousarray(event_ids, dtype=np.int64)
+        self.event_ids = read_only(np.ascontiguousarray(event_ids, dtype=np.int64))
         if self.event_ids.ndim != 1:
             raise ValueError("event_ids must be one-dimensional")
-        self.trial_offsets = validate_offsets(
-            np.asarray(trial_offsets), self.event_ids.shape[0], "trial_offsets"
-        )
+        self.trial_offsets = read_only(validate_offsets(
+            np.asarray(trial_offsets), self.event_ids.shape[0], "trial_offsets"))
         if catalog_size <= 0:
             raise ValueError(f"catalog_size must be positive, got {catalog_size}")
         self.catalog_size = int(catalog_size)
@@ -71,7 +70,7 @@ class YearEventTable:
                 )
             if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
                 raise ValueError("timestamps must lie in [0, 1]")
-            self.timestamps = ts
+            self.timestamps = read_only(ts)
 
     # ------------------------------------------------------------------ #
     # Shape accessors

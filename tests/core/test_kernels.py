@@ -124,19 +124,22 @@ class TestFusedGatherLayout:
     def test_terms_receive_c_contiguous_rows(self, seen, chunk_events, row_map):
         rng = np.random.default_rng(3)
         stack = rng.random((3, 50))
+        ids = rng.integers(0, 50, 200)
         n_layers = len(row_map) if row_map is not None else 3
         offsets = np.arange(0, 201, 20)
-        year, _ = layer_trial_losses_batch(
-            (), rng.integers(0, 50, 200), offsets, [LayerTerms()] * n_layers,
-            stack=stack, chunk_events=chunk_events,
-            row_map=None if row_map is None else np.array(row_map),
-        )
-        assert year.shape == (n_layers, 10)
-        assert len(seen) == (1 if chunk_events is None else 5)
-        for matrix in seen:
-            assert matrix.shape[0] == n_layers >= 2
-            assert matrix.flags.c_contiguous
-            assert matrix.strides == (8 * matrix.shape[1], 8)
+        for source in (stack, list(stack)):  # one contiguous stack, or referenced rows
+            seen.clear()
+            year, _ = layer_trial_losses_batch(
+                (), ids, offsets, [LayerTerms()] * n_layers,
+                stack=source, chunk_events=chunk_events,
+                row_map=None if row_map is None else np.array(row_map),
+            )
+            assert year.shape == (n_layers, 10)
+            assert len(seen) == (1 if chunk_events is None else 5)
+            for matrix in seen:
+                assert matrix.shape[0] == n_layers >= 2
+                assert matrix.flags.c_contiguous
+                assert matrix.strides == (8 * matrix.shape[1], 8)
 
     def test_per_layer_gather_is_c_contiguous(self, matrix):
         gathered = matrix.gather(np.array([3, 1, 2, 2, 9]))

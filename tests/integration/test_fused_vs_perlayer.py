@@ -175,3 +175,38 @@ def test_dense_overlap_book_fused_equals_perlayer_bytes(n_elts, backend):
     assert fused.ylt.losses.tobytes() == perlayer.ylt.losses.tobytes()
     assert (fused.ylt.max_occurrence_losses.tobytes()
             == perlayer.ylt.max_occurrence_losses.tobytes())
+
+
+@pytest.mark.parametrize("shards", ("monolithic", "per-trial"))
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_one_event_trials_are_byte_equal_on_every_path(backend, shards):
+    """Every trial holds one event, over 9 fully overlapping ELTs.
+
+    A one-trial shard (or a one-event chunk) gathers a ``(k, 1)`` matrix,
+    whose ELT axis is the contiguous one: an axis-0 ``sum`` reduces it
+    pairwise from 8 ELTs up, which the fused path's ELT-order scatter
+    never does.  Every backend, fused or per layer, at one shard or one
+    shard per trial, must reproduce the fused monolithic bytes.
+    """
+    catalog_size, n_trials = 50, 24
+    rng = np.random.default_rng(0x1E7)
+    everything = np.arange(catalog_size)
+    layer = Layer(
+        [
+            EventLossTable(everything, 10.0 ** rng.uniform(-4, 8, catalog_size), catalog_size)
+            for _ in range(9)
+        ],
+        LayerTerms(),
+        name="one-event",
+    )
+    yet = YearEventTable(
+        rng.integers(0, catalog_size, n_trials), np.arange(n_trials + 1), catalog_size
+    )
+    reference = AggregateRiskEngine(EngineConfig()).run(layer, yet).ylt
+    trial_shards = 1 if shards == "monolithic" else n_trials
+    for fused in (True, False):
+        config = EngineConfig(backend=backend, fused_layers=fused, trial_shards=trial_shards,
+                              chunk_events=1, n_workers=2)
+        ylt = AggregateRiskEngine(config).run(layer, yet).ylt
+        assert ylt.losses.tobytes() == reference.losses.tobytes(), fused
+        assert ylt.max_occurrence_losses.tobytes() == reference.max_occurrence_losses.tobytes()

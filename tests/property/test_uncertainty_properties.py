@@ -249,6 +249,8 @@ class TestCombinedNetRowIsTheDenseReduction:
     @example(elts=overlapping_elts(9), ids=list(range(CATALOG_SIZE)))
     @example(elts=overlapping_elts(16), ids=list(range(CATALOG_SIZE)))
     @example(elts=overlapping_elts(17), ids=list(range(CATALOG_SIZE)))
+    # One gathered id: the (k, 1) gather's ELT axis is the contiguous one.
+    @example(elts=overlapping_elts(9), ids=[CATALOG_SIZE // 2])
     def test_lazy_dense_stack_serves_per_elt_reads(self, elts, ids):
         matrix = LayerLossMatrix(elts)
         matrix.combined_net_losses()

@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core import row_store
 from repro.core.config import EngineConfig
 from repro.service import RiskService
 from repro.service.server import Overloaded, RiskServer, ServeClient, ServerThread
@@ -125,6 +126,20 @@ class TestPipelinedServing:
                     unknown = client.request({"op": "warp", "id": 3})
                     assert unknown["error"]["field"] == "op"
                     assert unknown["id"] == 3
+
+    def test_stats_report_the_row_store(self, tiny_workload, monkeypatch):
+        """A repeat run's gathers are store hits, visible in ``{"op": "stats"}``."""
+        monkeypatch.setattr(row_store, "ROW_STORE", row_store.RowStore())
+        n_layers = tiny_workload.program.n_layers
+        with _service(tiny_workload) as service:
+            with ServerThread(service) as handle:
+                with ServeClient(handle.server.host, handle.server.port) as client:
+                    for _ in range(2):
+                        client.request({"kind": "run", "program": "w"})
+                    stats = client.request({"op": "stats"})["row_store"]
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
+        assert stats["bytes"] == n_layers * tiny_workload.yet.event_ids.nbytes
+        assert stats["budget_bytes"] == row_store.BUDGET_BYTES and stats["evictions"] == 0
 
     def test_malformed_and_invalid_lines_answer_errors(self, tiny_workload):
         with _service(tiny_workload) as service:
