@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.parallel.partitioner import TrialRange, WorkloadShape
 from repro.utils.timing import TimingBreakdown
+from repro.ylt.metrics import RiskMetrics, compute_risk_metrics_batch
 from repro.ylt.table import YearLossTable
 
 __all__ = ["EngineResult", "MetricState", "PartialResult", "ResultAccumulator"]
@@ -481,6 +482,7 @@ class ResultAccumulator:
         )
         self._partials: List[PartialResult] = []
         self._wall_seconds = 0.0
+        self._metrics: tuple[RiskMetrics, ...] | None = None
 
     @classmethod
     def for_plan(cls, plan) -> "ResultAccumulator":
@@ -517,6 +519,7 @@ class ResultAccumulator:
                     f"({existing.origin()})"
                 )
         self._partials.append(partial)
+        self._metrics = None
         return self
 
     def add_result(
@@ -551,7 +554,8 @@ class ResultAccumulator:
         trial-local), so extending is pure re-domiciling —
         :meth:`missing_ranges` of the extension is exactly the appended
         range, and pricing only that range then merging reproduces a cold
-        monolithic run bit for bit.
+        monolithic run bit for bit.  The metrics memo is not inherited:
+        new trials move every quantile.
         """
         domain = TrialRange(0, int(trials)) if isinstance(trials, int) else trials
         if domain.start > self.trials.start or domain.stop < self.trials.stop:
@@ -684,6 +688,30 @@ class ResultAccumulator:
                 partial.max_occurrence
             )
         return occ
+
+    def risk_metrics(
+        self, sibling: "ResultAccumulator | None" = None, changed: Sequence[int] = ()
+    ) -> tuple[tuple[RiskMetrics, ...], int]:
+        """Per-row metrics of the merged table, and how many rows this call computed.
+
+        Memoised until the next :meth:`add` (or :meth:`merge`).  The first call
+        copies every row not in ``changed`` from ``sibling``'s memo, when it
+        has one (the kernel is row-independent: every field ``==`` the 1-D
+        call), and computes the rest in one batch.  Two threads computing at
+        once each store one whole, equal tuple.
+        """
+        memo = self._metrics
+        if memo is not None:
+            return memo, 0
+        rows = {}
+        if sibling is not None and sibling._metrics is not None:
+            rows = {row: m for row, m in enumerate(sibling._metrics) if row not in changed}
+        todo = [row for row in range(self.n_rows) if row not in rows]
+        if todo:
+            losses = self.year_losses()
+            rows.update(zip(todo, compute_risk_metrics_batch(losses[todo] if rows else losses)))
+        memo = self._metrics = tuple(rows[row] for row in range(self.n_rows))
+        return memo, len(todo)
 
     def to_ylt(self) -> YearLossTable:
         """The merged Year Loss Table."""

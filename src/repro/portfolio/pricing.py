@@ -246,6 +246,7 @@ def price_program(
     volatility_loading: float = 0.3,
     expense_ratio: float = 0.15,
     uncertainty: "Mapping[str, ReplicationSummary] | None" = None,
+    metrics: Sequence[RiskMetrics] | None = None,
 ) -> ProgramQuote:
     """Price every layer of a program from its Year Loss Table.
 
@@ -255,6 +256,8 @@ def price_program(
     The metrics of all layers come from one
     :func:`~repro.ylt.metrics.compute_risk_metrics_batch` call; every field
     equals what :func:`price_layer` returns for that layer on its own.
+    Passing ``metrics`` (per layer, already computed from ``ylt``) skips
+    that call: only the premium formula runs.
 
     ``uncertainty`` optionally attaches secondary-uncertainty bands (metric
     name to :class:`~repro.uncertainty.analysis.ReplicationSummary`) to the
@@ -269,9 +272,11 @@ def price_program(
             f"has {program.n_layers}"
         )
     _check_loadings(volatility_loading, expense_ratio)
+    if metrics is None:
+        metrics = compute_risk_metrics_batch(ylt.losses)
     pricings = tuple(
-        _pricing_from_metrics(layer, metrics, volatility_loading, expense_ratio)
-        for layer, metrics in zip(program.layers, compute_risk_metrics_batch(ylt.losses))
+        _pricing_from_metrics(layer, layer_metrics, volatility_loading, expense_ratio)
+        for layer, layer_metrics in zip(program.layers, metrics)
     )
     return ProgramQuote(
         program_name=program.name,

@@ -12,7 +12,8 @@ year-loss blocks, and PR 5's merge algebra makes three serving patterns
 exact by construction:
 
 * **exact repeat** — the same key returns the accumulated result with no
-  engine pass at all;
+  engine pass, quoted from the per-row metrics memoised on the entry
+  (:meth:`~repro.core.results.ResultAccumulator.risk_metrics`);
 * **append-trials delta** — a submitted YET whose first ``n`` trials are
   byte-identical to a cached entry's YET (recognised via
   :func:`~repro.service.digests.yet_prefix_digest`) re-prices only the
@@ -26,17 +27,18 @@ exact by construction:
   strict subset of its per-layer digests re-prices only the changed stack
   rows and composes them over the cached block (rows are computed
   independently by every kernel path, so the composition is bit-identical
-  to a cold run of the full program).
+  to a cold run of the full program); its quote computes metrics for just
+  those rows and copies the rest from the sibling's memo.
 
-The cache is **tiered**: a bounded in-process LRU of live accumulators in
-front of an optional on-disk store of serialized
+The cache is **tiered**: a bounded in-process LRU of live accumulators (their
+blocks made read-only) in front of an optional on-disk store of serialized
 :class:`~repro.core.results.PartialResult` blocks (raw ``.npy`` members plus
 a JSON manifest per entry — the ``save_yet_store`` idiom of
-:mod:`repro.yet.io`).  Disk entries survive process restarts: a new
-:class:`ResultCache` pointed at the same directory re-indexes the manifests
-and serves them without re-running any kernel.  Eviction from the LRU only
-drops *residency* for disk-backed entries; memory-only entries are gone when
-evicted.
+:mod:`repro.yet.io`; the metrics memo is not persisted).  Disk entries survive
+restarts: a new :class:`ResultCache` pointed at the same directory re-indexes
+the manifests and serves them without re-running any kernel.  Eviction from
+the LRU only drops *residency* for disk-backed entries; memory-only entries
+are gone when evicted.
 
 Delta correctness leans entirely on the content digests of
 :mod:`repro.service.digests` — which is why the digest framing there is
@@ -63,6 +65,15 @@ __all__ = ["ResultCache", "ResultCacheMatch", "ResultCacheStats"]
 
 _ENTRY_MANIFEST = "result_entry.json"
 _ENTRY_FORMAT_VERSION = 1
+
+
+def _freeze(accumulator: ResultAccumulator) -> None:
+    """Make an entry's blocks read-only in place: exact hits and the miss
+    response hand out these very arrays, and its metrics memo must match them."""
+    for partial in accumulator.partials:
+        for block in (partial.losses, partial.max_occurrence):
+            if block is not None:
+                block.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -150,8 +161,8 @@ class ResultCacheMatch:
         stack rows to re-price), or ``"miss"``.
     accumulator:
         The prepared accumulator (``None`` on a miss).  Exact and row
-        matches share the cached object — callers must not mutate it;
-        append matches get a fresh extension that is safe to fill.
+        matches share the cached object, read-only blocks and metrics memo
+        included; append matches get a fresh, memo-less extension to fill.
     changed_rows:
         Row indices whose per-row digests differ (``"rows"`` only).
     """
@@ -307,6 +318,7 @@ class ResultCache:
         """
         if not accumulator.is_complete:
             raise ValueError("only complete accumulators can be cached")
+        _freeze(accumulator)
         key = self.entry_key(program_digest, yet_digest, config_digest, accumulator.trials)
         meta = _EntryMeta(
             key=key,
@@ -467,6 +479,7 @@ class ResultCache:
             return None
         if not accumulator.is_complete:
             return None
+        _freeze(accumulator)
         return accumulator
 
     def _scan_disk(self) -> None:

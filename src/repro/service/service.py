@@ -491,7 +491,7 @@ class RiskService:
     # ------------------------------------------------------------------ #
     def _quotes_for(
         self, request: AnalysisRequest, programs: Sequence[ReinsuranceProgram],
-        results: Sequence[EngineResult],
+        results: Sequence[EngineResult], metrics: Sequence | None = None,
     ) -> tuple[ProgramQuote, ...]:
         if not request.quote:
             return ()
@@ -501,8 +501,11 @@ class RiskService:
                 result.ylt,
                 volatility_loading=self.volatility_loading,
                 expense_ratio=self.expense_ratio,
+                metrics=program_metrics,
             )
-            for program, result in zip(programs, results)
+            for program, result, program_metrics in zip(
+                programs, results, metrics or [None] * len(programs)
+            )
         )
 
     def _handle_run(
@@ -568,7 +571,8 @@ class RiskService:
             )
             info = {"status": "exact", "repriced_trials": 0}
             return self._result_cache_response(
-                request, program, result, info, time.perf_counter() - started, 0.0
+                request, program, result, info, time.perf_counter() - started, 0.0,
+                match.accumulator,
             )
         if match.status == "append":
             return self._serve_append_delta(
@@ -617,7 +621,7 @@ class RiskService:
             row_digests=row_digests,
         )
         return self._result_cache_response(
-            request, program, result, info, lower_seconds, execute_seconds
+            request, program, result, info, lower_seconds, execute_seconds, accumulator
         )
 
     def _serve_append_delta(
@@ -672,7 +676,7 @@ class RiskService:
             "cached_trials": yet.n_trials - repriced,
         }
         return self._result_cache_response(
-            request, program, result, info, lower_seconds, execute_seconds
+            request, program, result, info, lower_seconds, execute_seconds, accumulator
         )
 
     def _serve_row_delta(
@@ -748,7 +752,8 @@ class RiskService:
             "cached_rows": program.n_layers - len(changed),
         }
         return self._result_cache_response(
-            request, program, result, info, lower_seconds, execute_seconds
+            request, program, result, info, lower_seconds, execute_seconds,
+            accumulator, base, changed,
         )
 
     def _workload_shape_for(self, program: ReinsuranceProgram, yet: YearEventTable):
@@ -767,14 +772,22 @@ class RiskService:
         info: dict,
         lower_seconds: float,
         execute_seconds: float,
+        accumulator: ResultAccumulator,
+        sibling: ResultAccumulator | None = None,
+        changed: Sequence[int] = (),
     ) -> AnalysisResponse:
+        """Quote from the entry's metrics memo; ``quoted_rows`` counts the rows
+        this answer computed (a row delta reuses its sibling's other rows)."""
         assert self.result_cache is not None
-        info = dict(info)
+        metrics, quoted_rows = None, 0
+        if request.quote:
+            metrics, quoted_rows = accumulator.risk_metrics(sibling, changed)
+        info = dict(info, quoted_rows=quoted_rows)
         info["stats"] = self.result_cache.stats.to_dict()
         return AnalysisResponse(
             request=request,
             results=(result,),
-            quotes=self._quotes_for(request, [program], [result]),
+            quotes=self._quotes_for(request, [program], [result], [metrics]),
             timings={"lower": lower_seconds, "execute": execute_seconds},
             details={"result_cache": info},
         )

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import BACKEND_NAMES, EngineConfig
+from repro.core.engine import AggregateRiskEngine
 from repro.core.results import PartialResult, ResultAccumulator
 from repro.financial.terms import LayerTerms
 from repro.parallel.partitioner import TrialRange
+from repro.portfolio.pricing import price_program
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service import AnalysisRequest, ResultCache, RiskService
 from repro.service.digests import layer_digest, yet_digest
@@ -115,6 +117,7 @@ class TestResultCacheUnit:
         match = cache.lookup(program_digest="p", config_digest="c", yet=yet)
         assert match.status == "exact"
         assert match.accumulator is accumulator
+        assert not accumulator.partials[0].losses.flags.writeable
         miss = cache.lookup(program_digest="other", config_digest="c", yet=yet)
         assert miss.status == "miss"
         stats = cache.stats
@@ -242,6 +245,7 @@ class TestResultCacheUnit:
         assert reborn.stats.disk_entries == 1
         match = reborn.lookup(program_digest="p", config_digest="c", yet=yet)
         assert match.status == "exact"
+        assert not match.accumulator.partials[0].losses.flags.writeable
         np.testing.assert_array_equal(
             match.accumulator.year_losses(), np.full((2, 4), 4.5)
         )
@@ -576,3 +580,29 @@ class TestServiceResultCache:
             warm = service.submit({"kind": "run", "program": "w", "quote": True})
         assert warm.quotes and len(warm.quotes) == len(cold.quotes)
         assert warm.quotes[0].total_premium == cold.quotes[0].total_premium
+
+    def test_served_blocks_cannot_overwrite_the_cache(self, tiny_workload):
+        # An exact hit (and the miss, whose table is its single block) hands
+        # out the cached arrays themselves; writing through them used to make
+        # every later exact hit serve the written values.
+        config = EngineConfig(backend="vectorized", record_max_occurrence=True)
+        with RiskService(config, result_cache=True) as service:
+            service.register_workload("w", tiny_workload)
+            miss = service.submit({"kind": "run", "program": "w", "quote": True})
+            exact = service.submit({"kind": "run", "program": "w", "quote": True})
+            for served in (miss, exact):
+                ylt = served.result.ylt
+                for block in (ylt.losses, ylt.max_occurrence_losses):
+                    with pytest.raises(ValueError, match="read-only"):
+                        block[:] = 0.0
+            again = service.submit({"kind": "run", "program": "w", "quote": True})
+        assert again.result_cache["status"] == "exact"
+        cold = AggregateRiskEngine(config).run(tiny_workload.program, tiny_workload.yet)
+        np.testing.assert_array_equal(again.result.ylt.losses, cold.ylt.losses)
+        np.testing.assert_array_equal(
+            again.result.ylt.max_occurrence_losses, cold.ylt.max_occurrence_losses
+        )
+        cold_quote = price_program(tiny_workload.program, cold.ylt)
+        assert [p.metrics for p in again.quotes[0].layer_pricings] == [
+            p.metrics for p in cold_quote.layer_pricings
+        ]
