@@ -42,8 +42,10 @@ from repro.service.digests import (
     PLAN_RELEVANT_CONFIG_FIELDS,
     config_digest,
     program_digest,
+    yet_digest,
 )
 from repro.service.response import error_payload
+from repro.yet.io import yet_from_bytes
 from repro.yet.stores import InMemoryYetStore, resolve_yet_ref
 from repro.distributed.protocol import (
     MissingArtifact,
@@ -272,12 +274,7 @@ class FleetWorker:
             raise ValueError("put_program requires a pickled program payload")
         claimed = str(document["digest"])
         program = pickle.loads(payload)
-        actual = program_digest(program)
-        if actual != claimed:
-            raise ValueError(
-                f"program digest mismatch: payload hashes to {actual[:12]}…, "
-                f"request claims {claimed[:12]}…"
-            )
+        _check_digest("program", program_digest(program), claimed)
         with self._state_lock:
             self._programs[claimed] = program
         return {"ok": True, "stored": claimed}
@@ -285,10 +282,12 @@ class FleetWorker:
     def _put_yet(self, document: Mapping[str, Any], payload: bytes | None) -> dict:
         if payload is None:
             raise ValueError("put_yet requires a YET payload")
-        digest = str(document["digest"])
+        claimed = str(document["digest"])
+        yet = yet_from_bytes(payload)
+        _check_digest("YET", yet_digest(yet), claimed)
         with self._state_lock:
-            self._yets.put_bytes(digest, payload)
-        return {"ok": True, "stored": digest}
+            self._yets.put(claimed, yet)
+        return {"ok": True, "stored": claimed}
 
     def _engine_for(self, config: EngineConfig) -> Tuple[AggregateRiskEngine, str]:
         digest = config_digest(config)
@@ -346,6 +345,15 @@ class FleetWorker:
         trial_range = [trials.start, trials.stop]
         reply = {"ok": True, "trials": trial_range, "wall_seconds": result.wall_seconds}
         return {**reply, **provenance}, partial.to_bytes()
+
+
+def _check_digest(kind: str, actual: str, claimed: str) -> None:
+    """Reject a shipped artifact whose content does not hash to its claimed key."""
+    if actual != claimed:
+        raise ValueError(
+            f"{kind} digest mismatch: payload hashes to {actual[:12]}…, "
+            f"request claims {claimed[:12]}…"
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Tuple
 import numpy as np
 
 from repro.utils.arrays import as_float_array, as_int_array, read_only
+from repro.utils.digest import Digested
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.financial.terms import FinancialTerms
@@ -44,7 +45,7 @@ class LossLookup(abc.ABC):
         """Approximate memory footprint of the structure in bytes."""
 
 
-class EventLossTable:
+class EventLossTable(Digested):
     """Canonical ELT: sparse (event id, expected loss) pairs plus terms.
 
     Parameters
@@ -61,7 +62,12 @@ class EventLossTable:
         ``None`` means pass-through terms.
     name:
         Optional human-readable name (e.g. the cedant / exposure-set name).
+
+    The digested attributes (records, catalog size, terms) are read-only, so
+    the stored :attr:`digest` can never go stale; ``name`` is not digested.
     """
+
+    _read_only_state = ("_event_ids", "_losses")
 
     def __init__(
         self,
@@ -71,8 +77,8 @@ class EventLossTable:
         terms: "FinancialTerms | None" = None,
         name: str = "",
     ) -> None:
-        self.event_ids = read_only(as_int_array(np.asarray(list(event_ids) if not isinstance(event_ids, np.ndarray) else event_ids), "event_ids"))
-        self.losses = read_only(as_float_array(np.asarray(list(losses) if not isinstance(losses, np.ndarray) else losses), "losses"))
+        self._event_ids = read_only(as_int_array(np.asarray(list(event_ids) if not isinstance(event_ids, np.ndarray) else event_ids), "event_ids"))
+        self._losses = read_only(as_float_array(np.asarray(list(losses) if not isinstance(losses, np.ndarray) else losses), "losses"))
         if self.event_ids.shape[0] != self.losses.shape[0]:
             raise ValueError(
                 f"event_ids and losses must have equal length, got "
@@ -80,7 +86,7 @@ class EventLossTable:
             )
         if catalog_size <= 0:
             raise ValueError(f"catalog_size must be positive, got {catalog_size}")
-        self.catalog_size = int(catalog_size)
+        self._catalog_size = int(catalog_size)
         if self.event_ids.size:
             if self.event_ids.min() < 0 or self.event_ids.max() >= self.catalog_size:
                 raise ValueError("event ids must lie in [0, catalog_size)")
@@ -95,8 +101,18 @@ class EventLossTable:
             from repro.financial.terms import FinancialTerms  # local import, avoids cycle
 
             terms = FinancialTerms()
-        self.terms = terms
+        self._terms = terms
         self.name = str(name)
+
+    event_ids = property(lambda self: self._event_ids, doc="Event ids (read-only view).")
+    losses = property(lambda self: self._losses, doc="Expected losses (read-only view).")
+    catalog_size = property(lambda self: self._catalog_size, doc="Catalog size.")
+    terms = property(lambda self: self._terms, doc="The ELT financial terms ``I``.")
+
+    def _digest_parts(self) -> tuple:
+        t = self.terms
+        return (b"elt", repr(self.catalog_size).encode(), self.event_ids, self.losses,
+                repr((t.retention, t.limit, t.share, t.fx_rate)).encode())
 
     # ------------------------------------------------------------------ #
     # Container protocol

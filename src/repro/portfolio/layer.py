@@ -15,11 +15,18 @@ from repro.elt.combined import LayerLossMatrix
 from repro.elt.table import EventLossTable
 from repro.financial.contracts import contract_kind
 from repro.financial.terms import LayerTerms
+from repro.utils.digest import Digested
 
 __all__ = ["Layer"]
 
 
-class Layer:
+def terms_bytes(terms: LayerTerms) -> bytes:
+    """The digest framing of one set of layer terms."""
+    return repr((terms.occurrence_retention, terms.occurrence_limit,
+                 terms.aggregate_retention, terms.aggregate_limit)).encode()
+
+
+class Layer(Digested):
     """A reinsurance layer: ELT collection + layer terms.
 
     Parameters
@@ -55,11 +62,15 @@ class Layer:
         self.premium = float(premium)
         self._loss_matrix: LayerLossMatrix | None = None
 
-    # Read-only: the service memoizes a layer's content digest per object
-    # (derive a changed layer with :meth:`with_terms`).
+    # Read-only: the layer stores its content digest on first read (derive a
+    # changed layer with :meth:`with_terms`).
     elts = property(lambda self: self._elts, doc="The ELTs the layer covers.")
     terms = property(lambda self: self._terms, doc="The layer terms ``T``.")
     name = property(lambda self: self._name, doc="Human-readable contract name.")
+
+    def _digest_parts(self) -> tuple:
+        return (b"layer", self.name.encode(), terms_bytes(self.terms),
+                *(elt.digest.encode() for elt in self.elts))
 
     # ------------------------------------------------------------------ #
     # Shape accessors

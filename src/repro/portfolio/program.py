@@ -11,11 +11,12 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Sequence
 
 from repro.portfolio.layer import Layer
+from repro.utils.digest import Digested
 
 __all__ = ["ReinsuranceProgram"]
 
 
-class ReinsuranceProgram:
+class ReinsuranceProgram(Digested):
     """An ordered, named collection of :class:`~repro.portfolio.layer.Layer`."""
 
     def __init__(self, layers: Sequence[Layer], name: str = "program") -> None:
@@ -30,9 +31,13 @@ class ReinsuranceProgram:
         self._layers: tuple[Layer, ...] = tuple(layers)
         self._name = str(name)
 
-    # Read-only: the service memoizes a program's content digest per object.
+    # Read-only: the program stores its content digest on first read.
     layers = property(lambda self: self._layers, doc="The layers, in program order.")
     name = property(lambda self: self._name, doc="Program name.")
+
+    def _digest_parts(self) -> tuple:
+        return (b"program", self.name.encode(),
+                *(layer.digest.encode() for layer in self.layers))
 
     @classmethod
     def wrap(cls, program_or_layer: "ReinsuranceProgram | Layer") -> "ReinsuranceProgram":

@@ -234,13 +234,16 @@ class RiskService:
     # Artifact registry
     # ------------------------------------------------------------------ #
     def register_program(self, name: str, program: ReinsuranceProgram | Layer) -> None:
-        """Register a program under ``name`` for requests to reference."""
+        """Register a program under ``name``; hashes it here, at ingest, so
+        no request against it hashes its ELT records."""
         wrapped = ReinsuranceProgram.wrap(program)
+        program_digest(wrapped)
         with self._registry_lock:
             self._programs[str(name)] = wrapped
 
     def register_yet(self, name: str, yet: YearEventTable) -> None:
-        """Register a Year Event Table under ``name``."""
+        """Register a Year Event Table under ``name`` (digested at ingest)."""
+        yet_digest(yet)
         with self._registry_lock:
             self._yets[str(name)] = yet
 
@@ -283,7 +286,9 @@ class RiskService:
                 spec = preset(name)
                 if seed is not None:
                     spec = spec.scaled(seed=seed)
-                self._preset_workloads[key] = WorkloadGenerator(spec).generate()
+                workload = WorkloadGenerator(spec).generate()
+                program_digest(workload.program), yet_digest(workload.yet)  # at ingest
+                self._preset_workloads[key] = workload
                 while len(self._preset_workloads) > self._max_preset_workloads:
                     self._preset_workloads.popitem(last=False)
             self._preset_workloads.move_to_end(key)

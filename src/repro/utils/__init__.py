@@ -8,7 +8,9 @@ other subpackage:
 * :mod:`repro.utils.validation` — argument validation helpers with consistent
   error messages,
 * :mod:`repro.utils.arrays` — NumPy array helpers (segment reductions,
-  flattened ragged-array views) used by the vectorized engine backends.
+  flattened ragged-array views) used by the vectorized engine backends,
+* :mod:`repro.utils.digest` — the framed SHA-256 content digest the
+  immutable tables, layers and programs carry.
 """
 
 from repro.utils.arrays import (

@@ -17,11 +17,12 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from repro.utils.arrays import read_only, segment_lengths, validate_offsets
+from repro.utils.digest import Digested, hexdigest
 
 __all__ = ["YearEventTable"]
 
 
-class YearEventTable:
+class YearEventTable(Digested):
     """Flattened, trial-indexed table of pre-simulated event occurrences.
 
     Parameters
@@ -37,7 +38,12 @@ class YearEventTable:
         some workloads only need the event sequence.
     catalog_size:
         Size of the catalog the event ids refer to.
+
+    The columns and the catalog size are read-only, so the stored
+    :attr:`digest` (and every :meth:`prefix_digest`) can never go stale.
     """
+
+    _read_only_state = ("_event_ids", "_trial_offsets", "_timestamps")
 
     def __init__(
         self,
@@ -46,21 +52,21 @@ class YearEventTable:
         catalog_size: int,
         timestamps: np.ndarray | None = None,
     ) -> None:
-        self.event_ids = read_only(np.ascontiguousarray(event_ids, dtype=np.int64))
+        self._event_ids = read_only(np.ascontiguousarray(event_ids, dtype=np.int64))
         if self.event_ids.ndim != 1:
             raise ValueError("event_ids must be one-dimensional")
-        self.trial_offsets = read_only(validate_offsets(
+        self._trial_offsets = read_only(validate_offsets(
             np.asarray(trial_offsets), self.event_ids.shape[0], "trial_offsets"))
         if catalog_size <= 0:
             raise ValueError(f"catalog_size must be positive, got {catalog_size}")
-        self.catalog_size = int(catalog_size)
+        self._catalog_size = int(catalog_size)
         if self.event_ids.size and (
             self.event_ids.min() < 0 or self.event_ids.max() >= self.catalog_size
         ):
             raise ValueError("event ids must lie in [0, catalog_size)")
 
         if timestamps is None:
-            self.timestamps = None
+            self._timestamps = None
         else:
             ts = np.ascontiguousarray(timestamps, dtype=np.float64)
             if ts.shape != self.event_ids.shape:
@@ -70,7 +76,55 @@ class YearEventTable:
                 )
             if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
                 raise ValueError("timestamps must lie in [0, 1]")
-            self.timestamps = read_only(ts)
+            self._timestamps = read_only(ts)
+
+    event_ids = property(lambda self: self._event_ids, doc="Event ids (read-only view).")
+    trial_offsets = property(lambda self: self._trial_offsets, doc="CSR trial offsets.")
+    timestamps = property(lambda self: self._timestamps, doc="Occurrence times or ``None``.")
+    catalog_size = property(lambda self: self._catalog_size, doc="Catalog size.")
+
+    # ------------------------------------------------------------------ #
+    # Content digests
+    # ------------------------------------------------------------------ #
+    def _digest_parts(self, n_trials: int | None = None) -> tuple:
+        """The framed parts of the digest of the first ``n_trials`` trials.
+
+        Covers *every* field of the table: the trial count, the catalog size
+        (two YETs sharing events but indexing catalogs of different width
+        must never share a key) and the timestamps — both their presence and
+        their bytes — alongside the event ids and offsets.  A prefix keeps
+        its offsets verbatim (they already start at 0), so every part is a
+        view.
+        """
+        n = self.n_trials if n_trials is None else int(n_trials)
+        stop = int(self.trial_offsets[n])
+        ts = self.timestamps
+        return (
+            b"yet",
+            repr(n).encode(),
+            repr(self.catalog_size).encode(),
+            self.event_ids[:stop],
+            self.trial_offsets[: n + 1],
+            b"ts" if ts is not None else b"no-ts",
+            ts[:stop] if ts is not None else b"",
+        )
+
+    def prefix_digest(self, n_trials: int) -> str:
+        """Digest of the first ``n_trials`` trials, kept per length.
+
+        Equals ``self.slice_trials(0, n_trials).digest`` without
+        materialising the slice.  The result cache recognises an
+        **append-trials delta** by it: a submitted YET whose first ``n``
+        trials are byte-identical to a YET it already holds results for.
+        """
+        if not 0 <= n_trials <= self.n_trials:
+            raise ValueError(f"prefix length {n_trials} outside [0, {self.n_trials}]")
+        if n_trials == self.n_trials:
+            return self.digest
+        prefixes = self.__dict__.setdefault("_digest_prefixes", {})
+        if n_trials not in prefixes:
+            prefixes[n_trials] = hexdigest(self._digest_parts(n_trials))
+        return prefixes[n_trials]
 
     # ------------------------------------------------------------------ #
     # Shape accessors

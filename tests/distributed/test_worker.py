@@ -18,7 +18,9 @@ from repro.core.engine import AggregateRiskEngine
 from repro.distributed import FleetWorker, MissingArtifact, WorkerError
 from repro.distributed.fleet import WorkerClient, probe_worker
 from repro.parallel.partitioner import TrialRange
+from repro.portfolio.program import ReinsuranceProgram
 from repro.service.digests import plan_relevant_config, program_digest, yet_digest
+from repro.utils import digest as digest_module
 from repro.yet.io import yet_to_bytes
 
 
@@ -73,6 +75,30 @@ class TestArtifactShipping:
         payload = pickle.dumps(tiny_workload.program)
         with pytest.raises(WorkerError, match="digest mismatch"):
             client.put_program("0" * 64, payload)
+
+    def test_put_yet_digest_mismatch_rejected(self, client, tiny_workload):
+        with pytest.raises(WorkerError, match="YET digest mismatch"):
+            client.put_yet("0" * 64, yet_to_bytes(tiny_workload.yet))
+
+    def test_put_program_reframes_every_elt(self, worker, tiny_workload, monkeypatch):
+        """A pickled program carries no stored digest: the worker re-hashes it all."""
+        # Own name: the module's worker must not hold the shared workload's key.
+        program = ReinsuranceProgram(tiny_workload.program.layers, name="reframed")
+        claimed = program_digest(program)  # stored on the sender's objects
+        framed = []
+        real = digest_module.hexdigest
+
+        def spy(parts):
+            parts = tuple(parts)
+            framed.append(parts[0])
+            return real(parts)
+
+        monkeypatch.setattr(digest_module, "hexdigest", spy)
+        reply = worker._put_program({"digest": claimed}, pickle.dumps(program))
+        assert reply["stored"] == claimed
+        assert framed.count(b"elt") == sum(layer.n_elts for layer in program)
+        assert framed.count(b"layer") == program.n_layers
+        assert framed.count(b"program") == 1
 
     def test_run_shard_before_shipping_names_what_is_missing(
         self, client, tiny_workload

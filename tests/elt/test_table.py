@@ -1,5 +1,8 @@
 """Tests for repro.elt.table (the canonical EventLossTable)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -91,3 +94,27 @@ class TestEventLossTableViews:
         terms = FinancialTerms(retention=5.0)
         elt = make_elt(terms=terms).sorted_copy()
         assert elt.terms.retention == 5.0
+
+
+class TestEventLossTableDigest:
+    def test_digest_is_stored_on_first_read(self):
+        elt = make_elt()
+        assert elt._digest is None
+        assert elt.digest is elt.digest
+        assert elt.digest == make_elt(name="other").digest  # the name is not digested
+
+    @pytest.mark.parametrize("restore", [
+        lambda elt: pickle.loads(pickle.dumps(elt)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_restored_table_is_read_only_and_rehashes(self, restore):
+        elt = make_elt(terms=FinancialTerms(retention=5.0))
+        digest = elt.digest
+        clone = restore(elt)
+        assert "_digest" not in clone.__dict__  # the copy never vouches for itself
+        assert not clone.event_ids.flags.writeable
+        assert not clone.losses.flags.writeable
+        np.testing.assert_array_equal(clone.losses, elt.losses)
+        assert clone.terms == elt.terms and clone.name == elt.name
+        assert clone.digest == digest

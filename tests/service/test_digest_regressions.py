@@ -39,6 +39,7 @@ from repro.service.digests import (
     yet_digest,
     yet_prefix_digest,
 )
+from repro.utils import digest as digest_module
 from repro.yet.io import YetShardReader, save_yet_store, shard_count_for_budget
 from repro.yet.table import YearEventTable
 
@@ -184,37 +185,47 @@ class TestDigestValuesArePinned:
 
 
 class TestWarmRequestsFrameNothing:
-    """Layer and program digests are memoised per object, like ELTs and YETs."""
+    """Tables, layers and programs are hashed at ingest, never per request."""
 
     def test_second_submit_reframes_no_digest(self, tiny_workload, monkeypatch):
-        # Fresh objects: the session-scoped workload may already be memoised.
+        # Fresh objects: the session-scoped workload may already be digested.
+        elts = [EventLossTable(elt.event_ids, elt.losses, elt.catalog_size, elt.terms)
+                for layer in tiny_workload.program for elt in layer.elts]
         program = ReinsuranceProgram(
-            [Layer(layer.elts, layer.terms, name=layer.name) for layer in tiny_workload.program],
+            [Layer(elts[:2], LayerTerms(), name="a"), Layer(elts[2:], LayerTerms(), name="b")],
             name="fresh",
         )
+        yet = tiny_workload.yet
+        yet = YearEventTable(yet.event_ids, yet.trial_offsets, yet.catalog_size, yet.timestamps)
         service = RiskService(result_cache=True)
-        service.register_program("book", program)
-        service.register_yet("yet", tiny_workload.yet)
         request = {"kind": "run", "program": "book", "yet": "yet", "quote": True}
 
         framed = []
-        real = digests._hexdigest
+        real = digest_module.hexdigest
 
         def spy(parts):
             parts = tuple(parts)
             framed.append(parts[0])
             return real(parts)
 
+        monkeypatch.setattr(digest_module, "hexdigest", spy)
         monkeypatch.setattr(digests, "_hexdigest", spy)
         try:
+            service.register_program("book", program)
+            service.register_yet("yet", yet)
+            assert framed.count(b"elt") == len(elts)
+            assert framed.count(b"layer") == 2 and framed.count(b"program") == 1
+            assert framed.count(b"yet") == 1
+            del framed[:]
             first = service.submit(dict(request))
-            assert b"layer" in framed and b"program" in framed  # the spy sees framing
+            assert set(framed) <= {b"terms"}  # the cold quote hashes no table
             del framed[:]
             second = service.submit(dict(request))
         finally:
             service.close()
+        assert first.result_cache["status"] == "miss"
         assert second.result_cache["status"] == "exact"
-        assert not {b"elt", b"yet", b"layer", b"program", b"config"} & set(framed)
+        assert framed == []
         assert np.array_equal(first.result.ylt.losses, second.result.ylt.losses)
 
     def test_memoised_digest_is_the_content_digest(self, tiny_workload):
@@ -227,15 +238,25 @@ class TestWarmRequestsFrameNothing:
             ReinsuranceProgram([twin], name="b"))
 
     def test_digested_attributes_are_read_only(self, tiny_workload):
-        """What makes the memo sound: nothing digested can be reassigned."""
-        program = tiny_workload.program
+        """What keeps a stored digest sound: nothing digested can be rebound."""
+        program, yet = tiny_workload.program, tiny_workload.yet
         layer = program.layers[0]
+        elt = layer.elts[0]
         for owner, attribute, value in (
             (layer, "terms", LayerTerms()),
             (layer, "elts", layer.elts[:1]),
             (layer, "name", "renamed"),
             (program, "layers", program.layers[:1]),
             (program, "name", "renamed"),
+            (elt, "event_ids", elt.event_ids.copy()),
+            (elt, "losses", elt.losses * 2),
+            (elt, "catalog_size", elt.catalog_size + 1),
+            (elt, "terms", FinancialTerms(retention=1.0)),
+            (yet, "event_ids", yet.event_ids.copy()),
+            (yet, "trial_offsets", yet.trial_offsets.copy()),
+            (yet, "timestamps", None),
+            (yet, "catalog_size", yet.catalog_size + 1),
+            *((owner, "digest", "0" * 64) for owner in (elt, yet, layer, program)),
         ):
             with pytest.raises(AttributeError):
                 setattr(owner, attribute, value)

@@ -1,5 +1,8 @@
 """Tests for repro.yet.table (the Year Event Table container)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -89,3 +92,32 @@ class TestSlicing:
 
     def test_memory_bytes_positive(self):
         assert make_yet().memory_bytes > 0
+
+
+class TestDigest:
+    def test_digest_and_prefixes_are_stored(self):
+        yet = make_yet()
+        assert yet.digest is yet.digest
+        assert yet.prefix_digest(2) is yet.prefix_digest(2)
+        assert yet.prefix_digest(2) == yet.slice_trials(0, 2).digest
+        assert yet.prefix_digest(yet.n_trials) == yet.digest
+
+    @pytest.mark.parametrize("timestamps", [True, False])
+    @pytest.mark.parametrize("restore", [
+        lambda yet: pickle.loads(pickle.dumps(yet)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_restored_table_is_read_only_and_rehashes(self, restore, timestamps):
+        yet = make_yet()
+        if not timestamps:
+            yet = YearEventTable(yet.event_ids, yet.trial_offsets, yet.catalog_size)
+        digest, prefix = yet.digest, yet.prefix_digest(2)
+        clone = restore(yet)
+        assert not {"_digest", "_digest_prefixes"} & set(clone.__dict__)
+        columns = [clone.event_ids, clone.trial_offsets]
+        if timestamps:
+            columns.append(clone.timestamps)
+        else:
+            assert clone.timestamps is None
+        assert not any(column.flags.writeable for column in columns)
+        assert clone.digest == digest and clone.prefix_digest(2) == prefix
