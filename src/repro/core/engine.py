@@ -192,6 +192,7 @@ class AggregateRiskEngine:
         n_shards: int = 0,
         timeout: float = 120.0,
         on_partial=None,
+        trials=None,
     ) -> EngineResult:
         """Price a program across a fleet of socket workers; exact merge.
 
@@ -209,12 +210,17 @@ class AggregateRiskEngine:
         processes.  ``source`` is an in-memory YET (shipped once per
         worker, digest-cached there) or a
         :class:`~repro.yet.io.YetShardReader` over a store directory every
-        worker can reach.  See :mod:`repro.distributed` for the protocol.
+        worker can reach.  ``trials`` (a
+        :class:`~repro.parallel.partitioner.TrialRange`) prices only that
+        range, e.g. the trials appended to a YET whose prefix is already
+        priced.  See :mod:`repro.distributed` for the protocol.
         """
         from repro.distributed.fleet import FleetEngine
 
         with FleetEngine(workers, config=self.config, timeout=timeout) as fleet:
-            return fleet.run(program, source, n_shards=n_shards, on_partial=on_partial)
+            return fleet.run(
+                program, source, n_shards=n_shards, on_partial=on_partial, trials=trials
+            )
 
     # ------------------------------------------------------------------ #
     # Warm-engine lifecycle (used by the RiskService)

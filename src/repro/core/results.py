@@ -568,6 +568,32 @@ class ResultAccumulator:
             extended.add(partial)
         return extended
 
+    def with_rows(self, rows: Sequence[int], result: EngineResult) -> "ResultAccumulator":
+        """A new complete accumulator: ``result``'s layer rows placed at ``rows``.
+
+        Row placement, the companion of :meth:`extended`'s column placement:
+        every kernel path computes its rows independently, so re-pricing a
+        program's changed layers over every trial and placing them over a
+        cached run reproduces a cold run bit for bit.  Both sides must agree
+        on carrying maximum-occurrence losses.
+        """
+        rows = list(rows)
+        occ, delta_occ = self.max_occurrence_losses(), result.ylt.max_occurrence_losses
+        if (occ is None) != (delta_occ is None):
+            raise ValueError("cannot place rows that disagree on maximum occurrence losses")
+        losses = self.year_losses().copy()  # may be the single cached block itself
+        losses[rows] = result.ylt.losses
+        if occ is not None:
+            occ = occ.copy()
+            occ[rows] = delta_occ
+        names = None
+        if self.row_names is not None:
+            names = list(self.row_names)
+            for row, name in zip(rows, result.ylt.layer_names):
+                names[row] = name
+        merged = ResultAccumulator(self.n_rows, self.trials, row_names=names)
+        return merged.add(PartialResult(self.trials, losses, occ))
+
     # ------------------------------------------------------------------ #
     # Coverage
     # ------------------------------------------------------------------ #

@@ -219,6 +219,7 @@ class FleetEngine:
         source: YearEventTable | YetShardReader,
         n_shards: int = 0,
         on_partial: Callable[[PartialResult], None] | None = None,
+        trials: TrialRange | None = None,
     ) -> EngineResult:
         """Price ``program`` over ``source`` on the fleet; exact merge.
 
@@ -229,12 +230,17 @@ class FleetEngine:
         shard).  ``n_shards`` defaults to two shards per worker (work
         stealing needs more shards than workers), or the config's
         ``trial_shards`` when larger.  ``on_partial`` is called on the
-        calling thread after each block is accumulated.
+        calling thread after each block is accumulated.  ``trials`` prices
+        only that (globally indexed) range, as one block: the result holds
+        its columns, as a :meth:`~repro.core.plan.ExecutionPlan.restrict`
+        child's does.
         """
         program = ReinsuranceProgram.wrap(program)
         run = _FleetRun(self._clients, program, source, self.config, on_partial)
         count = n_shards or max(self.config.trial_shards, 2 * len(self._clients))
         plan = PlanBuilder.from_program(program, source, n_shards=count)
+        if trials is not None:
+            plan = plan.restrict(trials)
         return run_plan(plan, self.config, _FleetPricer(self.config, run))
 
 

@@ -112,10 +112,8 @@ def yet_prefix_digest(yet: YearEventTable, n_trials: int) -> str:
 def stack_digest(stack: np.ndarray) -> str:
     """Content digest of a precomputed loss stack.
 
-    Hashed per request: ``register_stack`` keeps the caller's writeable
-    array, so nothing stored could vouch for its bytes, and hashing even a
-    wide stack is milliseconds — negligible next to the kernel pass it
-    guards.
+    Hashed once, at ``register_stack``, over the read-only copy the
+    service keeps, so no request re-hashes it.
     """
     return array_digest(stack)
 

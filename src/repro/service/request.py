@@ -123,8 +123,9 @@ class AnalysisRequest:
         processes) to distribute a ``run`` request across.  The shard
         merge is bit-identical to the local run; ``shards`` sets the fleet
         shard count (``0`` = two shards per worker).  Empty (the default)
-        executes locally.  Distributed requests bypass the local plan and
-        result caches — the warm state lives on the workers.
+        executes locally.  The result cache answers fleet requests as it
+        does local ones; only the residual it cannot answer is sent to the
+        workers, where the lowered plans stay warm.
     tags:
         Free-form client metadata echoed back on the response.
     """

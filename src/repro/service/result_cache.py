@@ -19,16 +19,23 @@ exact by construction:
   :func:`~repro.service.digests.yet_prefix_digest`) re-prices only the
   appended trial range: the cached accumulator is
   :meth:`~repro.core.results.ResultAccumulator.extended` over the new
-  domain, its ``missing_ranges()`` are priced through
-  :meth:`~repro.core.plan.ExecutionPlan.restrict`, and the merge is
+  domain, its ``missing_ranges()`` are priced, and the merge is
   bit-identical to a cold monolithic run because per-trial reductions are
   trial-local;
 * **single-layer delta** — a program differing from a cached sibling in a
   strict subset of its per-layer digests re-prices only the changed stack
-  rows and composes them over the cached block (rows are computed
-  independently by every kernel path, so the composition is bit-identical
-  to a cold run of the full program); its quote computes metrics for just
-  those rows and copies the rest from the sibling's memo.
+  rows and places them over the cached block
+  (:meth:`~repro.core.results.ResultAccumulator.with_rows`; rows are
+  computed independently by every kernel path, so the composition is
+  bit-identical to a cold run of the full program); its quote computes
+  metrics for just those rows and copies the rest from the sibling's memo.
+
+:meth:`ResultCache.lookup` only matches: it returns a
+:class:`ResultCacheMatch` (the seed accumulator and what is left to price)
+and prices nothing.  The service prices that residual — on its engine or on
+a fleet, the cache cannot tell — merges it, and stores the merged entry with
+:meth:`ResultCache.store`.  Returning a match rather than a residual plan
+keeps an exact hit free of any plan lookup.
 
 The cache is **tiered**: a bounded in-process LRU of live accumulators (their
 blocks made read-only) in front of an optional on-disk store of serialized
@@ -149,7 +156,9 @@ class _EntryMeta:
 
 @dataclass(frozen=True)
 class ResultCacheMatch:
-    """Outcome of one :meth:`ResultCache.lookup`.
+    """Outcome of one :meth:`ResultCache.lookup`: the seed accumulator and
+    what is left to price — nothing, its ``missing_ranges()``, or the
+    ``changed_rows``.  The service prices that residual and merges it.
 
     Attributes
     ----------

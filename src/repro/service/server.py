@@ -6,14 +6,14 @@ form — an asyncio TCP server speaking the same NDJSON protocol (plus a
 minimal HTTP shim) that splits :meth:`RiskService.submit` at its natural
 seam:
 
-* the **CPU-light half** — validation, artifact resolution, the
-  content-addressed plan-cache lookup — runs on the event loop via
-  :meth:`RiskService.prepare` (microseconds warm, and the per-key build
-  locks make concurrent cold misses safe);
-* the **CPU-heavy half** — the kernel pass over the warm shared-memory
-  workspaces — is dispatched to a bounded :class:`ThreadPoolExecutor`
-  (``max_inflight`` workers) via :meth:`PreparedSubmission.execute`.
-  The numpy gather/reduce kernels release the GIL, so executions overlap.
+* **validation** runs on the event loop via :meth:`RiskService.prepare`
+  (microseconds), so a malformed document is answered without a pool slot;
+* **everything else** — artifact resolution, the cache lookups, the kernel
+  pass over the warm shared-memory workspaces — is dispatched to a bounded
+  :class:`ThreadPoolExecutor` (``max_inflight`` workers) via
+  :meth:`PreparedSubmission.execute`.  The per-key build locks make
+  concurrent cold misses safe, and the numpy gather/reduce kernels release
+  the GIL, so executions overlap.
 
 Admission control is a simple counted queue: at most ``max_inflight``
 requests executing plus ``queue_depth`` waiting.  A request beyond that is

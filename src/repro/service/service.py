@@ -24,7 +24,10 @@ requests:
   kernel pass entirely, a YET extended by appended trials re-prices only
   the appended range, and a program differing in a subset of its layers
   re-prices only the changed stack rows — each served result bit-identical
-  to the cold monolithic run by the partial-result merge algebra.
+  to the cold monolithic run by the partial-result merge algebra.  Every
+  ``run``, local or on a fleet of workers, takes one path: look up, price
+  the residual the cache cannot answer, merge, store
+  (:meth:`RiskService._handle_run`).
 
 Example::
 
@@ -56,9 +59,9 @@ import numpy as np
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder
-from repro.core.results import EngineResult, PartialResult, ResultAccumulator
+from repro.core.results import EngineResult, ResultAccumulator
 from repro.financial.terms import LayerTerms
-from repro.parallel.partitioner import TrialRange, WorkloadShape
+from repro.parallel.partitioner import WorkloadShape
 from repro.portfolio.layer import Layer
 from repro.portfolio.pricing import ProgramQuote, price_program
 from repro.portfolio.program import ReinsuranceProgram
@@ -73,7 +76,8 @@ from repro.service.digests import (
 )
 from repro.service.request import AnalysisRequest, RequestValidationError
 from repro.service.response import AnalysisResponse, CacheInfo
-from repro.service.result_cache import ResultCache, ResultCacheMatch, ResultCacheStats
+from repro.service.result_cache import ResultCache, ResultCacheStats
+from repro.utils.arrays import read_only
 from repro.yet.table import YearEventTable
 
 __all__ = ["PreparedSubmission", "RiskService", "candidate_variants"]
@@ -113,21 +117,23 @@ def candidate_variants(
 
 @dataclass(frozen=True)
 class _StackEntry:
-    """A registered precomputed stack: rows + per-row terms (+ names)."""
+    """A registered precomputed stack: a read-only copy of the rows, per-row
+    terms (+ names), and the (stack, terms) digests taken at registration."""
 
     stack: np.ndarray
+    digests: tuple[str, str]
     terms: tuple[LayerTerms, ...]
     row_names: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class PreparedSubmission:
-    """A request split at its natural serving seam.
+    """A validated request whose work is deferred.
 
-    :meth:`RiskService.prepare` runs the CPU-light half — validation,
-    artifact resolution, plan-cache lookup — on the calling thread (the
-    serving event loop) and returns this handle; :meth:`execute` runs the
-    CPU-heavy kernel pass and is safe to dispatch to a worker thread.
+    :meth:`RiskService.prepare` validates on the calling thread (the
+    serving event loop) and returns this handle; :meth:`execute` does the
+    rest — resolution, cache lookups, pricing — and is safe to dispatch to
+    a worker thread.
     """
 
     request: AnalysisRequest
@@ -254,11 +260,15 @@ class RiskService:
         terms: Sequence[LayerTerms],
         row_names: Sequence[str] | None = None,
     ) -> None:
-        """Register a precomputed term-netted stack for ``run_stacked``."""
-        stack = np.ascontiguousarray(stack, dtype=np.float64)
+        """Register a precomputed term-netted stack for ``run_stacked``: a
+        read-only copy, digested here, so a later write to the caller's array
+        changes no answer and no request re-hashes the stack or its terms."""
+        stack = read_only(np.array(stack, dtype=np.float64, order="C"))
+        terms = tuple(terms)
         entry = _StackEntry(
             stack=stack,
-            terms=tuple(terms),
+            digests=(stack_digest(stack), terms_digest(terms)),
+            terms=terms,
             row_names=tuple(str(n) for n in row_names) if row_names is not None else None,
         )
         with self._registry_lock:
@@ -395,20 +405,15 @@ class RiskService:
     def prepare(
         self, request: AnalysisRequest | Mapping[str, Any] | str
     ) -> PreparedSubmission:
-        """Split a submission into its CPU-light and CPU-heavy halves.
+        """Validate a submission now; defer everything else to ``execute``.
 
-        Validation, artifact resolution and the plan-cache lookup happen on
-        the calling thread before this returns; the returned handle's
-        :meth:`~PreparedSubmission.execute` runs the kernel pass (and, for
-        the plain ``run`` kind, nothing else that touches the registries).
-        The asyncio server keeps the light half on the event loop and ships
-        ``execute`` to its executor pool.
-
-        For kinds other than plain ``run`` (and for the result-cache path,
-        whose delta lookups interleave with execution) the whole handler is
-        deferred into ``execute``; every handler is thread-safe behind the
-        registry/plan-cache/result-cache locks, so this is a scheduling
-        distinction, not a correctness one.
+        Parsing and validation run on the calling thread, so a malformed
+        document fails before anything is scheduled.  The returned handle's
+        :meth:`~PreparedSubmission.execute` resolves the artifacts, consults
+        the caches and prices — the same for every kind.  The asyncio
+        server validates on its event loop and ships ``execute`` to its
+        executor pool; every handler is thread-safe behind the registry,
+        plan-cache and result-cache locks.
         """
         if isinstance(request, str):
             request = AnalysisRequest.from_json(request)
@@ -419,35 +424,6 @@ class RiskService:
 
         started = time.perf_counter()
         acct = _CacheAccounting()
-
-        if request.kind == "run" and not request.workers and not (
-            self.result_cache is not None and request.result_cache
-        ):
-            req = request
-            program, companion = self._resolve_program(req.program, req.seed)
-            yet = self._resolve_yet(req, companion)
-            key = self._program_key("run", [program], yet, req.shards)
-            plan, lower_seconds = self._cached_plan(
-                key,
-                lambda: PlanBuilder.from_program(program, yet, n_shards=req.shards),
-                acct,
-                key[1][0][:12],
-            )
-
-            def execute_run() -> AnalysisResponse:
-                executed = time.perf_counter()
-                result = self.engine.run_plan(plan)
-                execute_seconds = time.perf_counter() - executed
-                response = AnalysisResponse(
-                    request=req,
-                    results=(result,),
-                    quotes=self._quotes_for(req, [program], [result]),
-                    timings={"lower": lower_seconds, "execute": execute_seconds},
-                )
-                return self._finalize(req, response, acct, started)
-
-            return PreparedSubmission(request=req, _execute=execute_run)
-
         handler = {
             "run": self._handle_run,
             "run_many": self._handle_run_many,
@@ -455,12 +431,11 @@ class RiskService:
             "sweep": self._handle_sweep,
             "uncertainty": self._handle_uncertainty,
         }[request.kind]
-        req = request
 
-        def execute_deferred() -> AnalysisResponse:
-            return self._finalize(req, handler(req, acct), acct, started)
+        def execute() -> AnalysisResponse:
+            return self._finalize(request, handler(request, acct), acct, started)
 
-        return PreparedSubmission(request=req, _execute=execute_deferred)
+        return PreparedSubmission(request=request, _execute=execute)
 
     def _finalize(
         self,
@@ -516,285 +491,120 @@ class RiskService:
     def _handle_run(
         self, request: AnalysisRequest, acct: _CacheAccounting
     ) -> AnalysisResponse:
+        """The one ``run`` path: look up, price the residual, merge, store.
+
+        The result cache answers what it can (an exact repeat, a trial
+        prefix, or every row but the changed ones); only the residual is
+        priced — on the warm engine through the plan cache, or on the
+        request's fleet — and merged over the cached blocks by column or
+        row placement, bit-identical to a cold run of the whole program.
+        """
         program, companion = self._resolve_program(request.program, request.seed)
         yet = self._resolve_yet(request, companion)
-        if request.workers:
-            # Fleet execution: the shards are lowered and cached on the
-            # workers (digest-keyed), so the local plan and result caches
-            # are deliberately bypassed — the merged result is bit-identical
-            # to the local run either way.
-            executed = time.perf_counter()
-            result = self.engine.run_distributed(
-                program, yet, workers=request.workers, n_shards=request.shards
-            )
-            execute_seconds = time.perf_counter() - executed
-            return AnalysisResponse(
-                request=request,
-                results=(result,),
-                quotes=self._quotes_for(request, [program], [result]),
-                timings={"lower": 0.0, "execute": execute_seconds},
-                details={"fleet": dict(result.details.get("fleet", {}))},
-            )
-        # prepare() serves every other plain run; what reaches here uses the
-        # result cache.
         key = self._program_key("run", [program], yet, request.shards)
-        return self._run_with_result_cache(request, program, yet, key, acct)
+        cache = self.result_cache if request.result_cache else None
 
-    # ------------------------------------------------------------------ #
-    # Result-cache serving (the exact/append/row delta paths of `run`)
-    # ------------------------------------------------------------------ #
-    def _run_with_result_cache(
-        self,
-        request: AnalysisRequest,
-        program: ReinsuranceProgram,
-        yet: YearEventTable,
-        plan_key: tuple,
-        acct: _CacheAccounting,
-    ) -> AnalysisResponse:
-        cache = self.result_cache
-        assert cache is not None
-        started = time.perf_counter()
-        pdig, ydig = plan_key[1][0], plan_key[2]
-        # request.shards is scheduling, not semantics (merged results are
-        # bit-identical for every shard count), but folding it into the
-        # config component keeps entries one-to-one with plan-cache keys.
-        rc_config = f"{plan_key[3]}|shards={request.shards}"
-        row_digests = tuple(layer_digest(layer) for layer in program.layers)
-        match = cache.lookup(
-            program_digest=pdig,
-            config_digest=rc_config,
-            yet=yet,
-            row_digests=row_digests,
-        )
+        # Look up, and decide the residual: the part the cache cannot answer.
+        info, seed, changed = {}, None, []
+        residual, ranges = program, [None]  # None: every trial
+        if cache is not None:
+            # request.shards is scheduling, not semantics (merged results
+            # are bit-identical for every shard count), but folding it into
+            # the config component keeps entries one-to-one with plan keys.
+            rc_config = f"{key[3]}|shards={request.shards}"
+            row_digests = tuple(layer_digest(layer) for layer in program.layers)
+            match = cache.lookup(
+                program_digest=key[1][0], config_digest=rc_config, yet=yet,
+                row_digests=row_digests,
+            )
+            info, seed = {"status": match.status}, match.accumulator
+            if match.status == "exact":
+                ranges, info["repriced_trials"] = [], 0
+            elif match.status == "append":
+                ranges = seed.missing_ranges()
+                repriced = sum(gap.size for gap in ranges)
+                info.update(repriced_trials=repriced, cached_trials=yet.n_trials - repriced)
+            elif match.status == "rows" and self.engine.config.record_max_occurrence != all(
+                partial.max_occurrence is not None for partial in seed.partials
+            ):
+                # The sibling and a delta run would disagree on carrying
+                # max-occurrence losses (e.g. the sibling predates occurrence
+                # tracking), so no composition can equal a cold run.
+                info, seed = {"status": "rows_fallback", "reason": "occurrence_mismatch"}, None
+            elif match.status == "rows":
+                changed = list(match.changed_rows)
+                residual = program.subset(changed)
+                info.update(repriced_rows=changed, cached_rows=program.n_layers - len(changed))
 
-        if match.status == "exact":
-            result = match.accumulator.finalize(
-                self.engine.backend_name,
-                wall_seconds=0.0,
-                workload_shape=self._workload_shape_for(program, yet),
-                details={"result_cache": {"status": "exact"}},
+        # Price the residual; only this step knows which executor runs it.
+        lower_seconds = 0.0
+        if ranges and not request.workers:
+            sub_key = key if residual is program else self._program_key(
+                "run", [residual], yet, request.shards
             )
-            info = {"status": "exact", "repriced_trials": 0}
-            return self._result_cache_response(
-                request, program, result, info, time.perf_counter() - started, 0.0,
-                match.accumulator,
+            plan, lower_seconds = self._cached_plan(
+                sub_key,
+                lambda: PlanBuilder.from_program(residual, yet, n_shards=request.shards),
+                acct,
+                sub_key[1][0][:12],
             )
-        if match.status == "append":
-            return self._serve_append_delta(
-                request, program, yet, plan_key, acct, match, rc_config, row_digests
-            )
-        if match.status == "rows":
-            return self._serve_row_delta(
-                request, program, yet, plan_key, acct, match, rc_config, row_digests
-            )
-
-        return self._run_full_and_store(
-            request, program, yet, plan_key, acct, rc_config, row_digests,
-            {"status": "miss"},
-        )
-
-    def _run_full_and_store(
-        self,
-        request: AnalysisRequest,
-        program: ReinsuranceProgram,
-        yet: YearEventTable,
-        plan_key: tuple,
-        acct: _CacheAccounting,
-        rc_config: str,
-        row_digests: tuple,
-        info: dict,
-    ) -> AnalysisResponse:
-        """Cold full run of the whole program, stored for later deltas."""
-        cache = self.result_cache
-        assert cache is not None
-        plan, lower_seconds = self._cached_plan(
-            plan_key,
-            lambda: PlanBuilder.from_program(program, yet, n_shards=request.shards),
-            acct,
-            plan_key[1][0][:12],
-        )
         executed = time.perf_counter()
-        result = self.engine.run_plan(plan)
+        priced: List[EngineResult] = []
+        for trials in ranges:
+            if request.workers:
+                priced.append(self.engine.run_distributed(
+                    residual, yet, request.workers, request.shards, trials=trials
+                ))
+            else:
+                priced.append(self.engine.run_plan(
+                    plan if trials is None else plan.restrict(trials)
+                ))
         execute_seconds = time.perf_counter() - executed
-        accumulator = ResultAccumulator.for_plan(plan)
-        accumulator.add_result(result, plan.trials)
-        cache.store(
-            program_digest=plan_key[1][0],
-            yet_digest=plan_key[2],
-            config_digest=rc_config,
-            accumulator=accumulator,
-            row_digests=row_digests,
-        )
-        return self._result_cache_response(
-            request, program, result, info, lower_seconds, execute_seconds, accumulator
-        )
+        details = {}
+        if request.workers and priced:
+            details["fleet"] = dict(priced[-1].details["fleet"])
 
-    def _serve_append_delta(
-        self,
-        request: AnalysisRequest,
-        program: ReinsuranceProgram,
-        yet: YearEventTable,
-        plan_key: tuple,
-        acct: _CacheAccounting,
-        match: ResultCacheMatch,
-        rc_config: str,
-        row_digests: tuple,
-    ) -> AnalysisResponse:
-        """Price only the appended trial range, merge over the cached blocks.
-
-        Bit-identical to a cold monolithic run by the accumulator algebra:
-        the cached blocks are the old trials' columns verbatim, and per-trial
-        reductions are trial-local, so pricing the appended range and
-        merging is pure column placement.
-        """
-        cache = self.result_cache
-        assert cache is not None
-        accumulator = match.accumulator  # extended over [0, yet.n_trials)
-        plan, lower_seconds = self._cached_plan(
-            plan_key,
-            lambda: PlanBuilder.from_program(program, yet, n_shards=request.shards),
-            acct,
-            plan_key[1][0][:12],
-        )
-        executed = time.perf_counter()
-        repriced = 0
-        for gap in accumulator.missing_ranges():
-            accumulator.add_result(self.engine.run_plan(plan.restrict(gap)), gap)
-            repriced += gap.size
-        execute_seconds = time.perf_counter() - executed
-        result = accumulator.finalize(
-            self.engine.backend_name,
-            wall_seconds=execute_seconds,
-            workload_shape=plan.workload_shape(),
-            details={"result_cache": {"status": "append", "repriced_trials": repriced}},
-        )
-        cache.store(
-            program_digest=plan_key[1][0],
-            yet_digest=plan_key[2],
-            config_digest=rc_config,
-            accumulator=accumulator,
-            row_digests=row_digests,
-        )
-        info = {
-            "status": "append",
-            "repriced_trials": repriced,
-            "cached_trials": yet.n_trials - repriced,
-        }
-        return self._result_cache_response(
-            request, program, result, info, lower_seconds, execute_seconds, accumulator
-        )
-
-    def _serve_row_delta(
-        self,
-        request: AnalysisRequest,
-        program: ReinsuranceProgram,
-        yet: YearEventTable,
-        plan_key: tuple,
-        acct: _CacheAccounting,
-        match: ResultCacheMatch,
-        rc_config: str,
-        row_digests: tuple,
-    ) -> AnalysisResponse:
-        """Re-price only the changed stack rows, scatter over cached columns.
-
-        Every kernel path computes stack rows independently (the fused-vs-
-        per-layer conformance invariant), so the composed table equals a
-        cold run of the full program bit for bit.
-        """
-        cache = self.result_cache
-        assert cache is not None
-        changed = list(match.changed_rows)
-        sub_program = program.subset(changed)
-        sub_key = self._program_key("run", [sub_program], yet, request.shards)
-        plan, lower_seconds = self._cached_plan(
-            sub_key,
-            lambda: PlanBuilder.from_program(sub_program, yet, n_shards=request.shards),
-            acct,
-            sub_key[1][0][:12],
-        )
-        executed = time.perf_counter()
-        delta_result = self.engine.run_plan(plan)
-        execute_seconds = time.perf_counter() - executed
-        base = match.accumulator
-        # year_losses() returns the single block itself when one block spans
-        # the domain — copy before scattering the re-priced rows in.
-        losses = base.year_losses().copy()
-        losses[changed] = delta_result.ylt.losses
-        occ = base.max_occurrence_losses()
-        delta_occ = delta_result.ylt.max_occurrence_losses
-        if (occ is None) != (delta_occ is None):
-            # The cached sibling and the delta run disagree on carrying
-            # max-occurrence losses (e.g. the sibling predates occurrence
-            # tracking); scattering would silently drop the field, breaking
-            # bit-identity with a cold run.  Recompute the full program.
-            return self._run_full_and_store(
-                request, program, yet, plan_key, acct, rc_config, row_digests,
-                {"status": "rows_fallback", "reason": "occurrence_mismatch"},
-            )
-        if occ is not None:
-            occ = occ.copy()
-            occ[changed] = delta_occ
-        accumulator = ResultAccumulator(
-            program.n_layers, TrialRange(0, yet.n_trials), row_names=program.layer_names
-        )
-        accumulator.add(PartialResult(TrialRange(0, yet.n_trials), losses, occ))
-        result = accumulator.finalize(
-            self.engine.backend_name,
-            wall_seconds=execute_seconds,
-            workload_shape=self._workload_shape_for(program, yet),
-            details={"result_cache": {"status": "rows", "repriced_rows": changed}},
-        )
-        cache.store(
-            program_digest=plan_key[1][0],
-            yet_digest=plan_key[2],
-            config_digest=rc_config,
-            accumulator=accumulator,
-            row_digests=row_digests,
-        )
-        info = {
-            "status": "rows",
-            "repriced_rows": changed,
-            "cached_rows": program.n_layers - len(changed),
-        }
-        return self._result_cache_response(
-            request, program, result, info, lower_seconds, execute_seconds,
-            accumulator, base, changed,
-        )
-
-    def _workload_shape_for(self, program: ReinsuranceProgram, yet: YearEventTable):
-        return WorkloadShape(
-            n_trials=yet.n_trials,
-            events_per_trial=max(yet.mean_events_per_trial, 1e-9),
-            n_elts=max(int(round(program.mean_elts_per_layer)), 1),
-            n_layers=program.n_layers,
-        )
-
-    def _result_cache_response(
-        self,
-        request: AnalysisRequest,
-        program: ReinsuranceProgram,
-        result: EngineResult,
-        info: dict,
-        lower_seconds: float,
-        execute_seconds: float,
-        accumulator: ResultAccumulator,
-        sibling: ResultAccumulator | None = None,
-        changed: Sequence[int] = (),
-    ) -> AnalysisResponse:
-        """Quote from the entry's metrics memo; ``quoted_rows`` counts the rows
-        this answer computed (a row delta reuses its sibling's other rows)."""
-        assert self.result_cache is not None
-        metrics, quoted_rows = None, 0
-        if request.quote:
-            metrics, quoted_rows = accumulator.risk_metrics(sibling, changed)
-        info = dict(info, quoted_rows=quoted_rows)
-        info["stats"] = self.result_cache.stats.to_dict()
+        # Merge: column placement for trial gaps, row placement for rows.
+        result, metrics = (priced[0] if priced else None), None
+        if cache is not None:
+            if seed is None:
+                accumulator = ResultAccumulator(
+                    program.n_layers, yet.n_trials, row_names=program.layer_names
+                ).add_result(result)
+            elif changed:
+                accumulator = seed.with_rows(changed, result)
+            else:
+                accumulator = seed
+                for part in priced:
+                    accumulator.add_result(part)
+            if seed is not None:
+                result = accumulator.finalize(
+                    self.engine.backend_name,
+                    wall_seconds=execute_seconds,
+                    workload_shape=WorkloadShape(
+                        yet.n_trials, max(yet.mean_events_per_trial, 1e-9),
+                        max(int(round(program.mean_elts_per_layer)), 1), program.n_layers,
+                    ),
+                    details={"result_cache": dict(info)},
+                )
+            if info["status"] != "exact":
+                cache.store(
+                    program_digest=key[1][0], yet_digest=key[2], config_digest=rc_config,
+                    accumulator=accumulator, row_digests=row_digests,
+                )
+            # Quote from the entry's metrics memo; ``quoted_rows`` counts the
+            # rows this answer computed (a row delta reuses its sibling's).
+            quoted_rows = 0
+            if request.quote:
+                metrics, quoted_rows = accumulator.risk_metrics(seed if changed else None, changed)
+            info.update(quoted_rows=quoted_rows, stats=cache.stats.to_dict())
+            details["result_cache"] = info
         return AnalysisResponse(
             request=request,
             results=(result,),
             quotes=self._quotes_for(request, [program], [result], [metrics]),
             timings={"lower": lower_seconds, "execute": execute_seconds},
-            details={"result_cache": info},
+            details=details,
         )
 
     def _batch_programs(
@@ -850,8 +660,7 @@ class RiskService:
         yet = self._resolve_yet(request, None)
         key = (
             "run_stacked",
-            stack_digest(entry.stack),
-            terms_digest(entry.terms),
+            *entry.digests,
             yet_digest(yet),
             self._config_digest,
             request.shards,

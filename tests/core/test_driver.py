@@ -3,8 +3,9 @@
 The guard pins the refactor's point — exactly one module in ``repro.core``
 turns a plan into a result — so a hand-rolled ``run_plan`` loop cannot creep
 back into a backend module or into the distributed coordinator and worker;
-and the simulated GPU stays a cost model outside the engine, consulted only
-by the projections.
+the service looks up, merges and stores a ``run`` in one method; and the
+simulated GPU stays a cost model outside the engine, consulted only by the
+projections.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 import repro.core
 import repro.distributed
+import repro.service.service
 from repro.core import multicore as multicore_module
 from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.driver import ShardPricer, ShardRun, run_plan
@@ -33,6 +35,7 @@ BACKEND_MODULES = (
     "multicore.py",
 )
 DISTRIBUTED_DIR = Path(repro.distributed.__file__).parent
+SERVICE_MODULE = Path(repro.service.service.__file__)
 SHM_DIR = Path("/dev/shm")
 
 
@@ -114,6 +117,25 @@ class TestArchitectureGuard:
         called = {name.rsplit(".", 1)[-1] for name in _called_names(path)}
         assert not called & {"missing_ranges", "finalize", "for_plan"}
 
+    def test_one_service_path_prices_merges_and_stores_a_run(self):
+        """Cache lookup, residual, merge and store of a ``run`` live in
+        ``RiskService._handle_run`` alone — no second pricing path."""
+        guarded = {"lookup", "store", "missing_ranges", "with_rows", "finalize"}
+        callers = set()
+        for node in ast.walk(ast.parse(SERVICE_MODULE.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.Module)):
+                for method in node.body:
+                    if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    for call in ast.walk(method):
+                        if (
+                            isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr in guarded
+                        ):
+                            callers.add((method.name, call.func.attr))
+        assert {name for name, _ in callers} == {"_handle_run"}
+        assert {attr for _, attr in callers} == guarded
 
 # --------------------------------------------------------------------------- #
 # Driver behaviour with fake pricers

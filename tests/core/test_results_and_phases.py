@@ -220,6 +220,28 @@ class TestResultAccumulator:
         assert result.details["merged_shards"]["n_shards"] == 2
         assert result.n_trials == 6
 
+    def test_with_rows_places_rows_over_every_block(self):
+        from repro.core.results import PartialResult, ResultAccumulator
+        from repro.parallel.partitioner import TrialRange
+
+        acc = ResultAccumulator(2, 3, row_names=["a", "old"])
+        acc.add(PartialResult(TrialRange(0, 1), np.full((2, 1), 9.0)))
+        acc.add(PartialResult(TrialRange(1, 3), np.full((2, 2), 7.0)))
+        delta = make_result().for_layer_subset([1])  # one row named "b": [4, 5, 6]
+        placed = acc.with_rows([1], delta)
+        assert placed.is_complete and placed is not acc
+        np.testing.assert_array_equal(placed.year_losses(), [[9.0, 7.0, 7.0], [4.0, 5.0, 6.0]])
+        assert placed.row_names == ("a", "b")
+        np.testing.assert_array_equal(acc.year_losses()[1], [9.0, 7.0, 7.0])  # untouched
+
+    def test_with_rows_rejects_an_occurrence_mismatch(self):
+        from repro.core.results import ResultAccumulator
+
+        acc = ResultAccumulator(2, 3)
+        acc.add(self._partial(0, 3, 1.0))  # carries max-occurrence losses
+        with pytest.raises(ValueError, match="maximum occurrence"):
+            acc.with_rows([0], make_result().for_layer_subset([0]))
+
 
 class TestMetricState:
     def test_merge_matches_whole_computation(self):

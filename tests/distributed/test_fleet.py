@@ -27,6 +27,7 @@ from repro.distributed import (
 from repro.service.request import AnalysisRequest
 from repro.service.service import RiskService
 from repro.yet.io import YetShardReader, save_yet_store
+from tests.service.test_result_cache import append_trials, with_scaled_layer
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -316,15 +317,84 @@ class TestServiceRoute:
         )
         assert response.details["fleet"]["n_shards"] == 4
 
-    def test_distributed_request_bypasses_the_result_cache(self, tiny_workload):
+    def _spy_shard_sends(self, monkeypatch) -> list:
+        """Record the trial range of every ``run_shard`` a worker answers
+        (a send refused for a missing artifact is resent after shipping)."""
+        sent: list = []
+        original = WorkerClient.run_shard
+
+        def spied(client, program_digest, yet_ref, config_fields, trials):
+            partial = original(client, program_digest, yet_ref, config_fields, trials)
+            sent.append(trials)
+            return partial
+
+        monkeypatch.setattr(WorkerClient, "run_shard", spied)
+        return sent
+
+    @staticmethod
+    def _assert_cold_equal(response, program, yet, config):
+        cold = AggregateRiskEngine(config).run(program, yet)
+        served = response.result.ylt
+        assert served.losses.tobytes() == cold.ylt.losses.tobytes()
+        assert served.max_occurrence_losses.tobytes() == (
+            cold.ylt.max_occurrence_losses.tobytes()
+        )
+
+    def test_repeated_fleet_request_is_an_exact_hit(self, tiny_workload, monkeypatch):
         config = EngineConfig(backend="vectorized")
+        sent = self._spy_shard_sends(monkeypatch)
         with RiskService(config=config, result_cache=True) as service:
             with FleetWorker(config=config) as worker:
                 request = AnalysisRequest(
                     kind="run", program="tiny", workers=(worker.address,)
                 )
-                service.submit(request)
+                first = service.submit(request)
+                assert sent
+                sent.clear()
                 again = service.submit(request)
-        # Both passes executed on the fleet: the response always carries
-        # live fleet details, never a cached block's.
-        assert again.details["fleet"]["workers"] == [worker.address]
+        assert first.result_cache["status"] == "miss"
+        assert first.details["fleet"]["workers"] == [worker.address]
+        assert again.result_cache["status"] == "exact"
+        assert sent == []  # answered from the cache: no shard sent
+        for response in (first, again):
+            self._assert_cold_equal(response, tiny_workload.program, tiny_workload.yet, config)
+
+    def test_appended_trials_send_only_the_gap(self, tiny_workload, monkeypatch):
+        config = EngineConfig(backend="vectorized")
+        program, yet = tiny_workload.program, tiny_workload.yet
+        extended = append_trials(yet, 24)
+        sent = self._spy_shard_sends(monkeypatch)
+        with RiskService(config=config, result_cache=True) as service:
+            service.register_program("book", program)
+            service.register_yet("book", yet)
+            with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+                request = AnalysisRequest(
+                    kind="run", program="book", workers=(w1.address, w2.address)
+                )
+                service.submit(request)
+                sent.clear()
+                service.register_yet("book", extended)
+                delta = service.submit(request)
+        assert delta.result_cache["status"] == "append"
+        assert delta.result_cache["repriced_trials"] == 24
+        assert sent and all(t.start >= yet.n_trials for t in sent)
+        assert sum(t.stop - t.start for t in sent) == 24
+        self._assert_cold_equal(delta, program, extended, config)
+
+    def test_one_layer_change_is_a_row_delta(self, tiny_workload, monkeypatch):
+        config = EngineConfig(backend="vectorized")
+        program, yet = tiny_workload.program, tiny_workload.yet
+        changed = with_scaled_layer(program, 1)
+        with RiskService(config=config, result_cache=True) as service:
+            service.register_program("base", program)
+            service.register_program("changed", changed)
+            service.register_yet("base", yet)
+            service.register_yet("changed", yet)
+            with FleetWorker(config=config) as worker:
+                for name in ("base", "changed"):
+                    delta = service.submit(
+                        AnalysisRequest(kind="run", program=name, workers=(worker.address,))
+                    )
+        assert delta.result_cache["status"] == "rows"
+        assert delta.result_cache["repriced_rows"] == [1]
+        self._assert_cold_equal(delta, changed, yet, config)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.core.engine import AggregateRiskEngine
 from repro.parallel.partitioner import TrialRange
 from repro.service import RiskService, digests
 from repro.service.cache import PlanCache
@@ -227,6 +228,36 @@ class TestWarmRequestsFrameNothing:
         assert second.result_cache["status"] == "exact"
         assert framed == []
         assert np.array_equal(first.result.ylt.losses, second.result.ylt.losses)
+
+    def test_registered_stack_is_a_frozen_snapshot(self, tiny_workload, monkeypatch):
+        program = tiny_workload.program
+        stack = np.stack([layer.loss_matrix().combined_net_losses() for layer in program])
+        terms = [layer.terms for layer in program.layers]
+        service = RiskService()
+        service.register_yet("yet", tiny_workload.yet)
+        service.register_stack("rows", stack, terms)
+        request = {"kind": "run_stacked", "stack": "rows", "yet": "yet"}
+        stack *= 2.0  # the caller keeps writing to its own array
+
+        framed = []
+        real = digest_module.hexdigest
+
+        def spy(parts):
+            parts = tuple(parts)
+            framed.append(parts[0])
+            return real(parts)
+
+        monkeypatch.setattr(digest_module, "hexdigest", spy)
+        monkeypatch.setattr(digests, "_hexdigest", spy)
+        try:
+            served = service.submit(dict(request))
+        finally:
+            service.close()
+        direct = AggregateRiskEngine(EngineConfig()).run_stacked(
+            stack / 2.0, terms, tiny_workload.yet
+        )
+        np.testing.assert_array_equal(served.result.ylt.losses, direct.ylt.losses)
+        assert framed == []  # stack and terms were digested at registration
 
     def test_memoised_digest_is_the_content_digest(self, tiny_workload):
         layer = tiny_workload.program.layers[0]

@@ -495,13 +495,16 @@ class TestServiceResultCache:
         Regression: when the cached sibling and the delta run disagreed on
         carrying max-occurrence losses, ``_serve_row_delta`` silently set
         ``occ = None`` — a result NOT bit-identical to a cold run.  The
-        mismatch must instead fall back to a full recompute.
+        mismatch must instead fall back to a full recompute, decided before
+        anything is priced: one engine pass over every row, not a discarded
+        row-delta pass followed by the full one.
         """
         config = EngineConfig(backend="vectorized")  # records max occurrence
         program, yet = tiny_workload.program, tiny_workload.yet
         changed_program = with_scaled_layer(program, 0)
 
-        with RiskService(config, result_cache=True) as service:
+        service, calls = counting_service(config, result_cache=True)
+        with service:
             service.register_program("changed", changed_program)
             service.register_yet("changed", yet)
             # Seed an occurrence-less sibling under the base program's real
@@ -518,6 +521,7 @@ class TestServiceResultCache:
             delta = service.submit({"kind": "run", "program": "changed"})
             assert delta.result_cache["status"] == "rows_fallback"
             assert delta.result_cache["reason"] == "occurrence_mismatch"
+            assert [plan.n_rows for plan in calls] == [program.n_layers]
             # The fallback stored the complete entry: a repeat serves exactly,
             # occurrence losses intact.
             repeat = service.submit({"kind": "run", "program": "changed"})
