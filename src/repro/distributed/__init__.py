@@ -12,11 +12,10 @@ bit-identical to monolithic runs, the fleet's answer is exactly the
 single-process answer — whatever the backend, the shard count, or the
 completion order.
 
-* :mod:`repro.distributed.protocol` — NDJSON control lines + length-framed
-  binary payloads, and the config codec both sides agree on;
 * :mod:`repro.distributed.worker` — ``are worker``: a warm, digest-keyed
-  artifact cache and one cached plan per workload behind a threaded socket
-  server;
+  artifact cache and one cached plan per workload, served as a role on
+  :class:`~repro.service.server.RiskServer` (the one socket server, whose
+  framing carries binary payloads after the control line);
 * :mod:`repro.distributed.fleet` — the coordinator: a remote-map
   ``ShardRun`` with work stealing, per-worker timeout + one retry, and
   requeue of a dead worker's shard to the survivors.
@@ -26,8 +25,13 @@ the ``workers`` field of :class:`~repro.service.request.AnalysisRequest`,
 and the ``are worker`` CLI command.
 """
 
-from repro.distributed.fleet import FleetEngine, FleetError, WorkerClient
-from repro.distributed.protocol import MissingArtifact, WorkerError
+from repro.distributed.fleet import (
+    FleetEngine,
+    FleetError,
+    MissingArtifact,
+    WorkerClient,
+    WorkerError,
+)
 from repro.distributed.worker import FleetWorker, WorkerProcess
 
 __all__ = [

@@ -43,23 +43,66 @@ from repro.parallel.partitioner import TrialRange
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service.digests import plan_relevant_config, program_digest, yet_digest
+from repro.service.server import Overloaded, recv_frame, send_frame
 from repro.utils.timing import PhaseTimer
 from repro.yet.io import YetShardReader, yet_to_bytes
 from repro.yet.stores import InMemoryYetStore, LocalDirYetStore
 from repro.yet.table import YearEventTable
-from repro.distributed.protocol import (
-    MissingArtifact,
-    WorkerError,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 
-__all__ = ["FleetEngine", "FleetError", "WorkerClient", "probe_worker"]
+__all__ = ["FleetEngine", "FleetError", "MissingArtifact", "WorkerClient", "WorkerError",
+           "probe_worker"]
 
 
 class FleetError(RuntimeError):
     """The fleet could not complete the analysis (all workers lost)."""
+
+
+class MissingArtifact(LookupError):
+    """The worker lacks an artifact the request references by digest.
+
+    ``missing`` maps artifact kind (``"program"`` / ``"yet"``) to the
+    missing digest.  On the wire this becomes ``{"error": {"type":
+    "MissingArtifact", "missing": {...}}}``; the coordinator's reaction is
+    to ship the artifacts and resend, not to fail.
+    """
+
+    def __init__(self, missing: Mapping[str, str]) -> None:
+        self.missing = dict(missing)
+        super().__init__(
+            "worker is missing artifacts: "
+            + ", ".join(f"{kind} {digest[:12]}…" for kind, digest in self.missing.items())
+        )
+
+
+class WorkerError(RuntimeError):
+    """A worker answered a structured error (other than a missing artifact
+    or an admission rejection).
+
+    Attributes
+    ----------
+    type:
+        The remote exception's class name from the error payload.
+    """
+
+    def __init__(self, message: str, type: str = "WorkerError") -> None:
+        super().__init__(message)
+        self.type = type
+
+
+def parse_address(address: str | Tuple[str, int]) -> Tuple[str, int]:
+    """``"host:port"`` (or an already-split pair) → ``(host, port)``."""
+    if isinstance(address, tuple):
+        host, port = address
+        return str(host), int(port)
+    host, sep, port = str(address).rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"expected HOST:PORT, got {address!r}")
+    return host, int(port)
+
+
+def format_address(host: str, port: int) -> str:
+    """The canonical ``"host:port"`` form of a worker address."""
+    return f"{host}:{port}"
 
 
 class WorkerClient:
@@ -73,7 +116,7 @@ class WorkerClient:
 
     def __init__(self, address: str | Tuple[str, int], timeout: float = 120.0) -> None:
         self.host, self.port = parse_address(address)
-        self.address = f"{self.host}:{self.port}"
+        self.address = format_address(self.host, self.port)
         self.timeout = float(timeout)
         self._sock: socket.socket | None = None
         self._stream = None
@@ -82,6 +125,9 @@ class WorkerClient:
         if self._sock is None:
             sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
             sock.settimeout(self.timeout)
+            # A control line and its payload go out as two sends: without
+            # this, Nagle holds the second for the worker's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
             self._stream = sock.makefile("rwb")
         return self
@@ -109,8 +155,10 @@ class WorkerClient:
         """One request/response exchange; raises on structured errors.
 
         ``MissingArtifact`` is re-raised as its own type (the caller ships
-        and resends); every other ``{"error": ...}`` reply becomes a
-        :class:`WorkerError` carrying the remote exception's class name.
+        and resends), and so is an admission rejection,
+        :class:`~repro.service.server.Overloaded` (the caller retries);
+        every other ``{"error": ...}`` reply becomes a :class:`WorkerError`
+        carrying the remote exception's class name.
         """
         self.connect()
         assert self._stream is not None
@@ -120,6 +168,8 @@ class WorkerClient:
         if error:
             if error.get("type") == "MissingArtifact":
                 raise MissingArtifact(error.get("missing") or {})
+            if error.get("type") == "Overloaded":
+                raise Overloaded(str(error.get("message")))
             raise WorkerError(
                 str(error.get("message")), type=str(error.get("type", "WorkerError"))
             )
@@ -377,7 +427,8 @@ class _FleetRun(ShardRun):
     def _price(self, client: WorkerClient, block: TrialRange) -> PartialResult | None:
         """One block on one worker: ship-on-missing, then timeout + one retry.
 
-        ``None`` means the worker failed its retry and is considered dead.
+        An ``Overloaded`` rejection takes the timeout path.  ``None`` means
+        the worker failed its retry and is considered dead.
         """
         send = partial(
             client.run_shard, self.prog_digest, self.yet_ref, self.config_fields, block
@@ -390,7 +441,7 @@ class _FleetRun(ShardRun):
                     # Not a failure: ship what the worker asked for, resend.
                     self._ship(client, exc.missing)
                     return send()
-            except (socket.timeout, ConnectionError, OSError, EOFError):
+            except (socket.timeout, ConnectionError, OSError, EOFError, Overloaded):
                 if attempt == 1:
                     break
                 try:

@@ -1,4 +1,4 @@
-"""The fleet worker: ``are worker`` — a warm shard-pricing socket server.
+"""The fleet worker: ``are worker`` — a warm shard-pricing role on ``RiskServer``.
 
 One worker process hosts one warm engine per requested configuration plus a
 digest-keyed artifact cache (programs, inline-shipped YETs) and one plan per
@@ -10,12 +10,41 @@ straight from the control line to the kernel pass.  The first request ships
 the program (and, without a shared filesystem, the YET) once; every later
 request — from the same analysis or the next one — sends only digests.
 
-The server is deliberately *threaded-blocking*, not asyncio: a worker's job
-is to saturate its cores with one kernel pass at a time (executions
-serialise on a lock), and the coordinator holds one connection per worker —
-there is no fan-in to multiplex.  The asyncio machinery of
-:mod:`repro.service.server` solves a different problem (many clients, one
-box) and stays where it is.
+The socket side is :class:`~repro.service.server.RiskServer` in a second
+role, so a worker inherits its framing, admission control (a full worker
+answers ``Overloaded``, which the coordinator treats like a timeout), the
+drain that answers in-flight shards, structured errors and the ``stats``
+op.  Shard executions serialise on one lock.
+
+Requests (coordinator → worker)::
+
+    {"op": "ping"}
+    {"op": "status"}
+    {"op": "stats"}
+    {"op": "put_program", "digest": d, "nbytes": N}   + pickled program
+    {"op": "put_yet",     "digest": d, "nbytes": N}   + yet_to_bytes blob
+    {"op": "run_shard",   "program": d, "yet": REF,
+     "config": FIELDS, "trials": [start, stop]}
+    {"op": "shutdown"}
+
+``REF`` is a YET store reference (:mod:`repro.yet.stores`); ``FIELDS`` is
+the plan-relevant config dict of :func:`repro.service.digests.plan_relevant_config`
+(every value is already JSON-safe).  A worker applies those fields over its
+own base config and answers any other key with a structured error naming it.
+A successful ``run_shard`` answers ``{"ok": true, ..., "nbytes": N}``
+followed by the :meth:`~repro.core.results.PartialResult.to_bytes` payload.
+
+A worker that lacks a referenced artifact answers a structured
+``MissingArtifact`` error naming every missing digest; the coordinator
+ships the artifacts and resends — so the *first* request for a workload
+carries the program (and, inline deployments, the YET) exactly once, and
+every later request is digests only.
+
+``put_program`` payloads are **pickled** program objects: the protocol is
+for a trusted fleet (your own workers on your own network), the same trust
+model as multiprocessing itself.  The worker re-derives the content digest
+from the unpickled program and rejects a mismatch, so a corrupted or
+mislabeled artifact can never silently price the wrong book.
 
 Helpers for tests and benchmarks: :class:`WorkerProcess` spawns a worker in
 a child process (killable mid-run, which is how the shard-reassignment
@@ -27,10 +56,9 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import socket
 import threading
 from dataclasses import replace
-from typing import Any, Mapping, Tuple
+from typing import Any, Callable, Mapping, Tuple
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
@@ -39,26 +67,38 @@ from repro.core.results import PartialResult
 from repro.parallel.partitioner import TrialRange
 from repro.service.cache import CacheStats, PlanCache
 from repro.service.digests import (
-    PLAN_RELEVANT_CONFIG_FIELDS,
-    config_digest,
-    program_digest,
-    yet_digest,
-)
-from repro.service.response import error_payload
+    PLAN_RELEVANT_CONFIG_FIELDS, config_digest, program_digest, yet_digest)
+from repro.service.server import RiskServer, ServerThread
 from repro.yet.io import yet_from_bytes
 from repro.yet.stores import InMemoryYetStore, resolve_yet_ref
-from repro.distributed.protocol import (
-    MissingArtifact,
-    format_address,
-    recv_frame,
-    send_frame,
-)
+from repro.distributed.fleet import MissingArtifact, WorkerClient, format_address
 
 __all__ = ["FleetWorker", "WorkerProcess"]
 
 
+class _WorkerServer(RiskServer):
+    """The worker role: ``ping`` and ``shutdown`` inline, ``stats`` from the
+    base class, every other op through :meth:`FleetWorker._dispatch`."""
+
+    service: "FleetWorker"
+
+    def _control(self, op: str) -> dict | None:
+        if op == "ping":
+            return {"ok": True, "worker": self.service.name}
+        if op == "shutdown":
+            self.request_shutdown()
+            return {"ok": True, "stopping": True, "stats": self.service.stats_line()}
+        return super()._control(op) if op == "stats" else None
+
+    def _prepare(self, document: Any, payload: bytes | None) -> Callable[[], Any]:
+        return lambda: self.service._dispatch(document, payload)
+
+    def _answer(self, result: Tuple[dict, bytes | None]) -> Tuple[dict, bytes | None]:
+        return result
+
+
 class FleetWorker:
-    """A warm shard-pricing worker behind a threaded TCP socket server.
+    """A warm shard-pricing worker, served by a :class:`RiskServer` role.
 
     Parameters
     ----------
@@ -98,10 +138,7 @@ class FleetWorker:
         self._engines: dict[str, AggregateRiskEngine] = {}
         self._exec_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._shutdown = threading.Event()
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._connections: "set[socket.socket]" = set()
+        self._thread: ServerThread | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -112,56 +149,31 @@ class FleetWorker:
         return format_address(self.host, self.port)
 
     def start(self) -> "FleetWorker":
-        """Bind the listener and start accepting connections."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
-        listener.settimeout(0.25)
-        self.host, self.port = listener.getsockname()[:2]
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"are-worker-{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        """Bind the listener and serve on a dedicated event-loop thread."""
+        self._thread = ServerThread(_WorkerServer(self, self.host, self.port)).start()
+        self.host, self.port = self._thread.server.host, self._thread.server.port
         return self
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until a shutdown is requested, then close the listener.
+        """Block until a shutdown is requested and drained, then stop.
 
         Returns ``True`` when the worker shut down within ``timeout``
         (``None`` waits forever); ``False`` leaves it serving.
         """
-        if not self._shutdown.wait(timeout):
+        if self._thread is not None and not self._thread.join(timeout):
             return False
         self.stop()
         return True
 
     def is_serving(self) -> bool:
-        """Whether the accept loop is live (started and not shut down)."""
-        return self._listener is not None and not self._shutdown.is_set()
-
-    def request_shutdown(self) -> None:
-        """Ask the accept loop to stop (safe from any thread)."""
-        self._shutdown.set()
+        """Whether the server thread is live (started and not drained)."""
+        return self._thread is not None and not self._thread.join(0)
 
     def stop(self) -> None:
-        """Stop accepting, close open connections, release the listener."""
-        self._shutdown.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-            self._listener = None
-        with self._state_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                conn.close()
+        """Drain — answer every in-flight request — then release the engines."""
+        if self._thread is not None:
+            self._thread.stop()
+            self._thread = None
         for engine in self._engines.values():
             engine.close()
 
@@ -180,67 +192,12 @@ class FleetWorker:
         return self.plan_cache.stats
 
     # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._shutdown.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._state_lock:
-                self._connections.add(conn)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        stream = conn.makefile("rwb")
-        try:
-            while not self._shutdown.is_set():
-                try:
-                    document, payload = recv_frame(stream)
-                except (ConnectionError, OSError, ValueError):
-                    break
-                request_id = document.get("id")
-                try:
-                    reply, reply_payload = self._dispatch(document, payload)
-                except MissingArtifact as exc:
-                    reply = error_payload(exc)
-                    reply["error"]["missing"] = exc.missing
-                    reply_payload = None
-                except Exception as exc:  # noqa: BLE001 - the loop must survive any request
-                    reply = error_payload(exc)
-                    reply_payload = None
-                if request_id is not None:
-                    reply["id"] = request_id
-                try:
-                    send_frame(stream, reply, reply_payload)
-                except (ConnectionError, OSError):
-                    break
-                if document.get("op") == "shutdown":
-                    break
-        finally:
-            with self._state_lock:
-                self._connections.discard(conn)
-            with contextlib.suppress(OSError):
-                stream.close()
-            with contextlib.suppress(OSError):
-                conn.close()
-
-    # ------------------------------------------------------------------ #
-    # Ops
+    # Ops (on the server's executor)
     # ------------------------------------------------------------------ #
     def _dispatch(
         self, document: Mapping[str, Any], payload: bytes | None
     ) -> Tuple[dict, bytes | None]:
         op = document.get("op")
-        if op == "ping":
-            return {"ok": True, "worker": self.name}, None
         if op == "status":
             return self._status(), None
         if op == "put_program":
@@ -249,25 +206,16 @@ class FleetWorker:
             return self._put_yet(document, payload), None
         if op == "run_shard":
             return self._run_shard(document)
-        if op == "shutdown":
-            self.request_shutdown()
-            return {"ok": True, "stopping": True, "stats": self.stats_line()}, None
         raise ValueError(f"unknown op {op!r}")
 
     def _status(self) -> dict:
         with self._state_lock:
-            programs = sorted(self._programs)
-            yets = self._yets.keys()
+            programs, yets = sorted(self._programs), self._yets.keys()
         stats = self.plan_cache.stats
-        return {
-            "ok": True,
-            "worker": self.name,
-            "backend": self.config.backend,
-            "served": self.served,
-            "programs": programs,
-            "yets": yets,
-            "plan_cache": {"entries": stats.entries, "hits": stats.hits, "misses": stats.misses},
-        }
+        return {"ok": True, "worker": self.name, "backend": self.config.backend,
+                "served": self.served, "programs": programs, "yets": yets,
+                "plan_cache": {"entries": stats.entries, "hits": stats.hits,
+                               "misses": stats.misses}}
 
     def _put_program(self, document: Mapping[str, Any], payload: bytes | None) -> dict:
         if payload is None:
@@ -342,9 +290,8 @@ class FleetWorker:
         partial = replace(partial, details={**partial.details, **provenance})
         with self._state_lock:
             self.served += 1
-        trial_range = [trials.start, trials.stop]
-        reply = {"ok": True, "trials": trial_range, "wall_seconds": result.wall_seconds}
-        return {**reply, **provenance}, partial.to_bytes()
+        reply = {"ok": True, "trials": [trials.start, trials.stop], **provenance}
+        return {**reply, "wall_seconds": result.wall_seconds}, partial.to_bytes()
 
 
 def _check_digest(kind: str, actual: str, claimed: str) -> None:
@@ -360,8 +307,7 @@ def _check_digest(kind: str, actual: str, claimed: str) -> None:
 # Subprocess helper (tests, benchmarks, worker-kill drills)
 # --------------------------------------------------------------------------- #
 def _worker_process_main(config: EngineConfig, host: str, name: str, port_queue) -> None:
-    worker = FleetWorker(config=config, host=host, name=name)
-    worker.start()
+    worker = FleetWorker(config=config, host=host, name=name).start()
     port_queue.put(worker.port)
     worker.wait()
 
@@ -420,13 +366,8 @@ class WorkerProcess:
         if self._process is None:
             return
         if self._process.is_alive() and self.port is not None:
-            try:
-                with socket.create_connection((self.host, self.port), timeout=5.0) as conn:
-                    stream = conn.makefile("rwb")
-                    send_frame(stream, {"op": "shutdown"})
-                    recv_frame(stream)
-            except (OSError, ConnectionError):
-                pass
+            with contextlib.suppress(OSError), WorkerClient(self.address, timeout=5.0) as client:
+                client.shutdown()
             self._process.join(timeout=10.0)
         if self._process.is_alive():
             self.kill()

@@ -37,13 +37,17 @@ def error_payload(exc: Exception) -> dict[str, Any]:
         {"error": {"message": ..., "type": ..., "field": ...?}}
 
     ``type`` is the exception class name (``"Overloaded"`` for admission
-    rejections); ``field`` rides along for schema errors so callers can
+    rejections); ``field`` rides along for schema errors, and ``missing``
+    (kind → digest) for a fleet worker's ``MissingArtifact``, so callers can
     handle failures programmatically instead of parsing message strings.
     """
     error: dict[str, Any] = {"message": str(exc), "type": type(exc).__name__}
     field_name = getattr(exc, "field", None)
     if field_name is not None:
         error["field"] = field_name
+    missing = getattr(exc, "missing", None)
+    if missing is not None:
+        error["missing"] = dict(missing)
     return {"error": error}
 
 

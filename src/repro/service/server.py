@@ -21,11 +21,18 @@ rejected *immediately* with a structured ``{"error": {"type":
 "Overloaded"}}`` line — backpressure is explicit and cheap rather than
 implicit and unbounded.
 
-Protocol (one JSON document per line, responses in completion order):
+Protocol (one JSON object per line, responses in completion order):
 
 * a request document may carry an ``"id"`` — it is echoed verbatim in the
   response line, so clients can pipeline many requests per connection and
   match answers;
+* a control line carrying ``"nbytes": N`` is followed by exactly ``N`` raw
+  bytes on the same stream, in both directions (:func:`send_frame` /
+  :func:`recv_frame` are the blocking client side);
+* a line longer than :data:`MAX_LINE_BYTES`, or a bad ``nbytes``, is
+  answered with a structured ``FrameError`` and the connection closes — the
+  stream cannot be resynchronised; bad JSON or a non-object line is
+  answered with an error and the connection keeps serving;
 * ``{"op": "stats"}`` answers inline (never queued/rejected) with
   ``served``/``rejected``/``errors`` counters and ``p50``/``p99``
   processing latencies (lowering + execution, excluding executor-slot
@@ -37,6 +44,14 @@ Protocol (one JSON document per line, responses in completion order):
 * the HTTP shim auto-detects ``GET``/``POST``/``HEAD`` request lines on
   the same port: ``GET /stats`` returns the stats document, ``POST
   /submit`` answers one request document (``429`` when overloaded).
+
+Roles: the server above is the *service* role.  A role is a subclass that
+overrides three hooks — :meth:`RiskServer._control` (inline ops, on the
+loop), :meth:`RiskServer._prepare` (validation on the loop, returning the
+call the executor runs) and :meth:`RiskServer._answer` (the reply and its
+payload, on the loop).  The fleet worker
+(:mod:`repro.distributed.worker`) is the second role, so both share one
+listener, one admission queue, one drain and one error shape.
 
 Graceful drain (SIGINT/SIGTERM or ``request_shutdown()``): stop accepting
 connections, finish every in-flight request, answer it, disconnect idle
@@ -67,23 +82,100 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Mapping
+from typing import Any, BinaryIO, Callable, Mapping, Tuple
 
 from repro.core import row_store
 from repro.service.request import RequestValidationError
 from repro.service.response import error_payload
 from repro.service.service import RiskService
 
-__all__ = ["Overloaded", "RiskServer", "ServeClient", "ServerThread", "ServerStats"]
+__all__ = ["MAX_LINE_BYTES", "FrameError", "Overloaded", "RiskServer", "ServeClient",
+           "ServerThread", "ServerStats", "recv_frame", "send_frame"]
 
 #: Latency reservoir bound — old samples are folded away beyond this.
 _MAX_LATENCY_SAMPLES = 65536
+
+#: Longest control line a connection may send (the stream reader's limit).
+MAX_LINE_BYTES = 1 << 16
+
+#: Refuse to frame payloads beyond this (a corrupted length prefix must not
+#: turn into an attempted multi-gigabyte allocation).
+MAX_PAYLOAD_BYTES = 1 << 34
 
 
 class Overloaded(RuntimeError):
     """Admission control rejected the request (its class name is the wire
     ``"type"`` of the structured rejection — ``{"error": {"type":
     "Overloaded"}}``)."""
+
+
+class FrameError(ValueError):
+    """The stream cannot be framed past this point (an over-long line or a
+    bad ``nbytes``): the server answers it, then closes the connection."""
+
+
+# --------------------------------------------------------------------------- #
+# Framing
+# --------------------------------------------------------------------------- #
+def _control_line(document: Mapping[str, Any], payload: bytes | None) -> bytes:
+    """One encoded control line; ``payload`` sets its ``"nbytes"`` key.
+
+    A document must never carry that key itself — the framing owns it.
+    """
+    doc = dict(document)
+    if payload is not None:
+        doc["nbytes"] = len(payload)
+    elif "nbytes" in doc:
+        raise ValueError("'nbytes' is reserved for the framing layer")
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _decode_line(line: bytes) -> dict:
+    """A control line's JSON object (``ValueError`` for anything else)."""
+    document = json.loads(line.decode("utf-8", "replace"))
+    if not isinstance(document, dict):
+        raise ValueError(f"expected a JSON object control line, got {type(document).__name__}")
+    return document
+
+
+def _payload_length(document: Mapping[str, Any]) -> int | None:
+    """The validated ``nbytes`` of a decoded control line (``None`` if absent)."""
+    nbytes = document.get("nbytes")
+    if nbytes is None:
+        return None
+    if isinstance(nbytes, bool) or not isinstance(nbytes, int):
+        raise FrameError(f"'nbytes' must be an integer, got {nbytes!r}")
+    if not 0 <= nbytes <= MAX_PAYLOAD_BYTES:
+        raise FrameError(f"unreasonable payload length {nbytes}")
+    return nbytes
+
+
+def send_frame(
+    stream: BinaryIO, document: Mapping[str, Any], payload: bytes | None = None
+) -> None:
+    """Write one control line (and its binary payload, if any) and flush."""
+    stream.write(_control_line(document, payload))
+    if payload is not None:
+        stream.write(payload)
+    stream.flush()
+
+
+def recv_frame(stream: BinaryIO) -> Tuple[dict, bytes | None]:
+    """Read one control line and its payload; ``ConnectionError`` on EOF."""
+    line = stream.readline()
+    if not line:
+        raise ConnectionError("peer closed the connection")
+    document = _decode_line(line)
+    nbytes = _payload_length(document)
+    if nbytes is None:
+        return document, None
+    payload = stream.read(nbytes)
+    if payload is None or len(payload) != nbytes:
+        raise ConnectionError(
+            f"peer closed mid-payload ({0 if payload is None else len(payload)}"
+            f"/{nbytes} bytes)"
+        )
+    return document, payload
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -142,14 +234,23 @@ def _looks_like_http(line: bytes) -> bool:
     return line.split(b" ", 1)[0] in (b"GET", b"POST", b"HEAD")
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next line, or :class:`FrameError` past :data:`MAX_LINE_BYTES`."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's limit overrun; the buffer is discarded
+        raise FrameError(f"control line exceeds {MAX_LINE_BYTES} bytes") from None
+
+
 class RiskServer:
     """Asyncio TCP/NDJSON (+ HTTP shim) server over one warm RiskService.
 
     Parameters
     ----------
     service:
-        The warm service to answer from.  The server never closes it — the
-        caller owns its lifetime (and its /dev/shm workspaces).
+        The warm service to answer from (a role's own state, for a role).
+        The server never closes it — the caller owns its lifetime (and its
+        /dev/shm workspaces).
     host, port:
         Listen address; port 0 binds an ephemeral port (read the bound one
         back from :attr:`port` after :meth:`start`).
@@ -195,7 +296,7 @@ class RiskServer:
             max_workers=self.max_inflight, thread_name_prefix="are-serve"
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
@@ -272,21 +373,35 @@ class RiskServer:
         write_lock = asyncio.Lock()
         conn_tasks: "set[asyncio.Task]" = set()
         try:
-            line = await reader.readline()
-            if line and _looks_like_http(line):
-                await self._handle_http(line, reader, writer)
-                return
-            while line:
-                text = line.decode("utf-8", "replace").strip()
-                if text:
-                    task = asyncio.ensure_future(
-                        self._serve_line(text, writer, write_lock)
-                    )
-                    self._tasks.add(task)
-                    conn_tasks.add(task)
-                    task.add_done_callback(self._tasks.discard)
-                    task.add_done_callback(conn_tasks.discard)
-                line = await reader.readline()
+            try:
+                line = await _read_line(reader)
+                if line and _looks_like_http(line):
+                    await self._handle_http(line, reader, writer)
+                    return
+                while line:
+                    # Decoded here, not in the task: a payload must be read
+                    # off the stream before the next control line is.
+                    if line.strip():
+                        try:
+                            document = _decode_line(line)
+                        except ValueError as exc:
+                            self.stats.errors += 1
+                            await self._write(writer, write_lock, error_payload(exc))
+                        else:
+                            nbytes = _payload_length(document)
+                            payload = None if nbytes is None else await reader.readexactly(nbytes)
+                            task = asyncio.ensure_future(
+                                self._serve(document, payload, writer, write_lock)
+                            )
+                            self._tasks.add(task)
+                            conn_tasks.add(task)
+                            task.add_done_callback(self._tasks.discard)
+                            task.add_done_callback(conn_tasks.discard)
+                    line = await _read_line(reader)
+            except FrameError as exc:
+                # The stream cannot be resynchronised: answer, then close.
+                self.stats.errors += 1
+                await self._write(writer, write_lock, error_payload(exc))
             # EOF: finish this connection's in-flight answers before closing.
             while conn_tasks:
                 await asyncio.gather(*list(conn_tasks), return_exceptions=True)
@@ -300,26 +415,23 @@ class RiskServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _serve_line(
-        self, text: str, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
+    async def _serve(
+        self,
+        document: dict,
+        payload: bytes | None,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
     ) -> None:
-        request_id: Any = None
-        try:
-            document: Any = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self.stats.errors += 1
-            await self._write(writer, write_lock, error_payload(exc))
-            return
-        if isinstance(document, dict):
-            request_id = document.pop("id", None)
-            op = document.get("op")
-            if op is not None:
-                await self._write(
-                    writer, write_lock, self._control(str(op), request_id)
-                )
+        request_id = document.pop("id", None)
+        op = document.get("op")
+        if op is not None:
+            reply = self._control(str(op))
+            if reply is not None:
+                await self._write(writer, write_lock, _with_id(reply, request_id))
                 return
         try:
-            response, seconds = await self._submit(document)
+            result, seconds = await self._submit(document, payload)
+            reply, reply_payload = self._answer(result)
         except Overloaded as exc:
             self.stats.rejected += 1
             await self._write(writer, write_lock, _with_id(error_payload(exc), request_id))
@@ -328,14 +440,13 @@ class RiskServer:
             self.stats.errors += 1
             await self._write(writer, write_lock, _with_id(error_payload(exc), request_id))
             return
-        payload = _with_id(response.to_dict(), request_id)
-        await self._write(writer, write_lock, payload)
+        await self._write(writer, write_lock, _with_id(reply, request_id), reply_payload)
         self.stats.record(seconds)
 
-    async def _submit(self, document: Any):
+    async def _submit(self, document: Any, payload: bytes | None = None):
         """Admit, prepare on the loop, execute on the pool.
 
-        Returns ``(response, seconds)`` where ``seconds`` is the processing
+        Returns ``(result, seconds)`` where ``seconds`` is the processing
         latency — lowering plus kernel execution, clocked only while the
         request is actually being worked on.  Time spent waiting for an
         executor slot is excluded: queue pressure is already visible as
@@ -354,48 +465,62 @@ class RiskServer:
         self._pending += 1
         try:
             started = time.perf_counter()
-            prepared = self.service.prepare(document)
+            call = self._prepare(document, payload)
             prepare_seconds = time.perf_counter() - started
 
             def _execute():
                 t0 = time.perf_counter()
-                response = prepared.execute()
-                return response, time.perf_counter() - t0
+                result = call()
+                return result, time.perf_counter() - t0
 
-            response, execute_seconds = await self._loop.run_in_executor(
+            result, execute_seconds = await self._loop.run_in_executor(
                 self._executor, _execute
             )
-            return response, prepare_seconds + execute_seconds
+            return result, prepare_seconds + execute_seconds
         finally:
             self._pending -= 1
 
-    def _control(self, op: str, request_id: Any) -> dict:
+    # ------------------------------------------------------------------ #
+    # Role hooks (the service role; the fleet worker overrides all three)
+    # ------------------------------------------------------------------ #
+    def _control(self, op: str) -> dict | None:
+        """Answer an ``op`` inline on the loop; ``None`` admits the document."""
         if op == "stats":
-            payload: dict[str, Any] = {
+            return {
                 "stats": self.stats.to_dict(),
                 "row_store": row_store.ROW_STORE.stats(),
                 "pending": self._pending,
                 "max_inflight": self.max_inflight,
                 "queue_depth": self.queue_depth,
             }
-        elif op == "ping":
-            payload = {"ok": True}
-        elif op == "shutdown":
+        if op == "ping":
+            return {"ok": True}
+        if op == "shutdown":
             self.request_shutdown()
-            payload = {"ok": True, "draining": True}
-        else:
-            payload = error_payload(
-                RequestValidationError(f"unknown op {op!r}", field="op")
-            )
-        return _with_id(payload, request_id)
+            return {"ok": True, "draining": True}
+        return error_payload(RequestValidationError(f"unknown op {op!r}", field="op"))
+
+    def _prepare(self, document: Any, payload: bytes | None) -> Callable[[], Any]:
+        """Validate on the loop; return the call the executor runs."""
+        return self.service.prepare(document).execute
+
+    def _answer(self, result: Any) -> Tuple[dict, bytes | None]:
+        """The reply document (and payload) for an executed call, on the loop."""
+        return result.to_dict(), None
 
     async def _write(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, payload: dict
+        self,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+        reply: dict,
+        payload: bytes | None = None,
     ) -> None:
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        data = _control_line(reply, payload)
         async with lock:
             try:
                 writer.write(data)
+                if payload is not None:
+                    writer.write(payload)
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 pass  # client went away mid-answer; nothing to do
@@ -417,7 +542,7 @@ class RiskServer:
             return
         length = 0
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader)
             if header in (b"", b"\r\n", b"\n"):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -427,7 +552,7 @@ class RiskServer:
         body = await reader.readexactly(length) if length > 0 else b""
 
         if method in ("GET", "HEAD") and target.split("?", 1)[0] == "/stats":
-            await self._write_http(writer, 200, self._control("stats", None))
+            await self._write_http(writer, 200, self._control("stats"))
             return
         if method == "POST" and target.split("?", 1)[0] == "/submit":
             request_id: Any = None
@@ -435,7 +560,8 @@ class RiskServer:
                 document: Any = json.loads(body.decode("utf-8", "replace"))
                 if isinstance(document, dict):
                     request_id = document.pop("id", None)
-                response, seconds = await self._submit(document)
+                result, seconds = await self._submit(document)
+                reply, _ = self._answer(result)
             except Overloaded as exc:
                 self.stats.rejected += 1
                 await self._write_http(writer, 429, _with_id(error_payload(exc), request_id))
@@ -444,7 +570,7 @@ class RiskServer:
                 self.stats.errors += 1
                 await self._write_http(writer, 400, _with_id(error_payload(exc), request_id))
                 return
-            await self._write_http(writer, 200, _with_id(response.to_dict(), request_id))
+            await self._write_http(writer, 200, _with_id(reply, request_id))
             self.stats.record(seconds)
             return
         await self._write_http(
@@ -479,8 +605,9 @@ class ServerThread:
             client = ServeClient(handle.server.host, handle.server.port)
     """
 
-    def __init__(self, service: RiskService, **kwargs: Any) -> None:
-        self.server = RiskServer(service, **kwargs)
+    def __init__(self, service: RiskService | RiskServer, **kwargs: Any) -> None:
+        # A role's server (e.g. the fleet worker's) arrives built; run it as is.
+        self.server = service if isinstance(service, RiskServer) else RiskServer(service, **kwargs)
         self._thread: threading.Thread | None = None
 
     def start(self) -> "ServerThread":
@@ -490,9 +617,18 @@ class ServerThread:
             daemon=True,
         )
         self._thread.start()
-        if not self.server.started.wait(timeout=10.0):
-            raise RuntimeError("server did not bind within 10s")
+        deadline = time.monotonic() + 10.0
+        while not self.server.started.wait(timeout=0.05):
+            # A failed bind kills the thread (its OSError goes to stderr).
+            if not self._thread.is_alive() or time.monotonic() > deadline:
+                raise RuntimeError(f"server did not bind {self.server.host}:{self.server.port}")
         return self
+
+    def join(self, timeout: float | None = None) -> bool:
+        """Wait for the server to drain and exit; ``True`` once it has."""
+        if self._thread is not None:
+            self._thread.join(timeout)
+        return self._thread is None or not self._thread.is_alive()
 
     def stop(self) -> None:
         self.server.request_shutdown()

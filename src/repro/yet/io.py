@@ -88,8 +88,8 @@ def yet_to_bytes(yet: YearEventTable) -> bytes:
     """Encode a YET as one in-memory ``.npz`` blob (see :func:`yet_from_bytes`).
 
     The exact member layout of :func:`save_yet`, written to a buffer instead
-    of a file — the form the distributed protocol ships when a worker has no
-    shared filesystem to fetch a store directory from.
+    of a file — the ``put_yet`` payload a fleet worker receives when it has
+    no shared filesystem to fetch a store directory from.
     """
     meta = np.array(
         [_FORMAT_VERSION, yet.catalog_size, 1 if yet.timestamps is not None else 0],

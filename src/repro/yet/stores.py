@@ -9,16 +9,16 @@ reach.  This module defines the store contract and two backends:
   coordinator ``put``\\ s once, every worker on the same filesystem (or NFS
   mount) memory-maps the store through :class:`~repro.yet.io.YetShardReader`
   and materialises only the shards it prices.
-* :class:`InMemoryYetStore` — an object-store-style mapping of key to table,
-  fed either with live tables or with the :func:`~repro.yet.io.yet_to_bytes`
-  wire blobs the coordinator ships when no filesystem is shared.  This is
-  also the worker-side artifact cache: the first request for a digest ships
-  the bytes, every later request resolves the digest against the cache.
+* :class:`InMemoryYetStore` — an object-store-style mapping of key to table.
+  This is also the worker-side artifact cache when no filesystem is shared:
+  the first request for a digest ships the table's
+  :func:`~repro.yet.io.yet_to_bytes` blob (the worker decodes it and stores
+  the table), every later request resolves the digest against the cache.
 
 Both backends hand out **shard sources** — objects with the
 :class:`~repro.yet.io.YetShardReader` shard interface (``n_trials``,
 ``shard(trials)``, ``shard_ranges``, ``iter_shards``, context-manager
-lifecycle) — so the engine's shard loop and the worker protocol are
+lifecycle) — so the engine's shard loop and the fleet worker are
 indifferent to where the trial columns actually live.  ``shard`` bounds
 errors follow the reader's ``0 <= start <= stop <= n`` contract exactly.
 
@@ -35,13 +35,7 @@ from pathlib import Path
 from typing import Any, Iterator, List, Mapping, Tuple
 
 from repro.parallel.partitioner import TrialRange, shard_partition
-from repro.yet.io import (
-    YetShardReader,
-    save_yet_store,
-    shard_count_for_budget,
-    yet_from_bytes,
-    yet_to_bytes,
-)
+from repro.yet.io import YetShardReader, save_yet_store, shard_count_for_budget
 from repro.yet.table import YearEventTable
 
 __all__ = [
@@ -65,7 +59,7 @@ class TableShardSource:
     in-memory :class:`~repro.yet.table.YearEventTable`.
 
     What :meth:`InMemoryYetStore.open` hands out: the engine's shard loop
-    and the worker protocol see the same surface whether the columns come
+    and the fleet worker see the same surface whether the columns come
     from a memory-mapped store directory or a resident table.  ``shard``
     enforces the reader's ``0 <= start <= stop <= n`` bounds contract with
     the same :class:`IndexError` shape.
@@ -142,8 +136,7 @@ class TableShardSource:
 class YetStore(ABC):
     """Abstract keyed store of Year Event Tables.
 
-    Keys are opaque single-component strings — in the distributed protocol
-    they are the content digests from :func:`repro.service.digests.yet_digest`,
+    Keys are opaque single-component strings — on the fleet wire they are the content digests from :func:`repro.service.digests.yet_digest`,
     which makes every store automatically deduplicating and immutable.
     """
 
@@ -208,8 +201,7 @@ class InMemoryYetStore(YetStore):
     """An object-store-style in-memory mapping of key to table.
 
     Doubles as the worker-side artifact cache for tables shipped inline
-    over the wire (:meth:`put_bytes` / :meth:`get_bytes` round-trip through
-    :func:`~repro.yet.io.yet_to_bytes`).
+    over the wire (as :func:`~repro.yet.io.yet_to_bytes` blobs).
     """
 
     kind = "inline"
@@ -220,14 +212,6 @@ class InMemoryYetStore(YetStore):
     def put(self, key: str, yet: YearEventTable) -> Mapping[str, Any]:
         self._tables[_validate_key(key)] = yet
         return self.ref(key)
-
-    def put_bytes(self, key: str, payload: bytes) -> Mapping[str, Any]:
-        """Store a table from its :func:`~repro.yet.io.yet_to_bytes` form."""
-        return self.put(key, yet_from_bytes(payload))
-
-    def get_bytes(self, key: str) -> bytes:
-        """The stored table in wire form (``KeyError`` if absent)."""
-        return yet_to_bytes(self._tables[_validate_key(key)])
 
     def open(self, key: str) -> TableShardSource:
         return TableShardSource(self._tables[_validate_key(key)])
@@ -252,7 +236,7 @@ def resolve_yet_ref(ref: Mapping[str, Any], inline_store: InMemoryYetStore | Non
     :class:`~repro.yet.io.YetShardReader` on the referenced store directory;
     ``{"kind": "inline", "digest": ...}`` resolves against ``inline_store``
     (the worker's artifact cache) and raises ``KeyError`` when the digest
-    has not been shipped yet — the signal the worker protocol translates
+    has not been shipped yet — the signal the fleet worker translates
     into a *missing artifact* reply so the coordinator ships the bytes and
     retries.
     """

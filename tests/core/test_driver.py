@@ -3,9 +3,9 @@
 The guard pins the refactor's point — exactly one module in ``repro.core``
 turns a plan into a result — so a hand-rolled ``run_plan`` loop cannot creep
 back into a backend module or into the distributed coordinator and worker;
-the service looks up, merges and stores a ``run`` in one method; and the
-simulated GPU stays a cost model outside the engine, consulted only by the
-projections.
+the service looks up, merges and stores a ``run`` in one method; one module
+owns the socket server and its framing; and the simulated GPU stays a cost
+model outside the engine, consulted only by the projections.
 """
 
 import ast
@@ -35,6 +35,7 @@ BACKEND_MODULES = (
     "multicore.py",
 )
 DISTRIBUTED_DIR = Path(repro.distributed.__file__).parent
+SRC_DIR = CORE_DIR.parent
 SERVICE_MODULE = Path(repro.service.service.__file__)
 SHM_DIR = Path("/dev/shm")
 
@@ -116,6 +117,24 @@ class TestArchitectureGuard:
         assert not named & {"ResultAccumulator", "finalize_plan_result"}
         called = {name.rsplit(".", 1)[-1] for name in _called_names(path)}
         assert not called & {"missing_ranges", "finalize", "for_plan"}
+
+    def test_one_socket_server(self):
+        """Only ``service/server.py`` listens, accepts or defines the framing:
+        the fleet worker is a role on ``RiskServer``, not a second server."""
+        owners = set()
+        for path in sorted(SRC_DIR.rglob("*.py")):
+            called = {name.rsplit(".", 1)[-1] for name in _called_names(path)}
+            defined = {
+                node.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            if called & {"start_server", "listen", "accept"} or defined & {
+                "send_frame",
+                "recv_frame",
+            }:
+                owners.add(path.relative_to(SRC_DIR).as_posix())
+        assert owners == {"service/server.py"}
 
     def test_one_service_path_prices_merges_and_stores_a_run(self):
         """Cache lookup, residual, merge and store of a ``run`` live in

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -177,6 +178,46 @@ def test_worker_error_reaches_the_caller_once(tiny_workload, monkeypatch):
                 program, yet, workers=[w1.address, w2.address], n_shards=4
             )
     assert sends and max(sends.values()) == 1
+    assert hooked == []
+
+
+def test_overloaded_worker_is_retried_then_requeued(tiny_workload, monkeypatch):
+    # A worker's admission control answers ``Overloaded``: the coordinator
+    # treats it like a timeout (one retry, then requeue), never as an error.
+    program, yet = tiny_workload.program, tiny_workload.yet
+    config = EngineConfig(backend="vectorized")
+    mono = AggregateRiskEngine(config).run(program, yet)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    sends = _count_shard_sends(monkeypatch)
+    release = threading.Event()
+    with FleetWorker(config=config) as busy, FleetWorker(config=config) as survivor:
+        server = busy._thread.server
+        server.max_inflight, server.queue_depth = 1, 0  # admit one request
+        monkeypatch.setattr(busy, "_status", lambda: release.wait(30.0) and {"ok": True})
+        with WorkerClient(busy.address, timeout=30.0) as hog:
+            holder = threading.Thread(target=hog.status, daemon=True)
+            holder.start()  # takes the busy worker's only admission slot
+            deadline = time.monotonic() + 10.0
+            while server._pending == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._pending == 1
+            try:
+                fleet = AggregateRiskEngine(config).run_distributed(
+                    program, yet, workers=[busy.address, survivor.address], n_shards=8
+                )
+            finally:
+                release.set()
+                holder.join(timeout=30.0)
+            assert not holder.is_alive()
+        rejected = server.stats.rejected
+    details = fleet.details["fleet"]
+    assert sends[busy.address] == 2 and rejected == 2
+    assert details["dead_workers"] == [busy.address]
+    assert details["requeued_shards"] == 1
+    assert details["shards_per_worker"] == {busy.address: 0, survivor.address: 8}
+    assert fleet.ylt.losses.tobytes() == mono.ylt.losses.tobytes()
+    assert fleet.ylt.max_occurrence_losses.tobytes() == mono.ylt.max_occurrence_losses.tobytes()
     assert hooked == []
 
 

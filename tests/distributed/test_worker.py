@@ -7,8 +7,12 @@ fleet coordinator uses.
 
 from __future__ import annotations
 
+import json
 import pickle
 import re
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.portfolio.program import ReinsuranceProgram
 from repro.service.digests import plan_relevant_config, program_digest, yet_digest
 from repro.utils import digest as digest_module
 from repro.yet.io import yet_to_bytes
+from tests.service.test_server import HOSTILE_LINES, send_hostile_line
 
 
 CONFIG = EngineConfig(backend="vectorized")
@@ -63,6 +68,28 @@ class TestControlOps:
     def test_probe_worker_reachable(self, worker):
         report = probe_worker(worker.address)
         assert report == {"reachable": True, "worker": "proto-test"}
+
+    def test_client_sockets_disable_nagle(self, client):
+        # A control line and its payload are two sends; Nagle would hold the
+        # second one for the worker's delayed ACK.
+        client.connect()
+        assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_stats_op_and_http_stats(self, worker, client):
+        import urllib.request
+
+        client.ping()
+        stats = client.request({"op": "stats"})[0]
+        assert {"stats", "pending", "max_inflight", "queue_depth"} <= set(stats)
+        with urllib.request.urlopen(f"http://{worker.address}/stats") as response:
+            assert "stats" in json.loads(response.read())
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_LINES))
+    def test_every_hostile_line_gets_an_error_line(self, worker, case):
+        line, keeps_serving = HOSTILE_LINES[case]
+        host, port = worker.address.rsplit(":", 1)
+        send_hostile_line(host, int(port), line, keeps_serving)
+        assert worker.is_serving()
 
     def test_probe_worker_unreachable_never_raises(self):
         report = probe_worker("127.0.0.1:1", timeout=0.5)
@@ -175,6 +202,33 @@ class TestShutdownAndStats:
             r"\d+ hits / \d+ misses \(\d+% hit rate\), \d+ evictions",
             line,
         ), line
+
+    def test_stop_answers_the_inflight_shard(self, tiny_workload, monkeypatch):
+        program, yet = tiny_workload.program, tiny_workload.yet
+        digest, ydigest = program_digest(program), yet_digest(yet)
+        with FleetWorker(config=CONFIG) as live:
+            real = live._run_shard
+
+            def slow(document):
+                time.sleep(0.5)
+                return real(document)
+
+            monkeypatch.setattr(live, "_run_shard", slow)
+            with WorkerClient(live.address, timeout=30.0) as client:
+                client.put_program(digest, pickle.dumps(program))
+                client.put_yet(ydigest, yet_to_bytes(yet))
+                stopper = threading.Timer(0.15, live.stop)
+                stopper.start()
+                partial = client.run_shard(
+                    digest,
+                    {"kind": "inline", "digest": ydigest},
+                    plan_relevant_config(CONFIG),
+                    TrialRange(0, 8),
+                )
+                stopper.join(timeout=30.0)
+            assert not stopper.is_alive() and not live.is_serving()
+        mono = AggregateRiskEngine(CONFIG).run(program, yet)
+        assert np.array_equal(partial.losses, mono.ylt.losses[:, 0:8])
 
     def test_shutdown_op_stops_the_worker(self):
         with FleetWorker(config=CONFIG) as live:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,13 @@ import pytest
 from repro.core import row_store
 from repro.core.config import EngineConfig
 from repro.service import RiskService
-from repro.service.server import Overloaded, RiskServer, ServeClient, ServerThread
+from repro.service.server import (
+    MAX_LINE_BYTES,
+    Overloaded,
+    RiskServer,
+    ServeClient,
+    ServerThread,
+)
 
 
 def _service(tiny_workload, **kwargs) -> RiskService:
@@ -156,6 +163,49 @@ class TestPipelinedServing:
                     ok = client.request({"kind": "run", "program": "w"})
                     assert ok["kind"] == "run"
             assert service is not None
+
+
+#: ``(line, keeps serving)``: a hostile control line, and whether the
+#: connection still answers after it (the stream can be resynchronised).
+HOSTILE_LINES = {
+    "bad_json": (b"{not json\n", True),
+    "non_object": (b"[]\n", True),
+    "negative_nbytes": (b'{"op": "ping", "nbytes": -1}\n', False),
+    "string_nbytes": (b'{"op": "ping", "nbytes": "x"}\n', False),
+    "over_cap": (b'{"op": "ping", "pad": "' + b"x" * MAX_LINE_BYTES + b'"}\n', False),
+}
+
+
+def send_hostile_line(host: str, port: int, line: bytes, keeps_serving: bool) -> dict:
+    """Send ``line``; assert an error answer, then a ping answer or a close."""
+    with socket.create_connection((host, port), timeout=10.0) as sock, sock.makefile(
+        "rwb"
+    ) as stream:
+        stream.write(line)
+        stream.flush()
+        reply = json.loads(stream.readline())
+        assert set(reply["error"]) >= {"message", "type"}
+        if keeps_serving:
+            stream.write(b'{"op": "ping", "id": "after"}\n')
+            stream.flush()
+            pong = json.loads(stream.readline())
+            assert pong["ok"] is True and pong["id"] == "after"
+        else:
+            assert stream.readline() == b""  # closed after the error line
+        return reply
+
+
+class TestHostileLines:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_LINES))
+    def test_every_hostile_line_gets_an_error_line(self, tiny_workload, case):
+        line, keeps_serving = HOSTILE_LINES[case]
+        with _service(tiny_workload) as service:
+            with ServerThread(service) as handle:
+                server = handle.server
+                reply = send_hostile_line(server.host, server.port, line, keeps_serving)
+                assert server.stats.errors == 1
+        if not keeps_serving:
+            assert reply["error"]["type"] == "FrameError"
 
 
 class TestAdmissionControl:
