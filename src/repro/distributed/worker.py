@@ -67,7 +67,11 @@ from repro.core.results import PartialResult
 from repro.parallel.partitioner import TrialRange
 from repro.service.cache import CacheStats, PlanCache
 from repro.service.digests import (
-    PLAN_RELEVANT_CONFIG_FIELDS, config_digest, program_digest, yet_digest)
+    PLAN_RELEVANT_CONFIG_FIELDS,
+    config_digest,
+    program_digest,
+    yet_digest,
+)
 from repro.service.server import RiskServer, ServerThread
 from repro.yet.io import yet_from_bytes
 from repro.yet.stores import InMemoryYetStore, resolve_yet_ref
@@ -81,6 +85,7 @@ class _WorkerServer(RiskServer):
     base class, every other op through :meth:`FleetWorker._dispatch`."""
 
     service: "FleetWorker"
+    accepts_payloads = True
 
     def _control(self, op: str) -> dict | None:
         if op == "ping":
@@ -210,12 +215,18 @@ class FleetWorker:
 
     def _status(self) -> dict:
         with self._state_lock:
-            programs, yets = sorted(self._programs), self._yets.keys()
+            programs = sorted(self._programs)
+            yets = self._yets.keys()
         stats = self.plan_cache.stats
-        return {"ok": True, "worker": self.name, "backend": self.config.backend,
-                "served": self.served, "programs": programs, "yets": yets,
-                "plan_cache": {"entries": stats.entries, "hits": stats.hits,
-                               "misses": stats.misses}}
+        return {
+            "ok": True,
+            "worker": self.name,
+            "backend": self.config.backend,
+            "served": self.served,
+            "programs": programs,
+            "yets": yets,
+            "plan_cache": {"entries": stats.entries, "hits": stats.hits, "misses": stats.misses},
+        }
 
     def _put_program(self, document: Mapping[str, Any], payload: bytes | None) -> dict:
         if payload is None:
@@ -290,8 +301,9 @@ class FleetWorker:
         partial = replace(partial, details={**partial.details, **provenance})
         with self._state_lock:
             self.served += 1
-        reply = {"ok": True, "trials": [trials.start, trials.stop], **provenance}
-        return {**reply, "wall_seconds": result.wall_seconds}, partial.to_bytes()
+        trial_range = [trials.start, trials.stop]
+        reply = {"ok": True, "trials": trial_range, "wall_seconds": result.wall_seconds}
+        return {**reply, **provenance}, partial.to_bytes()
 
 
 def _check_digest(kind: str, actual: str, claimed: str) -> None:
@@ -307,7 +319,8 @@ def _check_digest(kind: str, actual: str, claimed: str) -> None:
 # Subprocess helper (tests, benchmarks, worker-kill drills)
 # --------------------------------------------------------------------------- #
 def _worker_process_main(config: EngineConfig, host: str, name: str, port_queue) -> None:
-    worker = FleetWorker(config=config, host=host, name=name).start()
+    worker = FleetWorker(config=config, host=host, name=name)
+    worker.start()
     port_queue.put(worker.port)
     worker.wait()
 

@@ -31,7 +31,9 @@ Protocol (one JSON object per line, responses in completion order):
   :func:`recv_frame` are the blocking client side);
 * a line longer than :data:`MAX_LINE_BYTES`, or a bad ``nbytes``, is
   answered with a structured ``FrameError`` and the connection closes — the
-  stream cannot be resynchronised; bad JSON or a non-object line is
+  stream cannot be resynchronised; so is any ``nbytes`` sent to a role that
+  takes no payloads (:attr:`RiskServer.accepts_payloads`, off for the
+  service role), whose body is never read; bad JSON or a non-object line is
   answered with an error and the connection keeps serving;
 * ``{"op": "stats"}`` answers inline (never queued/rejected) with
   ``served``/``rejected``/``errors`` counters and ``p50``/``p99``
@@ -261,6 +263,11 @@ class RiskServer:
         admission control rejects with ``Overloaded``.
     """
 
+    #: Whether a control line may carry ``nbytes`` of payload.  The service
+    #: role takes none, so a body is refused before a byte of it is read;
+    #: the fleet worker role sets this (its ``put_*`` ops ship artifacts).
+    accepts_payloads = False
+
     def __init__(
         self,
         service: RiskService,
@@ -389,6 +396,9 @@ class RiskServer:
                             await self._write(writer, write_lock, error_payload(exc))
                         else:
                             nbytes = _payload_length(document)
+                            if nbytes is not None and not self.accepts_payloads:
+                                # Refused unread: this role never buffers a body.
+                                raise FrameError("this server takes no binary payloads")
                             payload = None if nbytes is None else await reader.readexactly(nbytes)
                             task = asyncio.ensure_future(
                                 self._serve(document, payload, writer, write_lock)
@@ -609,17 +619,23 @@ class ServerThread:
         # A role's server (e.g. the fleet worker's) arrives built; run it as is.
         self.server = service if isinstance(service, RiskServer) else RiskServer(service, **kwargs)
         self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None
+
+    def _run(self) -> None:
+        try:
+            asyncio.run(self.server.run(install_signal_handlers=False))
+        except BaseException as exc:
+            self._error = exc
+            if self.server.started.is_set():
+                raise  # a failure after the bind still reaches stderr
 
     def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self.server.run(install_signal_handlers=False)),
-            name="are-server",
-            daemon=True,
-        )
+        self._thread = threading.Thread(target=self._run, name="are-server", daemon=True)
         self._thread.start()
         deadline = time.monotonic() + 10.0
         while not self.server.started.wait(timeout=0.05):
-            # A failed bind kills the thread (its OSError goes to stderr).
+            if self._error is not None:
+                raise self._error  # the bind's own OSError (e.g. EADDRINUSE)
             if not self._thread.is_alive() or time.monotonic() > deadline:
                 raise RuntimeError(f"server did not bind {self.server.host}:{self.server.port}")
         return self

@@ -136,7 +136,8 @@ class TableShardSource:
 class YetStore(ABC):
     """Abstract keyed store of Year Event Tables.
 
-    Keys are opaque single-component strings — on the fleet wire they are the content digests from :func:`repro.service.digests.yet_digest`,
+    Keys are opaque single-component strings — on the fleet wire they are
+    the content digests from :func:`repro.service.digests.yet_digest`,
     which makes every store automatically deduplicating and immutable.
     """
 

@@ -91,6 +91,14 @@ class TestControlOps:
         send_hostile_line(host, int(port), line, keeps_serving)
         assert worker.is_serving()
 
+    def test_bind_failure_raises_the_oserror(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            busy = FleetWorker(port=taken.getsockname()[1])
+            with pytest.raises(OSError):
+                busy.start()
+
     def test_probe_worker_unreachable_never_raises(self):
         report = probe_worker("127.0.0.1:1", timeout=0.5)
         assert report["reachable"] is False

@@ -207,6 +207,18 @@ class TestHostileLines:
         if not keeps_serving:
             assert reply["error"]["type"] == "FrameError"
 
+    def test_service_role_refuses_a_payload_unread(self, tiny_workload):
+        # 1 GiB announced, no body sent: an answer proves the server did not
+        # wait to buffer it — the service role takes no payloads at all.
+        line = b'{"nbytes": 1073741824}\n'
+        with _service(tiny_workload) as service:
+            with ServerThread(service) as handle:
+                server = handle.server
+                reply = send_hostile_line(server.host, server.port, line, False)
+                assert server.stats.errors == 1
+        assert reply["error"]["type"] == "FrameError"
+        assert "payload" in reply["error"]["message"]
+
 
 class TestAdmissionControl:
     def test_overload_rejections_well_formed(self, tiny_workload):
