@@ -13,9 +13,10 @@ This is the 60-second tour of the library:
 5. quote the program with secondary-uncertainty bands: every ELT loss becomes
    a distribution and all replications are priced in one replication-batched
    stacked pass (CLI equivalent: ``are uncertainty --replications 32``),
-6. stream a wider term sweep through the PortfolioSweepService: the variants
-   lower to one ExecutionPlan per block — identical ELT gathers are shared
-   across variants — and quotes stream out block by block (CLI equivalent:
+6. price a wider term sweep as one RiskService ``sweep`` request: the
+   variants are concatenated into one program — identical ELT gathers are
+   shared across variants — priced in row-bounded blocks, and a repeat is
+   answered from the result cache (CLI equivalent:
    ``are sweep --variants 6 --block-rows 4``),
 7. serve repeated requests from a warm RiskService: declarative JSON-able
    requests, a content-addressed cache of lowered plans and fused stacks,
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from repro import AggregateRiskEngine, EngineConfig, RiskService
 from repro.financial.terms import LayerTerms
-from repro.portfolio import PortfolioSweepService, ReinsuranceProgram, batch_quote
+from repro.portfolio import ReinsuranceProgram, batch_quote
 from repro.uncertainty import (
     SecondaryUncertaintyAnalysis,
     UncertainEventLossTable,
@@ -153,14 +154,15 @@ def main() -> None:
           f"(relative spread {aal_band.relative_spread():.1%})")
 
     # ------------------------------------------------------------------ #
-    # 6. Streaming sweep: quote a wider term grid block by block.  Each
-    #    block is one ExecutionPlan — the variants' layers share their ELT
-    #    objects, so the plan dedupes their term-netted stack rows and the
-    #    fused gather reads each distinct row once per block.  The generator
-    #    yields quotes while later blocks are still pending, keeping the
-    #    working set at one block's stack however long the sweep is.
+    # 6. Sweep: quote a wider term grid as one RiskService request.  The
+    #    variants' layers share their ELT objects, so the concatenated plan
+    #    dedupes their term-netted stack rows and the fused gather reads
+    #    each distinct row once.  `max_rows_per_block` bounds one engine
+    #    pass to 4 rows, and the result cache answers the repeat exactly.
     # ------------------------------------------------------------------ #
-    grid = []
+    sweep_service = RiskService(result_cache=True)
+    sweep_service.register_yet("renewal", workload.yet)
+    names = []
     for i in range(6):
         scale = 0.8 + 0.1 * i
         layers = [
@@ -174,14 +176,21 @@ def main() -> None:
             )
             for lyr in workload.program.layers
         ]
-        grid.append(ReinsuranceProgram(layers, name=f"grid x{scale:.1f}"))
+        names.append(f"grid x{scale:.1f}")
+        sweep_service.register_program(names[-1], ReinsuranceProgram(layers, name=names[-1]))
 
-    service = PortfolioSweepService(AggregateRiskEngine())
-    print("\nStreaming sweep (6 variants, <= 4 rows per engine pass):")
-    for block in service.sweep(grid, workload.yet, max_rows_per_block=4):
-        print("  ", block.summary())
-        for quote in block.quotes:
-            print("    ", quote.summary())
+    sweep = {"kind": "sweep", "programs": names, "yet": "renewal", "max_rows_per_block": 4}
+    swept = sweep_service.submit(sweep)
+    print("\nSweep (6 variants, <= 4 rows per engine pass):")
+    for index, block in enumerate(swept.details["blocks"]):
+        print(f"   block {index}: {block['rows']} rows "
+              f"({block['n_unique_rows']} unique) in {block['wall_seconds']:.4f}s")
+    for quote in swept.quotes:
+        print("    ", quote.summary())
+    repeat = sweep_service.submit(sweep)
+    print(f"   repeat: result cache {repeat.result_cache['status']}, "
+          f"{len(repeat.details['blocks'])} blocks priced")
+    sweep_service.close()
 
     # ------------------------------------------------------------------ #
     # 7. Serve it: a warm RiskService answers declarative requests.  The

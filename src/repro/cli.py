@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep",
-        help="stream a portfolio sweep: many term variants quoted block by block",
+        help="quote many term variants as one run priced in row-bounded blocks",
     )
     _add_run_arguments(sweep)
     sweep.add_argument(
@@ -137,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-rows", type=_non_negative_int, default=0, metavar="R",
         help="bound one engine pass to R stacked rows "
              "(0 = the whole sweep in a single block)",
-    )
-    sweep.add_argument(
-        "--no-dedupe", action="store_true",
-        help="disable sharing of identical ELT gathers across variants",
     )
 
     metrics = subparsers.add_parser("metrics", help="run an analysis and print the risk report")
@@ -361,46 +357,33 @@ def _command_run(args: argparse.Namespace) -> int:
         fleet = tuple(
             address.strip() for address in args.fleet.split(",") if address.strip()
         )
-    if fleet and args.batch > 0:
-        print(
-            "error: --fleet prices single runs; batch pricing is not distributed",
-            file=sys.stderr,
-        )
-        return 2
-    workload = _build_workload(args)
-    service = _build_service(args, workload)
-    if args.batch > 0:
-        response = service.submit(
-            AnalysisRequest(
-                kind="run_many",
-                program=args.preset,
-                variants=args.batch,
-                shards=args.shards,
-            )
-        )
-        print(f"workload : {workload.summary()}")
-        print(f"batch    : {len(response.results)} variants x {workload.program.n_layers} layers "
-              f"priced in one {response.backend} invocation ({response.total_seconds:.4f}s)")
-        for quote in response.quotes:
-            print(f"  {quote.summary()}")
-        if response.results[0].phase_breakdown is not None:
-            print(response.results[0].phase_breakdown.format_table())
-        return 0
     request = AnalysisRequest(
-        kind="run", program=args.preset, shards=args.shards, workers=fleet
+        kind="run_many" if args.batch > 0 else "run",
+        program=args.preset,
+        variants=args.batch,
+        shards=args.shards,
+        workers=fleet,
     )
     try:
         request.validate()
     except RequestValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    workload = _build_workload(args)
+    service = _build_service(args, workload)
     response = service.submit(request)
-    result = response.result
+    result = response.result if args.batch == 0 else response.results[0]
     print(f"workload : {workload.summary()}")
-    print(f"result   : {result.summary()}"
-          + (f" shards={result.details.get('trial_shards')}" if args.shards else ""))
+    if args.batch > 0:
+        print(f"batch    : {len(response.results)} variants x {workload.program.n_layers} layers "
+              f"priced in one {response.backend} invocation ({response.total_seconds:.4f}s)")
+        for quote in response.quotes:
+            print(f"  {quote.summary()}")
+    else:
+        print(f"result   : {result.summary()}"
+              + (f" shards={result.details.get('trial_shards')}" if args.shards else ""))
     if fleet:
-        details = result.details["fleet"]
+        details = response.details["fleet"]
         print(f"fleet    : {len(details['shards_per_worker'])} workers x "
               f"{details['n_shards']} shards"
               + (f", dead: {', '.join(details['dead_workers'])}"
@@ -423,16 +406,14 @@ def _command_sweep(args: argparse.Namespace) -> int:
             program=args.preset,
             variants=args.variants,
             max_rows_per_block=args.block_rows,
-            dedupe=not args.no_dedupe,
             shards=args.shards,
         )
     )
-    cursor = 0
-    for block in response.details["blocks"]:
-        print(f"  {block['summary']}")
-        for quote in response.quotes[cursor : cursor + block["n_programs"]]:
-            print(f"    {quote.summary()}")
-        cursor += block["n_programs"]
+    for index, block in enumerate(response.details["blocks"]):
+        print(f"  block {index}: {block['rows']} rows ({block['n_unique_rows']} unique) "
+              f"in {block['wall_seconds']:.4f}s")
+    for quote in response.quotes:
+        print(f"    {quote.summary()}")
     print(f"total    : {len(response.quotes)} quotes in {response.total_seconds:.4f}s")
     return 0
 

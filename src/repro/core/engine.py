@@ -31,9 +31,10 @@ replication-batched secondary-uncertainty engine, which samples ``R``
 realisations of a program and prices them as ``R x n_layers`` fused rows —
 enter through :meth:`AggregateRiskEngine.run_stacked`; power users can build
 and execute plans directly via :class:`~repro.core.plan.PlanBuilder` and
-:meth:`AggregateRiskEngine.run_plan`.  Streaming many programs through
-blocks of one engine pass — the scenario-diversity path — is the job of
-:class:`~repro.portfolio.sweep.PortfolioSweepService` (CLI: ``are sweep``).
+:meth:`AggregateRiskEngine.run_plan`.  Pricing many programs through
+row-bounded blocks of one concatenated run, behind the result cache and
+optionally on a fleet — the scenario-diversity path — is the ``sweep``
+request of :class:`~repro.service.service.RiskService` (CLI: ``are sweep``).
 
 The resulting banded quote of the uncertainty path looks like::
 

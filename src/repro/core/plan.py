@@ -23,12 +23,14 @@ once, in the plan and its driver, and apply to every entry point.
 Lowering is the job of :class:`PlanBuilder`:
 
 ``from_program``
-    one program -> one segment of rows, one row per layer;
+    one program -> one segment of rows, one row per layer, *deduplicated*:
+    layers sharing their ELT objects (candidate-term variants of the same
+    exposure, concatenated into one program) share their term-netted loss
+    row, so the stacked gather reads each distinct row once regardless of
+    how many variants reference it;
 ``from_programs``
-    many programs -> one concatenated plan with per-program segments, and
-    (by default) *deduplicated* rows: candidate-term variants of the same
-    exposure share their term-netted loss row, so the stacked gather reads
-    each distinct row once regardless of how many variants reference it;
+    many programs -> the same lowering of their concatenated layers, plus
+    one segment per program;
 ``from_stack``
     precomputed rows (e.g. the sampled replications of the secondary-
     uncertainty engine) -> a synthetic plan with no source layers.
@@ -64,8 +66,8 @@ __all__ = ["ExecutionPlan", "PlanBuilder", "PlanSegment", "finalize_plan_result"
 class PlanSegment:
     """A contiguous block of plan rows belonging to one logical result.
 
-    ``run`` lowers to a single segment spanning every row; ``run_many`` and
-    the portfolio sweep produce one segment per input program.  ``metadata``
+    ``run`` lowers to a single segment spanning every row;
+    ``engine.run_many`` produces one segment per input program.  ``metadata``
     is merged into the split result's ``details`` (e.g. the ``"batch"``
     entry ``run_many`` has always recorded).
     """
@@ -117,7 +119,7 @@ class ExecutionPlan:
         to one segment spanning every row.
     source:
         Provenance tag recorded in result details (``"program"``,
-        ``"batch"``, ``"stacked"``, ``"sweep"``).
+        ``"batch"``, ``"stacked"``).
     mean_elts_per_row:
         Average ELT count per row, carried into the result's workload shape.
     trial_range:
@@ -445,6 +447,13 @@ class PlanBuilder:
     ) -> ExecutionPlan:
         """Lower ``run``: one row per layer of one program, one segment.
 
+        Rows whose term-netted losses are necessarily identical — layers
+        referencing the *same* ELT objects, as produced by
+        :meth:`~repro.portfolio.layer.Layer.with_terms` candidate variants —
+        share one stack row via the plan's ``row_map``.  Identity of the ELT
+        tuple is the dedup key: it can never produce a false positive, and
+        it catches exactly the variant pattern of a concatenated sweep.
+
         ``n_shards`` asks the shard driver to execute the plan as that many
         trial shards (``0`` = defer to ``EngineConfig.trial_shards``); the
         merged result is bit-identical either way.
@@ -454,6 +463,7 @@ class PlanBuilder:
             yet,
             [layer.terms for layer in program.layers],
             layers=program.layers,
+            row_map=_shared_row_map(program.layers),
             row_names=program.layer_names,
             source="program",
             mean_elts_per_row=program.mean_elts_per_layer,
@@ -468,14 +478,11 @@ class PlanBuilder:
         source: str = "batch",
         n_shards: int = 0,
     ) -> ExecutionPlan:
-        """Lower ``run_many``/sweep blocks: concatenated rows, one segment each.
+        """Lower ``run_many``: :meth:`from_program` over the concatenated
+        layers, plus one segment per program.
 
-        With ``dedupe`` (the default) rows whose term-netted losses are
-        necessarily identical — layers referencing the *same* ELT objects,
-        as produced by :meth:`~repro.portfolio.layer.Layer.with_terms`
-        candidate variants — share one stack row via the plan's ``row_map``.
-        Identity of the ELT tuple is the dedup key: it can never produce a
-        false positive, and it catches exactly the sweep's variant pattern.
+        ``dedupe=False`` keeps one stack row per plan row — the reference
+        the dedupe conformance tests compare against.
         """
         normalised = [ReinsuranceProgram.wrap(program) for program in programs]
         if not normalised:
@@ -483,17 +490,6 @@ class PlanBuilder:
 
         layers: List[Layer] = [layer for program in normalised for layer in program.layers]
         total_rows = len(layers)
-
-        row_map: np.ndarray | None = None
-        if dedupe:
-            unique_of: dict[tuple[int, ...], int] = {}
-            mapping = np.empty(total_rows, dtype=np.int64)
-            for row, layer in enumerate(layers):
-                key = tuple(id(elt) for elt in layer.elts)
-                mapping[row] = unique_of.setdefault(key, len(unique_of))
-            if len(unique_of) < total_rows:
-                row_map = mapping
-
         segments: List[PlanSegment] = []
         start = 0
         for index, program in enumerate(normalised):
@@ -520,7 +516,7 @@ class PlanBuilder:
             yet,
             [layer.terms for layer in layers],
             layers=layers,
-            row_map=row_map,
+            row_map=_shared_row_map(layers) if dedupe else None,
             row_names=[layer.name for layer in layers],
             segments=segments,
             source=source,
@@ -545,6 +541,17 @@ class PlanBuilder:
             source="stacked",
             n_shards=n_shards,
         )
+
+
+def _shared_row_map(layers: Sequence[Layer]) -> np.ndarray | None:
+    """Plan rows -> unique stack rows, keyed by the identity of each layer's
+    ELT tuple; ``None`` when no two layers share their ELT objects."""
+    unique_of: dict[tuple[int, ...], int] = {}
+    mapping = np.empty(len(layers), dtype=np.int64)
+    for row, layer in enumerate(layers):
+        key = tuple(id(elt) for elt in layer.elts)
+        mapping[row] = unique_of.setdefault(key, len(unique_of))
+    return mapping if len(unique_of) < len(layers) else None
 
 
 def finalize_plan_result(

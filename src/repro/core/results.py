@@ -102,8 +102,9 @@ class EngineResult:
     ) -> "EngineResult":
         """A result restricted to the given layer rows.
 
-        Used by :meth:`~repro.core.engine.AggregateRiskEngine.run_many` to
-        split a batched multi-program run back into per-program results.  The
+        Used by :meth:`~repro.core.engine.AggregateRiskEngine.run_many` and
+        the :class:`~repro.service.service.RiskService` to split a batched
+        multi-program run back into per-program results.  The
         wall time of the shared run is carried over unchanged (the layers
         were priced together; their costs are not separable), and the
         workload shape keeps every dimension except the layer count.

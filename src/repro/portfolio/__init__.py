@@ -18,7 +18,6 @@ from repro.portfolio.pricing import (
 )
 from repro.portfolio.program import ReinsuranceProgram
 from repro.portfolio.rollup import portfolio_rollup, RollupResult
-from repro.portfolio.sweep import PortfolioSweepService, SweepBlock
 
 __all__ = [
     "Layer",
@@ -31,6 +30,4 @@ __all__ = [
     "rate_on_line",
     "portfolio_rollup",
     "RollupResult",
-    "PortfolioSweepService",
-    "SweepBlock",
 ]

@@ -303,9 +303,10 @@ def batch_quote(
     paper's real-time pricing scenario: an underwriter's candidate-term
     variants are all answered from one pass over the YET.
 
-    For very large sweeps — whole renewal books, wide term grids — prefer
-    :class:`~repro.portfolio.sweep.PortfolioSweepService`, which streams the
-    same computation in row-bounded blocks and yields quotes as a generator.
+    For very large sweeps — whole renewal books, wide term grids — prefer a
+    :class:`~repro.service.service.RiskService` ``sweep`` request: it prices
+    the same concatenated run in row-bounded blocks, and answers a repeat
+    from its result cache.
     """
     from repro.core.engine import AggregateRiskEngine
 

@@ -12,7 +12,8 @@ engine results, quotes and bands plus cache and timing metadata.
 
 On top of the plan cache, an opt-in delta-aware
 :class:`~repro.service.result_cache.ResultCache` caches *accumulated
-results* for the ``run`` kind: exact repeats skip the kernel pass, and
+results* for the ``run``, ``run_many`` and ``sweep`` kinds (one entry per
+request): exact repeats skip the kernel pass, and
 append-trials or changed-layer deltas re-price only the appended trial
 range or the changed stack rows — bit-identical to a cold run by the
 partial-result merge algebra.

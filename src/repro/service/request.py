@@ -5,9 +5,9 @@ of work for the :class:`~repro.service.service.RiskService` — the
 request/response form of the engine's public workloads::
 
     kind="run"          one program over one YET          (engine.run)
-    kind="run_many"     many programs / term variants     (engine.run_many)
+    kind="run_many"     many programs / term variants     (one concatenated run)
     kind="run_stacked"  precomputed term-netted rows      (engine.run_stacked)
-    kind="sweep"        streamed row-bounded quote sweep  (PortfolioSweepService)
+    kind="sweep"        run_many priced in row blocks     (one concatenated run)
     kind="uncertainty"  replication-banded metrics/quote  (SecondaryUncertaintyAnalysis)
 
 Requests reference their inputs *by name*: a name resolves against the
@@ -90,8 +90,6 @@ class AnalysisRequest:
         (``run_many``/``sweep``): variant ``i`` scales the occurrence and
         aggregate retentions by ``1 + 0.25 i``, the real-time pricing
         scenario of the paper's Section IV.
-    dedupe:
-        Share identical ELT gathers across the batch/sweep rows.
     shards:
         Execute the lowered plan(s) as this many disjoint trial shards
         (``0`` = the engine config's ``trial_shards``).  The merged result
@@ -99,7 +97,10 @@ class AnalysisRequest:
         per-pass working set.  Cache keys include the shard count, since it
         is lowered into the plan.
     max_rows_per_block:
-        Row bound of one sweep block (``0`` = a single block).
+        ``sweep`` only: price the rows the result cache cannot answer in
+        blocks of at most this many rows, stacked before the merge — the
+        bound on one pass's working set (``0`` = a single block).  The
+        answer is bit-identical for every bound.
     replications, cv, family, method, replication_block:
         Options of the ``uncertainty`` kind: replication count, coefficient
         of variation wrapped around each ELT loss, conditional distribution
@@ -114,13 +115,15 @@ class AnalysisRequest:
         Attach technical-premium :class:`~repro.portfolio.pricing.ProgramQuote`
         objects to the response where the kind supports them.
     result_cache:
-        Let the service answer a ``run`` request from its delta-aware
-        result cache (when the service has one).  Set ``False`` to force a
+        Let the service answer a ``run``, ``run_many`` or ``sweep`` request
+        from its delta-aware result cache (when the service has one); the
+        programs of one request share one entry.  Set ``False`` to force a
         full kernel pass for this request; the pass still populates the
         plan cache, but neither consults nor updates the result cache.
     workers:
         Fleet worker addresses (``"host:port"`` of ``are worker``
-        processes) to distribute a ``run`` request across.  The shard
+        processes) to distribute a ``run``, ``run_many`` or ``sweep``
+        request across (not ``run_stacked`` or ``uncertainty``).  The shard
         merge is bit-identical to the local run; ``shards`` sets the fleet
         shard count (``0`` = two shards per worker).  Empty (the default)
         executes locally.  The result cache answers fleet requests as it
@@ -136,7 +139,6 @@ class AnalysisRequest:
     stack: str | None = None
     yet: str | None = None
     variants: int = 0
-    dedupe: bool = True
     shards: int = 0
     max_rows_per_block: int = 0
     replications: int = 64
@@ -189,7 +191,7 @@ class AnalysisRequest:
         if any(not 0.0 < level < 1.0 for level in self.tvar_levels):
             raise _error("TVaR levels must lie in (0, 1)", "tvar_levels")
         if self.workers:
-            if self.kind != "run":
+            if self.kind in ("run_stacked", "uncertainty"):
                 raise _error(
                     f"kind {self.kind!r} does not support distributed workers",
                     "workers",

@@ -20,14 +20,17 @@ requests:
   uncertain layers) with the built-in workload presets as fallback;
 * optionally (``result_cache=True`` / ``result_cache_dir=...``) it keeps a
   delta-aware :class:`~repro.service.result_cache.ResultCache` of
-  accumulated results for the ``run`` kind: an exact repeat skips the
-  kernel pass entirely, a YET extended by appended trials re-prices only
-  the appended range, and a program differing in a subset of its layers
-  re-prices only the changed stack rows — each served result bit-identical
-  to the cold monolithic run by the partial-result merge algebra.  Every
-  ``run``, local or on a fleet of workers, takes one path: look up, price
-  the residual the cache cannot answer, merge, store
-  (:meth:`RiskService._handle_run`).
+  accumulated results: an exact repeat skips the kernel pass entirely, a
+  YET extended by appended trials re-prices only the appended range, and a
+  program differing in a subset of its layers re-prices only the changed
+  stack rows — each served result bit-identical to the cold monolithic run
+  by the partial-result merge algebra.
+* every ``run``, ``run_many`` and ``sweep``, local or on a fleet of
+  workers, takes one path (:meth:`RiskService._handle_run`): the request's
+  programs are concatenated into one program — one plan, one result-cache
+  entry — and the service looks up, prices the residual the cache cannot
+  answer (a ``sweep`` in row-bounded blocks), merges, stores, and splits
+  the answer back per program.
 
 Example::
 
@@ -51,7 +54,8 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -63,7 +67,7 @@ from repro.core.results import EngineResult, ResultAccumulator
 from repro.financial.terms import LayerTerms
 from repro.parallel.partitioner import WorkloadShape
 from repro.portfolio.layer import Layer
-from repro.portfolio.pricing import ProgramQuote, price_program
+from repro.portfolio.pricing import price_program
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service.cache import CacheStats, PlanCache
 from repro.service.digests import (
@@ -79,6 +83,7 @@ from repro.service.response import AnalysisResponse, CacheInfo
 from repro.service.result_cache import ResultCache, ResultCacheStats
 from repro.utils.arrays import read_only
 from repro.yet.table import YearEventTable
+from repro.ylt.table import YearLossTable
 
 __all__ = ["PreparedSubmission", "RiskService", "candidate_variants"]
 
@@ -188,7 +193,8 @@ class RiskService:
     volatility_loading, expense_ratio:
         Pricing parameters applied to every quote the service produces.
     result_cache:
-        Delta-aware caching of accumulated results for the ``run`` kind
+        Delta-aware caching of accumulated results for the ``run``,
+        ``run_many`` and ``sweep`` kinds
         (:class:`~repro.service.result_cache.ResultCache`).  ``False``/
         ``None`` disables it (the default — plan caching alone), ``True``
         enables an in-memory cache, or pass a configured instance.  When
@@ -426,9 +432,9 @@ class RiskService:
         acct = _CacheAccounting()
         handler = {
             "run": self._handle_run,
-            "run_many": self._handle_run_many,
+            "run_many": self._handle_run,
             "run_stacked": self._handle_run_stacked,
-            "sweep": self._handle_sweep,
+            "sweep": self._handle_run,
             "uncertainty": self._handle_uncertainty,
         }[request.kind]
 
@@ -469,38 +475,28 @@ class RiskService:
     # ------------------------------------------------------------------ #
     # Kind handlers (return partially-filled responses; submit finalises)
     # ------------------------------------------------------------------ #
-    def _quotes_for(
-        self, request: AnalysisRequest, programs: Sequence[ReinsuranceProgram],
-        results: Sequence[EngineResult], metrics: Sequence | None = None,
-    ) -> tuple[ProgramQuote, ...]:
-        if not request.quote:
-            return ()
-        return tuple(
-            price_program(
-                program,
-                result.ylt,
-                volatility_loading=self.volatility_loading,
-                expense_ratio=self.expense_ratio,
-                metrics=program_metrics,
-            )
-            for program, result, program_metrics in zip(
-                programs, results, metrics or [None] * len(programs)
-            )
-        )
-
     def _handle_run(
         self, request: AnalysisRequest, acct: _CacheAccounting
     ) -> AnalysisResponse:
-        """The one ``run`` path: look up, price the residual, merge, store.
+        """The one pricing path of ``run``, ``run_many`` and ``sweep``: look
+        up, price the residual, merge, store.
 
+        A request's programs are priced as one: concatenated into a single
+        program, they take one result-cache entry and one plan, whose
+        layers sharing ELT objects (term variants) share their stack rows.
         The result cache answers what it can (an exact repeat, a trial
         prefix, or every row but the changed ones); only the residual is
         priced — on the warm engine through the plan cache, or on the
-        request's fleet — and merged over the cached blocks by column or
-        row placement, bit-identical to a cold run of the whole program.
+        request's fleet; a ``sweep`` in blocks of at most
+        ``max_rows_per_block`` rows — and merged over the cached blocks by
+        column or row placement, bit-identical to a cold run of each
+        program.  The answer is split back per program last.
         """
-        program, companion = self._resolve_program(request.program, request.seed)
-        yet = self._resolve_yet(request, companion)
+        programs, yet = self._request_programs(request)
+        program = programs[0] if len(programs) == 1 else ReinsuranceProgram(
+            [layer for each in programs for layer in each.layers],
+            name="+".join(each.name for each in programs),
+        )
         key = self._program_key("run", [program], yet, request.shards)
         cache = self.result_cache if request.result_cache else None
 
@@ -536,33 +532,61 @@ class RiskService:
                 residual = program.subset(changed)
                 info.update(repriced_rows=changed, cached_rows=program.n_layers - len(changed))
 
+        # Cut the residual into row blocks (a sweep's memory bound).
+        bound = request.max_rows_per_block if request.kind == "sweep" else 0
+        blocks = [residual]
+        if 0 < bound < residual.n_layers:
+            blocks = [
+                residual.subset(range(start, min(start + bound, residual.n_layers)))
+                for start in range(0, residual.n_layers, bound)
+            ]
+
         # Price the residual; only this step knows which executor runs it.
-        lower_seconds = 0.0
+        lower_seconds, plans = 0.0, [None] * len(blocks)
         if ranges and not request.workers:
-            sub_key = key if residual is program else self._program_key(
-                "run", [residual], yet, request.shards
-            )
-            plan, lower_seconds = self._cached_plan(
-                sub_key,
-                lambda: PlanBuilder.from_program(residual, yet, n_shards=request.shards),
-                acct,
-                sub_key[1][0][:12],
-            )
+            for index, block in enumerate(blocks):
+                sub_key = key if block is program else self._program_key(
+                    "run", [block], yet, request.shards
+                )
+                plans[index], seconds = self._cached_plan(
+                    sub_key,
+                    lambda block=block: PlanBuilder.from_program(
+                        block, yet, n_shards=request.shards
+                    ),
+                    acct,
+                    sub_key[1][0][:12],
+                )
+                lower_seconds += seconds
         executed = time.perf_counter()
         priced: List[EngineResult] = []
+        priced_blocks: List[dict] = []
         for trials in ranges:
-            if request.workers:
-                priced.append(self.engine.run_distributed(
-                    residual, yet, request.workers, request.shards, trials=trials
-                ))
-            else:
-                priced.append(self.engine.run_plan(
-                    plan if trials is None else plan.restrict(trials)
-                ))
+            parts = []
+            for block, plan in zip(blocks, plans):
+                if request.workers:
+                    part = self.engine.run_distributed(
+                        block, yet, request.workers, request.shards, trials=trials
+                    )
+                else:
+                    part = self.engine.run_plan(plan if trials is None else plan.restrict(trials))
+                parts.append(part)
+                priced_blocks.append({
+                    "rows": block.n_layers,
+                    "n_unique_rows": part.details["plan"]["n_unique_rows"],
+                    "wall_seconds": part.wall_seconds,
+                })
+            priced.append(parts[0] if len(parts) == 1 else replace(
+                parts[0],
+                ylt=reduce(YearLossTable.merged_with, (part.ylt for part in parts)),
+                wall_seconds=sum(part.wall_seconds for part in parts),
+                workload_shape=replace(parts[0].workload_shape, n_layers=residual.n_layers),
+            ))
         execute_seconds = time.perf_counter() - executed
         details = {}
         if request.workers and priced:
             details["fleet"] = dict(priced[-1].details["fleet"])
+        if request.kind == "sweep":
+            details["blocks"] = priced_blocks
 
         # Merge: column placement for trial gaps, row placement for rows.
         result, metrics = (priced[0] if priced else None), None
@@ -599,54 +623,48 @@ class RiskService:
                 metrics, quoted_rows = accumulator.risk_metrics(seed if changed else None, changed)
             info.update(quoted_rows=quoted_rows, stats=cache.stats.to_dict())
             details["result_cache"] = info
+
+        # Split the one answer back per program.
+        results, per_program = (result,), [metrics]
+        if len(programs) > 1:
+            cuts = np.cumsum([0] + [each.n_layers for each in programs]).tolist()
+            spans = list(zip(cuts, cuts[1:]))
+            results = tuple(result.for_layer_subset(range(a, b)) for a, b in spans)
+            per_program = [metrics and metrics[a:b] for a, b in spans]
+        quotes = ()
+        if request.quote:
+            quotes = tuple(
+                price_program(
+                    each,
+                    each_result.ylt,
+                    volatility_loading=self.volatility_loading,
+                    expense_ratio=self.expense_ratio,
+                    metrics=each_metrics,
+                )
+                for each, each_result, each_metrics in zip(programs, results, per_program)
+            )
         return AnalysisResponse(
             request=request,
-            results=(result,),
-            quotes=self._quotes_for(request, [program], [result], [metrics]),
+            results=results,
+            quotes=quotes,
             timings={"lower": lower_seconds, "execute": execute_seconds},
             details=details,
         )
 
-    def _batch_programs(
+    def _request_programs(
         self, request: AnalysisRequest
     ) -> tuple[List[ReinsuranceProgram], YearEventTable]:
-        """The program list of a ``run_many``/``sweep`` request."""
-        if request.programs:
-            programs: List[ReinsuranceProgram] = []
-            companion: YearEventTable | None = None
-            for name in request.programs:
-                program, program_yet = self._resolve_program(name, request.seed)
-                programs.append(program)
-                companion = companion if companion is not None else program_yet
-            return programs, self._resolve_yet(request, companion)
-        base, companion = self._resolve_program(request.program, request.seed)
-        yet = self._resolve_yet(request, companion)
-        return candidate_variants(base, request.variants), yet
-
-    def _handle_run_many(
-        self, request: AnalysisRequest, acct: _CacheAccounting
-    ) -> AnalysisResponse:
-        programs, yet = self._batch_programs(request)
-        key = self._program_key(
-            "run_many", programs, yet, request.dedupe, request.shards
-        )
-        plan, lower_seconds = self._cached_plan(
-            key,
-            lambda: PlanBuilder.from_programs(
-                programs, yet, dedupe=request.dedupe, n_shards=request.shards
-            ),
-            acct,
-            key[1][0][:12],
-        )
-        executed = time.perf_counter()
-        results = tuple(plan.split_result(self.engine.run_plan(plan)))
-        execute_seconds = time.perf_counter() - executed
-        return AnalysisResponse(
-            request=request,
-            results=results,
-            quotes=self._quotes_for(request, programs, results),
-            timings={"lower": lower_seconds, "execute": execute_seconds},
-        )
+        """A request's programs, in order — its one ``program``, its explicit
+        ``programs``, or ``variants`` of its ``program`` — and their YET."""
+        programs: List[ReinsuranceProgram] = []
+        companion: YearEventTable | None = None
+        for name in request.programs or (request.program,):
+            program, program_yet = self._resolve_program(name, request.seed)
+            programs.append(program)
+            companion = companion if companion is not None else program_yet
+        if request.kind != "run" and not request.programs:
+            programs = candidate_variants(programs[0], request.variants)
+        return programs, self._resolve_yet(request, companion)
 
     def _handle_run_stacked(
         self, request: AnalysisRequest, acct: _CacheAccounting
@@ -684,66 +702,6 @@ class RiskService:
             request=request,
             results=(result,),
             timings={"lower": lower_seconds, "execute": execute_seconds},
-        )
-
-    def _handle_sweep(
-        self, request: AnalysisRequest, acct: _CacheAccounting
-    ) -> AnalysisResponse:
-        from repro.portfolio.sweep import PortfolioSweepService
-
-        programs, yet = self._batch_programs(request)
-        lower_box = [0.0]
-
-        def plan_factory(group, group_yet, dedupe, source, n_shards=0):
-            key = self._program_key("sweep", group, group_yet, dedupe, n_shards)
-            plan, seconds = self._cached_plan(
-                key,
-                lambda: PlanBuilder.from_programs(
-                    group, group_yet, dedupe=dedupe, source=source, n_shards=n_shards
-                ),
-                acct,
-                key[1][0][:12],
-            )
-            lower_box[0] += seconds
-            return plan
-
-        sweeper = PortfolioSweepService(
-            engine=self.engine,
-            volatility_loading=self.volatility_loading,
-            expense_ratio=self.expense_ratio,
-            plan_factory=plan_factory,
-            price_quotes=request.quote,
-        )
-        executed = time.perf_counter()
-        results: List[EngineResult] = []
-        quotes: List[ProgramQuote] = []
-        blocks: List[dict] = []
-        for block in sweeper.sweep(
-            programs,
-            yet,
-            max_rows_per_block=request.max_rows_per_block,
-            dedupe=request.dedupe,
-            shards=request.shards,
-        ):
-            results.extend(block.results)
-            quotes.extend(block.quotes)
-            blocks.append(
-                {
-                    "index": block.index,
-                    "n_programs": block.n_programs,
-                    "n_rows": block.n_rows,
-                    "n_unique_rows": block.n_unique_rows,
-                    "wall_seconds": block.wall_seconds,
-                    "summary": block.summary(),
-                }
-            )
-        execute_seconds = time.perf_counter() - executed - lower_box[0]
-        return AnalysisResponse(
-            request=request,
-            results=tuple(results),
-            quotes=tuple(quotes) if request.quote else (),
-            timings={"lower": lower_box[0], "execute": max(execute_seconds, 0.0)},
-            details={"blocks": blocks},
         )
 
     def _handle_uncertainty(

@@ -137,9 +137,12 @@ class TestArchitectureGuard:
         assert owners == {"service/server.py"}
 
     def test_one_service_path_prices_merges_and_stores_a_run(self):
-        """Cache lookup, residual, merge and store of a ``run`` live in
-        ``RiskService._handle_run`` alone — no second pricing path."""
-        guarded = {"lookup", "store", "missing_ranges", "with_rows", "finalize"}
+        """Cache lookup, residual, fleet pricing, merge and store of a
+        ``run``, ``run_many`` or ``sweep`` live in ``RiskService._handle_run``
+        alone — no second pricing path, and no per-plan result split."""
+        guarded = {
+            "lookup", "store", "missing_ranges", "with_rows", "finalize", "run_distributed",
+        }
         callers = set()
         for node in ast.walk(ast.parse(SERVICE_MODULE.read_text())):
             if isinstance(node, (ast.ClassDef, ast.Module)):
@@ -155,6 +158,8 @@ class TestArchitectureGuard:
                             callers.add((method.name, call.func.attr))
         assert {name for name, _ in callers} == {"_handle_run"}
         assert {attr for _, attr in callers} == guarded
+        called = {name.rsplit(".", 1)[-1] for name in _called_names(SERVICE_MODULE)}
+        assert not called & {"split_result", "from_programs"}
 
 # --------------------------------------------------------------------------- #
 # Driver behaviour with fake pricers

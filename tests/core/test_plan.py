@@ -36,6 +36,24 @@ class TestPlanBuilderFromProgram:
         plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
         assert plan.stack() is plan.stack()
 
+    def test_concatenated_variants_share_rows_as_from_programs_does(self, tiny_workload):
+        program = tiny_workload.program
+        variants = [
+            program,
+            type(program)(
+                [layer.with_terms(LayerTerms(occurrence_retention=10.0))
+                 for layer in program.layers],
+                name="tighter",
+            ),
+        ]
+        concatenated = type(program)(
+            [layer for variant in variants for layer in variant.layers], name="both"
+        )
+        plan = PlanBuilder.from_program(concatenated, tiny_workload.yet)
+        batch = PlanBuilder.from_programs(variants, tiny_workload.yet)
+        assert plan.n_unique_rows == program.n_layers
+        np.testing.assert_array_equal(plan.row_map, batch.row_map)
+
 
 class TestPlanBuilderFromPrograms:
     def test_segments_cover_rows_in_order(self, tiny_workload):

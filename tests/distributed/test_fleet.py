@@ -29,6 +29,7 @@ from repro.service.request import AnalysisRequest
 from repro.service.service import RiskService
 from repro.yet.io import YetShardReader, save_yet_store
 from tests.service.test_result_cache import append_trials, with_scaled_layer
+from tests.service.test_service import FORMS, check_many_programs
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -439,3 +440,48 @@ class TestServiceRoute:
         assert delta.result_cache["status"] == "rows"
         assert delta.result_cache["repriced_rows"] == [1]
         self._assert_cold_equal(delta, changed, yet, config)
+
+    @pytest.mark.parametrize("state", ["cold", "exact", "rows", "append"])
+    @pytest.mark.parametrize("form", ["run_many", "sweep-3"])
+    def test_fleet_many_programs_equal_per_program_runs(self, tiny_workload, form, state):
+        config = EngineConfig(backend="vectorized")
+        with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+            response = check_many_programs(
+                tiny_workload, config, FORMS[form], state, workers=(w1.address, w2.address)
+            )
+        if state != "exact":
+            assert response.details["fleet"]["workers"] == [w1.address, w2.address]
+
+    def test_fleet_run_many_equals_a_local_cold_one(self, tiny_workload):
+        config = EngineConfig(backend="vectorized")
+        request = AnalysisRequest(kind="run_many", program="tiny", variants=4)
+        with RiskService(config=config) as local_service:
+            local = local_service.submit(request)
+        with RiskService(config=config) as service:
+            with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+                fleet = service.submit(request.replace(workers=(w1.address, w2.address)))
+        assert fleet.details["fleet"]["n_shards"] == 4
+        assert len(fleet.results) == 4
+        for served, cold in zip(fleet.results, local.results):
+            assert served.ylt.losses.tobytes() == cold.ylt.losses.tobytes()
+            assert served.ylt.max_occurrence_losses.tobytes() == (
+                cold.ylt.max_occurrence_losses.tobytes()
+            )
+
+    def test_repeated_fleet_run_many_sends_no_shard(self, tiny_workload, monkeypatch):
+        config = EngineConfig(backend="vectorized")
+        sent = self._spy_shard_sends(monkeypatch)
+        with RiskService(config=config, result_cache=True) as service:
+            with FleetWorker(config=config) as worker:
+                request = AnalysisRequest(
+                    kind="run_many", program="tiny", variants=8, workers=(worker.address,)
+                )
+                first = service.submit(request)
+                assert sent
+                sent.clear()
+                again = service.submit(request)
+        assert first.result_cache["status"] == "miss"
+        assert again.result_cache["status"] == "exact"
+        assert sent == []  # the repeat sends no shard
+        for served, cold in zip(again.results, first.results):
+            assert served.ylt.losses.tobytes() == cold.ylt.losses.tobytes()

@@ -21,7 +21,6 @@ class TestRoundTrip:
             kind="sweep",
             program="bench",
             variants=8,
-            dedupe=False,
             max_rows_per_block=16,
             return_periods=(10.0, 50.0),
             tvar_levels=(0.95,),
@@ -33,7 +32,7 @@ class TestRoundTrip:
 
     def test_json_round_trip(self):
         request = AnalysisRequest(
-            kind="run_many", programs=("a", "b"), yet="y", dedupe=False
+            kind="run_many", programs=("a", "b"), yet="y", shards=2
         ).validate()
         document = request.to_json()
         json.loads(document)  # well-formed
@@ -113,11 +112,21 @@ class TestValidation:
         with pytest.raises(RequestValidationError, match=match):
             AnalysisRequest(kind="uncertainty", program="a", **overrides).validate()
 
-    def test_workers_only_on_run(self):
+    @pytest.mark.parametrize("kind", ["run_stacked", "uncertainty"])
+    def test_workers_rejected_on_stacked_and_uncertainty(self, kind):
         with pytest.raises(RequestValidationError, match="does not support distributed"):
             AnalysisRequest(
-                kind="uncertainty", program="a", workers=("h:1",)
+                kind=kind, program="a", stack="s", yet="y", workers=("h:1",)
             ).validate()
+
+    @pytest.mark.parametrize("kind", ["run_many", "sweep"])
+    def test_workers_accepted_on_many_program_kinds(self, kind):
+        AnalysisRequest(kind=kind, program="a", variants=2, workers=("h:1",)).validate()
+
+    def test_dedupe_is_not_a_field(self):
+        """The service always dedupes; the knob is gone from the wire."""
+        with pytest.raises(RequestValidationError, match="unknown fields"):
+            AnalysisRequest.from_dict({"kind": "run_many", "programs": ["a"], "dedupe": False})
 
     @pytest.mark.parametrize("address", ["localhost", "host:", ":9", "host:http"])
     def test_worker_address_must_be_host_port(self, address):

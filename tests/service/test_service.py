@@ -10,10 +10,18 @@ from repro.core.engine import AggregateRiskEngine
 from repro.financial.terms import LayerTerms
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
+from repro.portfolio.pricing import batch_quote
 from repro.service import (
     AnalysisRequest,
     RequestValidationError,
     RiskService,
+)
+from repro.service.service import candidate_variants
+from tests.service.test_result_cache import (
+    append_trials,
+    backend_config,
+    counting_service,
+    with_scaled_layer,
 )
 
 SHM_DIR = Path("/dev/shm")
@@ -130,12 +138,12 @@ class TestDispatch:
         assert response.quotes == ()
 
     def test_sweep_quote_flag_off_skips_pricing(self, service, monkeypatch):
-        import repro.portfolio.sweep as sweep_module
+        import repro.service.service as service_module
 
         def exploding_price(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("pricing must be skipped when quote=false")
 
-        monkeypatch.setattr(sweep_module, "price_program", exploding_price)
+        monkeypatch.setattr(service_module, "price_program", exploding_price)
         response = service.submit(
             {"kind": "sweep", "program": "tiny", "variants": 3, "quote": False}
         )
@@ -225,13 +233,6 @@ class TestPlanCacheBehaviour:
             response = second.submit({"kind": "run", "program": "tiny"})
             assert response.cache.hit is False
             assert response.cache.key == key_a  # key prefix is the program digest
-
-    def test_dedupe_flag_is_part_of_the_key(self, service):
-        service.submit({"kind": "run_many", "program": "tiny", "variants": 2})
-        flipped = service.submit(
-            {"kind": "run_many", "program": "tiny", "variants": 2, "dedupe": False}
-        )
-        assert flipped.cache.hit is False
 
     def test_sweep_warm_second_pass(self, service):
         service.submit(
@@ -382,3 +383,191 @@ class TestShardedRequests:
         np.testing.assert_array_equal(
             sharded.result.ylt.losses, unsharded.result.ylt.losses
         )
+
+
+def assert_runs_equal(served, want):
+    """Losses and maximum-occurrence losses, byte for byte."""
+    assert served.ylt.losses.tobytes() == want.ylt.losses.tobytes()
+    assert served.ylt.max_occurrence_losses.tobytes() == (
+        want.ylt.max_occurrence_losses.tobytes()
+    )
+
+
+class TestSweep:
+    """A ``sweep`` is ``run_many`` priced in blocks of at most
+    ``max_rows_per_block`` rows."""
+
+    @staticmethod
+    def sweep(service, **extra):
+        return service.submit({"kind": "sweep", "program": "tiny", **extra})
+
+    def test_single_block_by_default(self, service, tiny_workload):
+        response = self.sweep(service, variants=3)
+        assert [block["rows"] for block in response.details["blocks"]] == [
+            3 * tiny_workload.program.n_layers
+        ]
+
+    @pytest.mark.parametrize("bound", [1, 3, 4, 5])
+    def test_rows_per_priced_block_within_the_bound(self, service, monkeypatch, bound):
+        priced = []
+        run_plan = service.engine.run_plan
+        monkeypatch.setattr(
+            service.engine, "run_plan", lambda plan: priced.append(plan.n_rows) or run_plan(plan)
+        )
+        response = self.sweep(service, variants=4, max_rows_per_block=bound)
+        assert priced and max(priced) <= bound
+        assert sum(priced) == 8  # 4 variants x 2 layers, each priced once
+        assert [block["rows"] for block in response.details["blocks"]] == priced
+        assert len(response.results) == 4
+
+    def test_dedup_within_block(self, service, tiny_workload):
+        (block,) = self.sweep(service, variants=4).details["blocks"]
+        assert block["rows"] == 4 * tiny_workload.program.n_layers
+        assert block["n_unique_rows"] == tiny_workload.program.n_layers
+
+    def test_single_layer_program(self, service, tiny_workload):
+        service.register_program("one", tiny_workload.program[0])
+        response = service.submit({"kind": "sweep", "programs": ["one"], "yet": "tiny"})
+        assert response.details["blocks"][0]["rows"] == 1
+        assert response.quotes[0].n_layers == 1
+
+    def test_quotes_match_batch_quote(self, service, tiny_workload):
+        variants = candidate_variants(tiny_workload.program, 3)
+        expected = batch_quote(variants, tiny_workload.yet, engine=AggregateRiskEngine())
+        quotes = self.sweep(service, variants=3, max_rows_per_block=2).quotes
+        assert [q.summary() for q in quotes] == [q.summary() for q in expected]
+
+    def test_bit_identical_across_block_sizes_and_shards(self, service):
+        reference = self.sweep(service, variants=4)
+        for extra in ({"max_rows_per_block": 3}, {"shards": 3},
+                      {"max_rows_per_block": 1, "shards": 2}):
+            response = self.sweep(service, variants=4, **extra)
+            for got, want in zip(response.results, reference.results):
+                assert_runs_equal(got, want)
+
+
+def check_many_programs(workload, config, form, state, workers=()):
+    """Serve four term variants as one ``form`` request in cache ``state``
+    (``cold`` / ``exact`` / ``rows`` / ``append`` / ``nocache``) and hold
+    every answer to a per-program ``engine.run``."""
+    variants = candidate_variants(workload.program, 4)
+    yet = workload.yet
+    names = [f"v{i}" for i in range(len(variants))]
+    document = {**form, "programs": names, "yet": "book", "workers": list(workers)}
+    with RiskService(config, result_cache=True) as service:
+        for name, variant in zip(names, variants):
+            service.register_program(name, variant)
+        service.register_yet("book", yet)
+        if state != "cold":
+            service.submit(document)
+        if state == "rows":  # one variant's terms change
+            variants[2] = with_scaled_layer(variants[2], 1)
+            service.register_program("v2", variants[2])
+        elif state == "append":
+            yet = append_trials(yet, 24)
+            service.register_yet("book", yet)
+        elif state == "nocache":
+            document["result_cache"] = False
+        response = service.submit(document)
+    if state == "nocache":
+        assert response.result_cache is None
+    else:
+        assert response.result_cache["status"] == EXPECTED_STATUS[state]
+    if state == "rows":
+        assert response.result_cache["repriced_rows"] == [5]
+    engine = AggregateRiskEngine(config)
+    assert len(response.results) == len(variants)
+    for got, variant in zip(response.results, variants):
+        assert_runs_equal(got, engine.run(variant, yet))
+    return response
+
+
+FORMS = {
+    "run_many": {"kind": "run_many"},
+    "sweep-0": {"kind": "sweep", "max_rows_per_block": 0},
+    "sweep-3": {"kind": "sweep", "max_rows_per_block": 3},
+}
+EXPECTED_STATUS = {"cold": "miss", "exact": "exact", "rows": "rows", "append": "append"}
+
+
+class TestManyProgramsAreOneRun:
+    """``run_many`` and ``sweep`` take the ``run`` path: one result-cache
+    entry per request, every answer equal to per-program ``engine.run``."""
+
+    @pytest.mark.parametrize("state", ["cold", "exact", "rows", "append", "nocache"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_every_answer_equals_per_program_runs(self, tiny_workload, form, backend, state):
+        check_many_programs(tiny_workload, backend_config(backend), FORMS[form], state)
+
+    def test_repeated_run_many_runs_no_plan(self, tiny_workload):
+        service, calls = counting_service(EngineConfig(), result_cache=True)
+        with service:
+            service.register_workload("tiny", tiny_workload)
+            request = {"kind": "run_many", "program": "tiny", "variants": 8}
+            cold = service.submit(request)
+            assert len(calls) == 1  # one plan for all eight variants
+            calls.clear()
+            warm = service.submit(request)
+        assert warm.result_cache["status"] == "exact"
+        assert calls == []
+        for got, want in zip(warm.results, cold.results):
+            assert_runs_equal(got, want)
+
+    def test_one_entry_per_request(self, tiny_workload):
+        with RiskService(EngineConfig(), result_cache=True) as cached:
+            cached.register_workload("tiny", tiny_workload)
+            cached.submit({"kind": "run", "program": "tiny"})
+            before = len(cached.result_cache)
+            cached.submit({"kind": "run_many", "program": "tiny", "variants": 8})
+            assert len(cached.result_cache) == before + 1
+
+    def test_one_program_request_concatenates_and_splits_nothing(
+        self, tiny_workload, monkeypatch
+    ):
+        import repro.service.service as service_module
+        from repro.core.results import EngineResult
+
+        built = []
+
+        class SpyProgram(ReinsuranceProgram):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        def no_split(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a one-program request must not split its answer")
+
+        monkeypatch.setattr(service_module, "ReinsuranceProgram", SpyProgram)
+        monkeypatch.setattr(EngineResult, "for_layer_subset", no_split)
+        with RiskService(EngineConfig(), result_cache=True) as service:
+            service.register_workload("tiny", tiny_workload)
+            for document in ({"kind": "run", "program": "tiny"},
+                             {"kind": "run_many", "programs": ["tiny"]},
+                             {"kind": "sweep", "programs": ["tiny"], "max_rows_per_block": 1}):
+                response = service.submit(document)
+                (only,) = response.results
+        assert built == []
+
+    def test_serve_mixed_shape_fits_the_default_cache(self, tiny_workload):
+        """12 books + 4 eight-variant run_many requests: 16 entries, no eviction."""
+        base = tiny_workload.program
+        with RiskService(EngineConfig(), result_cache=True) as service:
+            service.register_yet("book", tiny_workload.yet)
+            for i in range(12):
+                service.register_program(
+                    f"book-{i}", candidate_variants(base, i + 1)[i]
+                )
+            documents = [{"kind": "run", "program": f"book-{i}", "yet": "book"}
+                         for i in range(12)]
+            documents += [{"kind": "run_many", "program": f"book-{i}", "variants": 8,
+                           "yet": "book"} for i in range(4)]
+            first = [service.submit(document) for document in documents]
+            second = [service.submit(document) for document in documents]
+            stats = service.result_cache_stats()
+        assert {r.result_cache["status"] for r in first} == {"miss"}
+        assert [r.result_cache["status"] for r in second] == ["exact"] * 16
+        assert stats.evictions == 0
+        for cold, warm in zip(first, second):
+            for got, want in zip(warm.results, cold.results):
+                assert_runs_equal(got, want)

@@ -41,7 +41,6 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.variants == 8
         assert args.block_rows == 0
-        assert args.no_dedupe is False
 
     def test_sweep_rejects_zero_variants(self):
         with pytest.raises(SystemExit):
@@ -89,12 +88,6 @@ class TestCommands:
         out = capsys.readouterr().out
         # 3 variants x 2 layers share the tiny preset's 2 unique ELT rows.
         assert "6 rows (2 unique" in out
-
-    def test_sweep_no_dedupe(self, capsys):
-        assert main(["sweep", "--preset", "tiny", "--variants", "2",
-                     "--no-dedupe"]) == 0
-        out = capsys.readouterr().out
-        assert "4 rows (4 unique" in out
 
     def test_sweep_matches_batch_quotes(self, capsys):
         assert main(["run", "--preset", "tiny", "--batch", "3"]) == 0
@@ -465,11 +458,27 @@ class TestFleetRunFlag:
         # Same workload line; the result line differs only in wall time.
         assert fleet_out.splitlines()[0] == local_out.splitlines()[0]
 
-    def test_fleet_rejected_with_batch(self, capsys):
-        assert main(
-            ["run", "--preset", "tiny", "--batch", "2", "--fleet", "a:1"]
-        ) == 2
-        assert "not distributed" in capsys.readouterr().err
+    def test_fleet_batch_matches_local_batch(self, capsys):
+        """`are run --batch N --fleet` prices the variants on the workers."""
+        from repro.core.config import EngineConfig
+        from repro.distributed import FleetWorker
+
+        config = EngineConfig(backend="vectorized")
+        with FleetWorker(config=config) as w1, FleetWorker(config=config) as w2:
+            assert main(
+                ["run", "--preset", "tiny", "--batch", "3",
+                 "--fleet", f"{w1.address},{w2.address}"]
+            ) == 0
+        fleet_out = capsys.readouterr().out
+        assert "fleet    : 2 workers x 4 shards" in fleet_out
+        assert main(["run", "--preset", "tiny", "--batch", "3"]) == 0
+        local_out = capsys.readouterr().out
+
+        def quotes(out):
+            return [line for line in out.splitlines() if "premium=" in line]
+
+        assert len(quotes(fleet_out)) == 3
+        assert quotes(fleet_out) == quotes(local_out)
 
     def test_bad_fleet_address_is_a_clean_error(self, capsys):
         assert main(["run", "--preset", "tiny", "--fleet", "nocolon"]) == 2
