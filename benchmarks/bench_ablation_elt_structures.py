@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.elt.direct_access import DirectAccessTable
-from repro.elt.hashed_table import HashedEventLossTable
-from repro.elt.sorted_table import SortedEventLossTable
 from repro.elt.table import EventLossTable
+
+from .paper.lookup_structures import HashedEventLossTable, SortedEventLossTable
 
 CATALOG_SIZE = 500_000
 N_RECORDS = 20_000

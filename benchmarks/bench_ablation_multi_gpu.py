@@ -14,7 +14,9 @@ cheap) — the quantity of interest is the projected series, not the wall time.
 
 import pytest
 
-from repro.parallel.device import KernelConfig, KernelCostModel, WorkloadShape, multi_gpu_estimate
+from repro.parallel.partitioner import WorkloadShape
+
+from .paper.device import KernelConfig, KernelCostModel, multi_gpu_estimate
 
 PORTFOLIO_SHAPE = WorkloadShape(
     n_trials=1_000_000, events_per_trial=1000.0, n_elts=15, n_layers=5000

@@ -9,7 +9,7 @@ Scaled reproduction: the ``multicore`` backend (one worker process per
 sweep is always run; on machines with fewer physical cores than workers the
 measured curve flattens (workers time-share the cores), in which case the
 attached analytical memory-bandwidth model
-(:func:`repro.core.projection.memory_bound_speedup_model`) provides the
+(:func:`benchmarks.paper.projection.memory_bound_speedup_model`) provides the
 speedup-shape comparison against the paper (see EXPERIMENTS.md).
 """
 
@@ -18,7 +18,8 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.multicore import available_cores
-from repro.core.projection import memory_bound_speedup_model
+
+from .paper.projection import memory_bound_speedup_model
 
 CORE_COUNTS = (1, 2, 4, 8)
 

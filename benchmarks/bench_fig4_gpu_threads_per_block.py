@@ -5,7 +5,7 @@ Paper configuration: basic (global-memory) CUDA kernel, 1 million trials x
 least 128 threads per block are needed, the best time is at ~256, and beyond
 that improvements diminish.
 
-Reproduction: the :class:`~repro.parallel.device.SimulatedGPU` cost model
+Reproduction: the :class:`~benchmarks.paper.device.SimulatedGPU` cost model
 projects the kernel time of the paper's full-scale launch for each
 threads-per-block value; the projection is attached to
 ``extra_info["modeled_full_scale_seconds"]`` and is the series EXPERIMENTS.md
@@ -20,8 +20,9 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.device import KernelConfig, SimulatedGPU
 from repro.workloads.presets import PAPER_FULL_SCALE
+
+from .paper.device import KernelConfig, SimulatedGPU
 
 THREADS_PER_BLOCK = (128, 256, 384, 512, 640)
 

@@ -17,8 +17,9 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.device import KernelConfig, SimulatedGPU
 from repro.workloads.presets import PAPER_FULL_SCALE
+
+from .paper.device import KernelConfig, SimulatedGPU
 
 CHUNK_SIZES = (1, 2, 4, 8, 12, 16, 20, 24)
 THREADS_PER_BLOCK = 64

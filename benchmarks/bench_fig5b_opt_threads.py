@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.device import KernelConfig, SimulatedGPU
 from repro.workloads.presets import PAPER_FULL_SCALE
+
+from .paper.device import KernelConfig, SimulatedGPU
 
 THREADS_PER_BLOCK = (32, 64, 96, 128, 160, 192)
 CHUNK_SIZE = 4

@@ -14,7 +14,7 @@ Reproduction, two complementary views:
   ``extra_info``).  The two GPU kernels run as their equivalent per-layer
   configurations: basic as ``vectorized``, optimised as ``chunked`` with
   ``chunk_events = 64 threads x chunk 4``.
-* **Projected** — ``repro.core.projection.project_summary`` projects the
+* **Projected** — ``benchmarks.paper.projection.project_summary`` projects the
   full-scale runtime of all four implementations from the analytical CPU and
   GPU cost models; attached to ``extra_info`` and tabulated in EXPERIMENTS.md.
 """
@@ -24,10 +24,10 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.multicore import available_cores
-from repro.core.projection import project_summary
 from repro.workloads.presets import PAPER_FULL_SCALE
 
 from .conftest import build_workload
+from .paper.projection import project_summary
 
 FULL_SCALE_SHAPE = PAPER_FULL_SCALE.shape()
 

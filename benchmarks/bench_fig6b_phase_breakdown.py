@@ -10,8 +10,11 @@ Reproduction, two views attached to ``extra_info``:
   pure Python interpreter shifts the ratios — interpretation overhead inflates
   the arithmetic phases relative to a compiled implementation), and
 * the *projected* breakdown of the analytical CPU cost model
-  (:meth:`repro.core.projection.CPUCostModel.phase_fractions`), which is the
-  series EXPERIMENTS.md compares against the paper's 78 % figure.
+  (:meth:`benchmarks.paper.projection.CPUCostModel.phase_fractions`).
+
+The "78 % in ELT lookups" assertion below checks that projection, not a
+measurement: it shows the cost model's constants reproduce the paper's
+share, and says nothing about where this engine's time goes.
 """
 
 import pytest
@@ -19,11 +22,11 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.phases import ALL_PHASES
-from repro.core.projection import CPUCostModel
-from repro.parallel.device import WorkloadShape
+from repro.parallel.partitioner import WorkloadShape
 from repro.workloads.presets import PAPER_FULL_SCALE
 
 from .conftest import build_workload
+from .paper.projection import CPUCostModel
 
 FULL_SCALE_SHAPE = WorkloadShape(
     n_trials=PAPER_FULL_SCALE.n_trials,
@@ -64,9 +67,17 @@ def test_fig6b_phase_breakdown(benchmark, backend):
         k: round(100.0 * v, 2) for k, v in projected.items()
     }
     benchmark.extra_info["paper_elt_lookup_share"] = 78.0
+    benchmark.extra_info["elt_lookup_share_check"] = (
+        "projection: CPUCostModel.phase_fractions at PAPER_FULL_SCALE, not measured"
+    )
     # The measured (interpreted Python) breakdown shifts weight towards the
-    # arithmetic phases; the projected breakdown of the compiled-engine cost
-    # model is the one that must reproduce the paper's "78 % in ELT lookups".
+    # arithmetic phases; only the projected breakdown of the compiled-engine
+    # cost model is held to the paper's "78 % in ELT lookups".
     assert sum(percentages.values()) == pytest.approx(100.0, abs=1e-6)
-    assert max(projected, key=projected.get) == "elt_lookup"
-    assert projected["elt_lookup"] == pytest.approx(0.78, abs=0.12)
+    assert max(projected, key=projected.get) == "elt_lookup", (
+        f"projection (CPUCostModel, not measured): largest phase is not the ELT lookup: {projected}"
+    )
+    assert projected["elt_lookup"] == pytest.approx(0.78, abs=0.12), (
+        "projection (CPUCostModel, not measured): ELT-lookup share "
+        f"{projected['elt_lookup']:.2f} is not the paper's 78 %"
+    )

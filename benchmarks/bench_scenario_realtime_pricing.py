@@ -15,9 +15,10 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.parallel.device import KernelConfig, SimulatedGPU, WorkloadShape
+from repro.parallel.partitioner import WorkloadShape
 
 from .conftest import build_workload
+from .paper.device import KernelConfig, SimulatedGPU
 
 N_TRIALS = 50_000
 

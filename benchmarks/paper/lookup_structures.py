@@ -1,17 +1,23 @@
-"""Hash-table ELT lookup.
+"""The two compact ELT lookup structures of the Section III-B ablation.
 
-The paper mentions constant-time space-efficient hashing (cuckoo hashing) as a
-third alternative and dismisses it for GPUs because of "considerable
-implementation and run-time performance complexity".  For completeness — and
-for the ablation benchmark comparing lookup structures on the CPU — this
-module provides a hash-based lookup with an open-addressing table sized to a
-configurable load factor, plus a plain-``dict`` fallback used for scalar
-lookups.
+The paper argues for direct access tables (:class:`repro.elt.DirectAccessTable`,
+one memory access per lookup) over compact representations.  The engine only
+ever uses the direct access table; these two alternatives exist for
+``bench_ablation_elt_structures``, which measures the trade-off:
 
-The open-addressing table is implemented with NumPy arrays (keys and values)
-and linear probing, so vectorised batch lookups remain possible (each probe
-round is a vectorised gather), mimicking how a GPU implementation would have
-to iterate probe rounds in lock-step across a warp.
+* :class:`SortedEventLossTable` — the "compact representation" the paper
+  argues against: the (event id, loss) pairs are kept sorted by event id and
+  each lookup costs ``O(log n)`` memory accesses via binary search.  Memory
+  usage is proportional to the number of non-zero records rather than the
+  catalog size, so it wins on space and loses on lookup latency.
+* :class:`HashedEventLossTable` — the constant-time space-efficient hashing
+  (cuckoo hashing) alternative the paper dismisses for GPUs because of
+  "considerable implementation and run-time performance complexity": an
+  open-addressing table sized to a configurable load factor.  It is
+  implemented with NumPy arrays (keys and values) and linear probing, so
+  vectorised batch lookups remain possible (each probe round is a vectorised
+  gather), mimicking how a GPU implementation would have to iterate probe
+  rounds in lock-step across a warp.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from repro.elt.table import EventLossTable, LossLookup
 
-__all__ = ["HashedEventLossTable"]
+__all__ = ["HashedEventLossTable", "SortedEventLossTable"]
 
 _EMPTY = np.int64(-1)
 
@@ -134,4 +140,55 @@ class HashedEventLossTable(LossLookup):
         return (
             f"HashedEventLossTable(records={self._n_records}, slots={self._n_slots}, "
             f"max_probes={self._max_probes})"
+        )
+
+
+class SortedEventLossTable(LossLookup):
+    """Sorted (event id, loss) pairs with binary-search lookups."""
+
+    def __init__(self, elt: EventLossTable) -> None:
+        order = np.argsort(elt.event_ids, kind="stable")
+        self._event_ids = np.ascontiguousarray(elt.event_ids[order])
+        self._losses = np.ascontiguousarray(elt.losses[order])
+        self._catalog_size = elt.catalog_size
+        self.terms = elt.terms
+        self.name = elt.name
+
+    @property
+    def catalog_size(self) -> int:
+        return self._catalog_size
+
+    @property
+    def n_records(self) -> int:
+        """Number of stored (event, loss) records."""
+        return int(self._event_ids.shape[0])
+
+    def lookup(self, event_id: int) -> float:
+        if not 0 <= event_id < self._catalog_size:
+            raise IndexError(f"event_id {event_id} out of range [0, {self._catalog_size})")
+        pos = int(np.searchsorted(self._event_ids, event_id))
+        if pos < self._event_ids.shape[0] and self._event_ids[pos] == event_id:
+            return float(self._losses[pos])
+        return 0.0
+
+    def lookup_many(self, event_ids: np.ndarray) -> np.ndarray:
+        ids = np.asarray(event_ids)
+        if ids.size and (ids.min() < 0 or ids.max() >= self._catalog_size):
+            raise IndexError("event ids out of range of the catalog")
+        if self._event_ids.size == 0:
+            return np.zeros(ids.shape, dtype=np.float64)
+        pos = np.searchsorted(self._event_ids, ids)
+        pos = np.minimum(pos, self._event_ids.shape[0] - 1)
+        found = self._event_ids[pos] == ids
+        result = np.where(found, self._losses[pos], 0.0)
+        return result.astype(np.float64, copy=False)
+
+    @property
+    def memory_bytes(self) -> int:
+        return int(self._event_ids.nbytes + self._losses.nbytes)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"SortedEventLossTable(records={self.n_records}, "
+            f"catalog_size={self._catalog_size})"
         )

@@ -11,7 +11,7 @@ full-scale runtimes:
   loads into the ELT direct access tables), plus the multi-core projection via
   :func:`memory_bound_speedup_model`;
 * the GPU projections come directly from
-  :class:`~repro.parallel.device.KernelCostModel`.
+  :class:`~benchmarks.paper.device.KernelCostModel`.
 
 All constants are calibration inputs, documented as such; the claim checked in
 EXPERIMENTS.md is that the *relative* ordering and rough factors between the
@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.parallel.device import GPUSpec, KernelConfig, KernelCostModel, WorkloadShape
+from benchmarks.paper.device import GPUSpec, KernelConfig, KernelCostModel
+from repro.parallel.partitioner import WorkloadShape
 from repro.utils.validation import ensure_in_range, ensure_positive
 
 __all__ = ["CPUCostModel", "memory_bound_speedup_model", "project_summary"]

@@ -6,10 +6,8 @@ the same aggregate analysis executed by the sequential reference, the
 vectorized and chunked single-process backends, the multi-process backend and
 the native C backend.  The script verifies that all backends produce the
 identical Year Loss Table and reports their measured wall-clock times.  The
-GPU bars of Figure 6a come from the analytical device model
-(:mod:`repro.parallel.device`): the script prints its modelled kernel time
-for this workload's shape and the full-scale projections (1M trials x 1000
-events x 15 ELTs) that EXPERIMENTS.md compares against the paper's numbers.
+GPU bars of Figure 6a are not measured here; ``benchmarks/bench_fig6a_summary.py``
+attaches their cost-model projections next to its timed runs.
 
 Run with::
 
@@ -22,9 +20,7 @@ import numpy as np
 
 from repro import AggregateRiskEngine, EngineConfig
 from repro.core.multicore import available_cores
-from repro.core.projection import project_summary
-from repro.parallel.device import KernelConfig, SimulatedGPU
-from repro.workloads import PAPER_FULL_SCALE, WorkloadGenerator, bench_spec
+from repro.workloads import WorkloadGenerator, bench_spec
 
 
 def main() -> None:
@@ -59,21 +55,7 @@ def main() -> None:
         print(f"{name:<28}{result.wall_seconds:>12.4f}{baseline / result.wall_seconds:>10.1f}x")
 
     print("\nAll backends agree with the sequential reference (checked trial by trial).")
-
-    gpu = SimulatedGPU()
-    for name, kernel in (
-        ("basic", KernelConfig(threads_per_block=256, optimised=False)),
-        ("optimised", KernelConfig(threads_per_block=64, chunk_size=4)),
-    ):
-        modelled = gpu.estimate(workload.shape, kernel).seconds
-        print(f"modelled {name} GPU kernel on this workload: {modelled:.4f} s")
-
-    projections = project_summary(PAPER_FULL_SCALE.shape(), n_cores=8)
-    print("\nProjected full-scale runtimes (1M trials x 1000 events x 15 ELTs):")
-    paper = {"sequential_cpu": "~325", "multicore_cpu": "125-135", "basic_gpu": "38.47",
-             "optimised_gpu": "22.72"}
-    for name, seconds in projections.items():
-        print(f"  {name:<16}{seconds:>10.1f} s    (paper: {paper[name]} s)")
+    print("GPU bars (projected, not measured): benchmarks/bench_fig6a_summary.py")
 
 
 if __name__ == "__main__":

@@ -10,9 +10,7 @@ structures (different retentions, limits and a stop-loss variant).  Each
 alternative re-runs the aggregate analysis against the *same* Year Event
 Table and the *same* ELTs — only the terms change — so the engine's layer
 cache makes each re-evaluation cheap, and the loss distributions are directly
-comparable trial by trial.  The script closes with the paper's device-side
-claim: the analytical GPU model's time for one such re-evaluation at the
-paper's scale (50 K trials x 1000 events x 15 ELTs, optimised kernel).
+comparable trial by trial.
 
 Run with::
 
@@ -25,7 +23,6 @@ import time
 
 from repro import AggregateRiskEngine, EngineConfig
 from repro.financial.contracts import aggregate_xl_terms, combined_xl_terms, occurrence_xl_terms
-from repro.parallel.device import KernelConfig, SimulatedGPU, WorkloadShape
 from repro.portfolio.pricing import price_layer
 from repro.workloads import WorkloadGenerator, bench_spec
 from repro.ylt.metrics import compute_risk_metrics
@@ -89,11 +86,8 @@ def main() -> None:
     print("\nTechnical pricing:")
     for name, pricing in pricing_by_name.items():
         print(f"  {name:<20} {pricing.summary()}")
-
-    modelled = SimulatedGPU().estimate(
-        WorkloadShape(50_000, 1000.0, 15, 1), KernelConfig(threads_per_block=64, chunk_size=4)
-    )
-    print(f"\nModelled GPU re-evaluation at 50K trials x 1000 events: {modelled.seconds:.2f} s")
+    print("\nGPU re-evaluation at 50K trials (projected, not measured): "
+          "benchmarks/bench_scenario_realtime_pricing.py")
 
 
 if __name__ == "__main__":

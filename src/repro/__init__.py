@@ -6,8 +6,7 @@ A from-scratch Python reproduction of *Bahl, Baltzer, Rau-Chaplin & Varghese,
 depends on — stochastic event catalogs, exposure databases, a catastrophe
 model producing Event Loss Tables, Year Event Table simulation, financial and
 layer contract terms, Year Loss Tables with PML/TVaR metrics, and parallel
-execution backends (vectorized, chunked, multi-process and a simulated
-many-core device).
+execution backends (vectorized, chunked, multi-process and native C).
 
 Quickstart::
 

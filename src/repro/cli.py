@@ -11,7 +11,6 @@ The subcommands cover the everyday operations of the library::
     are request --json '{"kind": "run", ...}'     # answer one JSON request
     are serve                                     # warm NDJSON request loop
     are backends --json                           # backend availability probes
-    are project --trials 1000000                  # full-scale CPU/GPU projections
 
 Every pricing command is a thin shell over the
 :class:`~repro.service.service.RiskService` request path: the command
@@ -53,8 +52,6 @@ import sys
 from typing import Sequence
 
 from repro.core.config import BACKEND_NAMES, DTYPE_NAMES, EngineConfig
-from repro.core.projection import CPUCostModel, project_summary
-from repro.parallel.device import WorkloadShape
 from repro.service import AnalysisRequest, RequestValidationError, RiskService
 from repro.service.response import error_payload
 from repro.uncertainty import LossDistributionFamily
@@ -245,15 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated are-worker addresses to probe for the distributed "
              "row (default: the ARE_WORKERS environment variable)",
     )
-
-    project = subparsers.add_parser(
-        "project", help="project full-scale runtimes with the analytical cost models"
-    )
-    project.add_argument("--trials", type=int, default=1_000_000)
-    project.add_argument("--events-per-trial", type=int, default=1000)
-    project.add_argument("--elts-per-layer", type=int, default=15)
-    project.add_argument("--layers", type=int, default=1)
-    project.add_argument("--cores", type=int, default=8)
 
     return parser
 
@@ -746,21 +734,6 @@ def _command_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_project(args: argparse.Namespace) -> int:
-    shape = WorkloadShape(
-        n_trials=args.trials,
-        events_per_trial=float(args.events_per_trial),
-        n_elts=args.elts_per_layer,
-        n_layers=args.layers,
-    )
-    summary = project_summary(shape, n_cores=args.cores, cpu_model=CPUCostModel())
-    print(f"projected runtimes for {args.trials:,} trials x {args.events_per_trial} events "
-          f"x {args.elts_per_layer} ELTs x {args.layers} layer(s):")
-    for name, seconds in summary.items():
-        print(f"  {name:<16}: {seconds:10.2f} s")
-    return 0
-
-
 _COMMANDS = {
     "generate": _command_generate,
     "run": _command_run,
@@ -771,7 +744,6 @@ _COMMANDS = {
     "serve": _command_serve,
     "worker": _command_worker,
     "backends": _command_backends,
-    "project": _command_project,
 }
 
 

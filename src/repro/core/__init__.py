@@ -25,8 +25,9 @@ the interchangeable backends only price a shard's event window:
 
 :class:`~repro.core.engine.AggregateRiskEngine` is the public facade that
 selects a backend from an :class:`~repro.core.config.EngineConfig`.  The
-paper's GPU figures are not a backend: their kernel times come from the
-analytical cost model in :mod:`repro.parallel.device`.
+paper's GPU figures are not a backend and the library does not model them:
+their projected kernel times come from a cost model that lives with the
+figure scripts (``benchmarks/paper/device.py``).
 """
 
 from repro.core.chunked import ChunkedEngine

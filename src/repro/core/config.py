@@ -6,10 +6,10 @@ only matters to the chunked backend).  Keeping a single configuration type
 makes the benchmark sweeps trivial: change one field, re-run, compare.
 
 The switches that exist only for the paper's ablations are not fields: the
-Section III-B lookup structures are classes the ablation benchmark builds
-directly, the literal cumulative aggregate pass is a function of
-:mod:`repro.financial.policies`, and the simulated GPU of Figures 4-6a is the
-cost model in :mod:`repro.parallel.device`, which the figure benchmarks call.
+Section III-B lookup structures are classes in ``benchmarks/paper`` that the
+ablation benchmark builds directly, the literal cumulative aggregate pass is
+a function of :mod:`repro.financial.policies`, and the GPU of Figures 4-6a is
+a cost model in ``benchmarks/paper``, which the figure benchmarks call.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 ``EventLossTable`` is the canonical, storage-agnostic representation: parallel
 arrays of event ids and expected losses plus the ELT-level financial terms.
-The concrete lookup structures (direct access / sorted / hashed) are built
-*from* an ``EventLossTable`` and expose the :class:`LossLookup` interface used
-by the engine backends.
+Lookup structures (the engine's direct access table, and the sorted / hashed
+ablation tables in ``benchmarks/paper``) are built *from* an
+``EventLossTable`` and expose the :class:`LossLookup` interface used by the
+engine backends.
 """
 
 from __future__ import annotations

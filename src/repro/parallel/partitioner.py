@@ -7,7 +7,8 @@ The unit of parallel work in the aggregate analysis is the trial.
 :func:`shard_partition`, the driver's trial shards.
 
 :class:`WorkloadShape` records the dimensions of what is partitioned (trials x
-events x ELTs x layers); results carry it and the cost models consume it.
+events x ELTs x layers); results carry it, and the paper-figure cost models in
+``benchmarks/paper`` consume it.
 """
 
 from __future__ import annotations

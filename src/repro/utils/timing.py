@@ -157,7 +157,7 @@ class PhaseTimer:
             self._counts[name] = self._counts.get(name, 0) + 1
 
     def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Manually add ``seconds`` to phase ``name`` (used by device models)."""
+        """Manually add ``seconds`` to phase ``name`` (used by the sequential backend)."""
         if seconds < 0:
             raise ValueError(f"seconds must be non-negative, got {seconds}")
         self._seconds[name] = self._seconds.get(name, 0.0) + float(seconds)

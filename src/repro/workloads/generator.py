@@ -26,7 +26,7 @@ from repro.exposure.generator import ExposureGenerator
 from repro.exposure.geography import RegionGrid
 from repro.financial.terms import FinancialTerms, LayerTerms
 from repro.hazard.catmodel import CatastropheModel, CatModelSettings
-from repro.parallel.device import WorkloadShape
+from repro.parallel.partitioner import WorkloadShape
 from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.utils.rng import SeedSequenceFactory
@@ -108,7 +108,7 @@ class WorkloadSpec:
         return self.n_trials * self.events_per_trial * self.elts_per_layer * self.n_layers
 
     def shape(self) -> WorkloadShape:
-        """The corresponding :class:`~repro.parallel.device.WorkloadShape`."""
+        """The corresponding :class:`~repro.parallel.partitioner.WorkloadShape`."""
         return WorkloadShape(
             n_trials=self.n_trials,
             events_per_trial=float(self.events_per_trial),

@@ -8,9 +8,10 @@ Three families of presets are provided:
   the paper's parameter *ratios*);
 * ``PAPER_FULL_SCALE`` — the paper's headline configuration (1 million trials,
   1000 events per trial, one layer of 15 ELTs over a 2-million-event catalog).
-  This preset is never *executed* by the test-suite; it parameterises the
-  analytical device/CPU models that project full-scale runtimes in the
-  Figure 6a benchmark and in EXPERIMENTS.md.
+  This preset is never *executed*; its :meth:`~WorkloadSpec.shape`
+  parameterises the analytical device/CPU cost models in
+  ``benchmarks/paper`` that the figure benchmarks use to project full-scale
+  runtimes.
 """
 
 from __future__ import annotations

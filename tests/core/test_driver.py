@@ -4,8 +4,9 @@ The guard pins the refactor's point — exactly one module in ``repro.core``
 turns a plan into a result — so a hand-rolled ``run_plan`` loop cannot creep
 back into a backend module or into the distributed coordinator and worker;
 the service looks up, merges and stores a ``run`` in one method; one module
-owns the socket server and its framing; and the simulated GPU stays a cost
-model outside the engine, consulted only by the projections.
+owns the socket server and its framing; and the library ships only what it
+runs: the GPU/CPU cost models live with the figure scripts in
+``benchmarks/paper``, and ``repro.parallel`` is the trial partitioner alone.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 
 import repro.core
 import repro.distributed
+import repro.parallel
 import repro.service.service
 from repro.core import multicore as multicore_module
 from repro.core.config import BACKEND_NAMES, EngineConfig
@@ -36,6 +38,7 @@ BACKEND_MODULES = (
 )
 DISTRIBUTED_DIR = Path(repro.distributed.__file__).parent
 SRC_DIR = CORE_DIR.parent
+PARALLEL_DIR = Path(repro.parallel.__file__).parent
 SERVICE_MODULE = Path(repro.service.service.__file__)
 SHM_DIR = Path("/dev/shm")
 
@@ -83,13 +86,29 @@ class TestArchitectureGuard:
     def test_only_the_driver_accumulates_a_plan(self):
         assert _core_callers("ResultAccumulator.for_plan") == {"driver.py"}
 
-    def test_only_the_projections_consult_the_device_model(self):
-        importers = {
-            path.relative_to(CORE_DIR).as_posix()
-            for path in sorted(CORE_DIR.rglob("*.py"))
-            if "repro.parallel.device" in _imported_modules(path)
+    def test_the_library_ships_no_cost_model(self):
+        """The analytical models are projections for the figure scripts: no
+        library module imports ``benchmarks`` or defines one of them."""
+        importers, definers = set(), set()
+        for path in sorted(SRC_DIR.rglob("*.py")):
+            name = path.relative_to(SRC_DIR).as_posix()
+            if any(module.split(".")[0] == "benchmarks" for module in _imported_modules(path)):
+                importers.add(name)
+            classes = {
+                node.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+            }
+            if classes & {"SimulatedGPU", "KernelCostModel", "CPUCostModel"}:
+                definers.add(name)
+        assert importers == set()
+        assert definers == set()
+
+    def test_parallel_holds_only_the_partitioner(self):
+        assert {path.name for path in PARALLEL_DIR.glob("*.py")} == {
+            "__init__.py",
+            "partitioner.py",
         }
-        assert importers == {"projection.py"}
 
     @pytest.mark.parametrize("module", BACKEND_MODULES)
     def test_backends_define_no_shard_loop(self, module):

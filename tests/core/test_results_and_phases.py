@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.phases import ALL_PHASES, empty_breakdown, new_phase_timer
 from repro.core.results import EngineResult
-from repro.parallel.device import WorkloadShape
+from repro.parallel.partitioner import WorkloadShape
 from repro.utils.timing import TimingBreakdown
 from repro.ylt.table import YearLossTable
 

@@ -1,4 +1,4 @@
-"""Tests for repro.parallel.shared_memory.
+"""Tests for the shared-memory transport of repro.core.multicore.
 
 Besides the in-process round-trips, this module covers the two contracts the
 multicore plan scheduler depends on:
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.parallel.shared_memory import SharedArray, SharedWorkspace
+from repro.core.multicore import SharedArray, SharedWorkspace
 
 SHM_DIR = Path("/dev/shm")
 
@@ -196,7 +196,7 @@ class TestLifecycleGuarantees:
         """
         code = (
             "import numpy as np\n"
-            "from repro.parallel.shared_memory import SharedArray\n"
+            "from repro.core.multicore import SharedArray\n"
             "leaked = SharedArray.from_array(np.zeros(512))\n"
             "print(leaked.descriptor.shm_name.lstrip('/'))\n"
         )

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from benchmarks.paper.lookup_structures import HashedEventLossTable, SortedEventLossTable
 from repro.elt.direct_access import DirectAccessTable
-from repro.elt.hashed_table import HashedEventLossTable
-from repro.elt.sorted_table import SortedEventLossTable
 from repro.elt.table import EventLossTable
 
 ALL_STRUCTURES = [DirectAccessTable, SortedEventLossTable, HashedEventLossTable]

@@ -1,4 +1,4 @@
-"""Tests for repro.parallel.device (the simulated GPU cost model).
+"""Tests for benchmarks.paper.device (the simulated GPU cost model).
 
 These tests check that the device model reproduces the qualitative behaviours
 the paper's GPU experiments demonstrate (occupancy, chunking, shared-memory
@@ -7,7 +7,8 @@ capacity), plus the headline quantitative calibration targets.
 
 import pytest
 
-from repro.parallel.device import GPUSpec, KernelConfig, KernelCostModel, SimulatedGPU, WorkloadShape
+from benchmarks.paper.device import GPUSpec, KernelConfig, KernelCostModel, SimulatedGPU
+from repro.parallel.partitioner import WorkloadShape
 
 PAPER_SHAPE = WorkloadShape(n_trials=1_000_000, events_per_trial=1000.0, n_elts=15, n_layers=1)
 

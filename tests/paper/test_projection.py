@@ -1,9 +1,9 @@
-"""Tests for repro.core.projection (full-scale runtime projections)."""
+"""Tests for benchmarks.paper.projection (full-scale runtime projections)."""
 
 import pytest
 
-from repro.core.projection import CPUCostModel, memory_bound_speedup_model, project_summary
-from repro.parallel.device import WorkloadShape
+from benchmarks.paper.projection import CPUCostModel, memory_bound_speedup_model, project_summary
+from repro.parallel.partitioner import WorkloadShape
 
 PAPER_SHAPE = WorkloadShape(n_trials=1_000_000, events_per_trial=1000.0, n_elts=15, n_layers=1)
 

@@ -162,17 +162,12 @@ class TestCommands:
         assert main(["generate", "--preset", "tiny", "--out", str(out_path)]) == 0
         assert (tmp_path / "tiny_yet.npz").exists()
 
-    def test_project_outputs_all_implementations(self, capsys):
-        assert main(["project", "--trials", "100000"]) == 0
-        out = capsys.readouterr().out
-        for name in ("sequential_cpu", "multicore_cpu", "basic_gpu", "optimised_gpu"):
-            assert name in out
-
     def test_run_multicore_backend(self, capsys):
         assert main(["run", "--preset", "tiny", "--backend", "multicore", "--workers", "2"]) == 0
 
     def test_run_gpu_backend(self, capsys):
-        # The simulated GPU is a cost model (``are project``), not a backend.
+        # The simulated GPU is a cost model of the figure scripts
+        # (``benchmarks/paper/device.py``), not a backend.
         for argv in (["--backend", "gpu"], ["--threads-per-block", "16"], ["--chunk-size", "2"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run", "--preset", "tiny", *argv])
