@@ -10,7 +10,7 @@ sweep is always run; on machines with fewer physical cores than workers the
 measured curve flattens (workers time-share the cores), in which case the
 attached analytical memory-bandwidth model
 (:func:`benchmarks.paper.projection.memory_bound_speedup_model`) provides the
-speedup-shape comparison against the paper (see EXPERIMENTS.md).
+speedup-shape comparison against the paper (attached to ``extra_info``).
 """
 
 import pytest

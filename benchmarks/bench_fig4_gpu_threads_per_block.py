@@ -8,8 +8,8 @@ that improvements diminish.
 Reproduction: the :class:`~benchmarks.paper.device.SimulatedGPU` cost model
 projects the kernel time of the paper's full-scale launch for each
 threads-per-block value; the projection is attached to
-``extra_info["modeled_full_scale_seconds"]`` and is the series EXPERIMENTS.md
-compares against the paper's figure.  The benchmark times the basic kernel's
+``extra_info["modeled_full_scale_seconds"]`` and is the series to compare
+against the paper's figure.  The benchmark times the basic kernel's
 year-loss computation on a scaled workload — the per-layer ``vectorized``
 path (``fused_layers=False``), which computes exactly the basic kernel's
 numbers; the block size only exists on the device, so the measured time does

@@ -16,7 +16,8 @@ Reproduction, two complementary views:
   ``chunk_events = 64 threads x chunk 4``.
 * **Projected** — ``benchmarks.paper.projection.project_summary`` projects the
   full-scale runtime of all four implementations from the analytical CPU and
-  GPU cost models; attached to ``extra_info`` and tabulated in EXPERIMENTS.md.
+  GPU cost models and attached to ``extra_info`` (the ``--benchmark-json``
+  record); ROADMAP item 8 tracks measuring, not projecting, these claims.
 """
 
 import pytest

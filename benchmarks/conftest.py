@@ -1,8 +1,7 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark module regenerates one of the paper's tables or figures on a
-*proportionally scaled* workload (see ``DESIGN.md`` §5 and the module
-docstrings).  Workload generation is deterministic and cached per session so
+*proportionally scaled* workload (see the module docstrings).  Workload generation is deterministic and cached per session so
 that the sweeps measure the engine, not the generator.
 
 Run the full harness with::
@@ -11,7 +10,9 @@ Run the full harness with::
 
 Each benchmark attaches the sweep parameters (and, for the GPU experiments,
 the modelled full-scale kernel time) to ``benchmark.extra_info`` so that the
-JSON output of ``--benchmark-json`` contains everything EXPERIMENTS.md needs.
+JSON output of ``--benchmark-json`` carries each figure's series and
+projection (the headline benchmarks also write ``BENCH_*.json`` records; see
+``benchmarks/record.py``).
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ full-scale runtimes:
 * the GPU projections come directly from
   :class:`~benchmarks.paper.device.KernelCostModel`.
 
-All constants are calibration inputs, documented as such; the claim checked in
-EXPERIMENTS.md is that the *relative* ordering and rough factors between the
+All constants are calibration inputs, documented as such; what the projections
+can support is that the *relative* ordering and rough factors between the
 implementations match the paper, not that a laptop-calibrated model predicts a
-2012 testbed to the second.
+2012 testbed to the second (ROADMAP item 8 tracks measuring these claims).
 """
 
 from __future__ import annotations

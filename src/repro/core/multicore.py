@@ -255,18 +255,9 @@ class SharedWorkspace:
         self._arrays[name] = shared
         return shared
 
-    def get(self, name: str) -> np.ndarray:
-        """The parent-side view of the named array."""
-        return self._arrays[name].array
-
     def descriptors(self) -> Dict[str, SharedArrayDescriptor]:
         """Picklable descriptors of every array (sent to workers)."""
         return {name: arr.descriptor for name, arr in self._arrays.items()}
-
-    @property
-    def total_bytes(self) -> int:
-        """Total shared memory held by the workspace."""
-        return sum(arr.nbytes for arr in self._arrays.values())
 
     def close(self) -> None:
         """Close and unlink every shared block."""

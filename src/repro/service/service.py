@@ -28,9 +28,10 @@ requests:
 * every ``run``, ``run_many`` and ``sweep``, local or on a fleet of
   workers, takes one path (:meth:`RiskService._handle_run`): the request's
   programs are concatenated into one program — one plan, one result-cache
-  entry — and the service looks up, prices the residual the cache cannot
-  answer (a ``sweep`` in row-bounded blocks), merges, stores, and splits
-  the answer back per program.
+  entry, derived once per set of base programs and kept — and the service
+  looks up, prices the residual the cache cannot answer (a ``sweep`` in
+  row-bounded blocks), merges, stores, and splits the answer back per
+  program.
 
 Example::
 
@@ -98,6 +99,11 @@ def candidate_variants(
     matrices are shared across variants — only the layer terms differ — so
     a batch over the variants prices them all from one stacked gather,
     building each layer's combined row once.
+
+    Every call builds new layers, whose digests are computed on first read.
+    :class:`RiskService` calls it once per ``(base program, n)`` and keeps
+    the result, so a repeated ``run_many`` / ``sweep`` request reuses these
+    objects and their stored digests.
     """
     program = ReinsuranceProgram.wrap(program)
     if n <= 0:
@@ -189,7 +195,8 @@ class RiskService:
         An existing engine to serve from.  Multicore shared-workspace
         retention is enabled on it either way.
     cache_size:
-        Maximum number of lowered plans kept warm (LRU).
+        Maximum number of lowered plans kept warm (LRU), and of resolved
+        ``run_many`` / ``sweep`` program sets kept for repeated requests.
     volatility_loading, expense_ratio:
         Pricing parameters applied to every quote the service produces.
     result_cache:
@@ -237,9 +244,16 @@ class RiskService:
         # fed ever-changing seeds must not pin one workload per seed forever.
         self._preset_workloads: "OrderedDict[tuple, Any]" = OrderedDict()
         self._max_preset_workloads = 8
+        # A request's resolved program set, keyed by the identity of its
+        # base programs (plus the variant count), LRU-bounded like the plan
+        # cache: (bases, programs, concatenated program).  The entry holds
+        # its bases, so their ids cannot be reused while it lives; a
+        # re-registered name is a new object and so a new entry.
+        self._program_sets: "OrderedDict[tuple, tuple]" = OrderedDict()
         # The serving layer drives concurrent submits from an executor pool;
-        # registry mutation and the preset LRU must not race.  Reentrant:
-        # _resolve_program -> _preset_workload nests acquisitions.
+        # registry mutation and the preset and program-set LRUs must not
+        # race.  Reentrant: _resolve_program -> _preset_workload nests
+        # acquisitions.
         self._registry_lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -492,11 +506,7 @@ class RiskService:
         column or row placement, bit-identical to a cold run of each
         program.  The answer is split back per program last.
         """
-        programs, yet = self._request_programs(request)
-        program = programs[0] if len(programs) == 1 else ReinsuranceProgram(
-            [layer for each in programs for layer in each.layers],
-            name="+".join(each.name for each in programs),
-        )
+        programs, program, yet = self._request_programs(request)
         key = self._program_key("run", [program], yet, request.shards)
         cache = self.result_cache if request.result_cache else None
 
@@ -653,18 +663,48 @@ class RiskService:
 
     def _request_programs(
         self, request: AnalysisRequest
-    ) -> tuple[List[ReinsuranceProgram], YearEventTable]:
+    ) -> tuple[Sequence[ReinsuranceProgram], ReinsuranceProgram, YearEventTable]:
         """A request's programs, in order — its one ``program``, its explicit
-        ``programs``, or ``variants`` of its ``program`` — and their YET."""
-        programs: List[ReinsuranceProgram] = []
+        ``programs``, or ``variants`` of its ``program`` — their concatenation
+        (the program itself when there is one), and their YET.
+
+        A set of more than one program, or of variants, is derived once per
+        ``(base programs, variant count)`` and kept (LRU, ``cache_size``
+        entries): a repeated request reuses the same program objects and
+        their stored digests, so it builds no layer and hashes nothing.
+        """
+        bases: List[ReinsuranceProgram] = []
         companion: YearEventTable | None = None
         for name in request.programs or (request.program,):
             program, program_yet = self._resolve_program(name, request.seed)
-            programs.append(program)
+            bases.append(program)
             companion = companion if companion is not None else program_yet
-        if request.kind != "run" and not request.programs:
-            programs = candidate_variants(programs[0], request.variants)
-        return programs, self._resolve_yet(request, companion)
+        yet = self._resolve_yet(request, companion)
+        variants = request.variants if request.kind != "run" and not request.programs else 0
+        if len(bases) == 1 and not variants:
+            return bases, bases[0], yet
+
+        key = (tuple(map(id, bases)), variants)
+        with self._registry_lock:
+            entry = self._program_sets.get(key)
+            if entry is not None:
+                self._program_sets.move_to_end(key)
+        if entry is None:
+            programs = tuple(candidate_variants(bases[0], variants) if variants else bases)
+            program = programs[0] if len(programs) == 1 else ReinsuranceProgram(
+                [layer for each in programs for layer in each.layers],
+                name="+".join(each.name for each in programs),
+            )
+            program_digest(program)  # outside the lock; stored on the program
+            with self._registry_lock:
+                # A racing first request may have stored the set meanwhile:
+                # every caller answers from the one that was kept.
+                entry = self._program_sets.setdefault(key, (tuple(bases), programs, program))
+                self._program_sets.move_to_end(key)
+                while len(self._program_sets) > self.cache.maxsize:
+                    self._program_sets.popitem(last=False)
+        _, programs, program = entry
+        return programs, program, yet
 
     def _handle_run_stacked(
         self, request: AnalysisRequest, acct: _CacheAccounting

@@ -10,11 +10,12 @@ from repro.core.kernels import (
     layer_trial_losses_batch,
     layer_trial_losses_chunked,
 )
+from repro.core.native.build import find_compiler, load_kernels
 from repro.core.phases import PHASE_ELT_LOOKUP, PHASE_FINANCIAL_TERMS
 from repro.elt.combined import LayerLossMatrix
 from repro.elt.table import EventLossTable
 from repro.financial.policies import apply_aggregate_terms_cumulative, apply_occurrence_terms
-from repro.financial.terms import FinancialTerms, LayerTerms
+from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 from repro.utils.timing import PhaseTimer
 
 
@@ -145,3 +146,47 @@ class TestFusedGatherLayout:
         gathered = matrix.gather(np.array([3, 1, 2, 2, 9]))
         assert gathered.flags.c_contiguous and gathered.flags.owndata
         np.testing.assert_array_equal(gathered, matrix.losses[:, [3, 1, 2, 2, 9]])
+
+
+def _numpy_kernel(stack, ids, offsets, terms, row_map):
+    return layer_trial_losses_batch((), ids, offsets, terms, stack=stack, row_map=row_map)
+
+
+def _native_kernel(stack, ids, offsets, terms, row_map):
+    vectors = LayerTermsVectors.from_terms(terms)
+    return load_kernels().fused_rows(
+        stack, ids, offsets, vectors.occurrence_retentions, vectors.occurrence_limits,
+        vectors.aggregate_retentions, vectors.aggregate_limits, row_map=row_map,
+    )
+
+
+class TestOutOfCatalogIds:
+    """Both fused kernels refuse an event id outside ``[0, catalog_size)``.
+
+    ``np.take`` would wrap ``-1`` to the last event and the C kernel gathers
+    unchecked, so each validates the ids before its gather.
+    """
+
+    CATALOG = 12
+
+    @pytest.mark.parametrize("bad_id", [CATALOG, -1], ids=["catalog_size", "minus_one"])
+    @pytest.mark.parametrize("row_map", [None, [1, 0, 1]], ids=["rows", "row_map"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("kernel", [
+        _numpy_kernel,
+        pytest.param(_native_kernel, marks=pytest.mark.skipif(
+            find_compiler() is None, reason="no C compiler on PATH")),
+    ], ids=["numpy", "native"])
+    def test_raises_index_error(self, kernel, dtype, row_map, bad_id):
+        stack = np.random.default_rng(5).random((2, self.CATALOG)).astype(dtype)
+        n_rows = 2 if row_map is None else len(row_map)
+        terms = [LayerTerms()] * n_rows
+        row_map = None if row_map is None else np.array(row_map)
+        offsets = np.array([0, 2, 4])
+        good = np.array([0, 3, 11, 7])
+        year, _ = kernel(stack, good, offsets, terms, row_map)  # in range: prices
+        assert year.shape == (n_rows, 2)
+        bad = good.copy()
+        bad[2] = bad_id
+        with pytest.raises(IndexError, match="out of range of the catalog"):
+            kernel(stack, bad, offsets, terms, row_map)

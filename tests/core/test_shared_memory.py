@@ -101,20 +101,14 @@ class TestSharedArray:
 class TestSharedWorkspace:
     def test_add_and_get(self):
         with SharedWorkspace() as workspace:
-            workspace.add("events", np.arange(10))
-            np.testing.assert_array_equal(workspace.get("events"), np.arange(10))
+            shared = workspace.add("events", np.arange(10))
+            np.testing.assert_array_equal(shared.array, np.arange(10))
 
     def test_duplicate_name_rejected(self):
         with SharedWorkspace() as workspace:
             workspace.add("a", np.zeros(2))
             with pytest.raises(KeyError):
                 workspace.add("a", np.zeros(2))
-
-    def test_total_bytes(self):
-        with SharedWorkspace() as workspace:
-            workspace.add("a", np.zeros(10, dtype=np.float64))
-            workspace.add("b", np.zeros(5, dtype=np.float64))
-            assert workspace.total_bytes == 120
 
     def test_attach_all_descriptors(self):
         with SharedWorkspace() as workspace:

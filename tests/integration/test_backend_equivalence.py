@@ -1,6 +1,6 @@
 """Integration: every backend produces the identical Year Loss Table.
 
-This is the library's core correctness guarantee (DESIGN.md §7): the
+This is the library's core correctness guarantee: the
 sequential backend is the literal transcription of the paper's algorithm, and
 every optimised backend must agree with it on realistic end-to-end workloads
 produced by the full synthetic pipeline.
