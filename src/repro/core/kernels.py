@@ -24,6 +24,27 @@ from ``0.0`` (:func:`~repro.elt.combined.scatter_net_losses`;
 :func:`~repro.elt.combined.sum_elt_rows` on the per-ELT paths); a trial's
 year loss is NumPy's pairwise ``reduceat`` over its segment, in the same
 order whatever the strides (pinned in ``tests/utils/test_arrays.py``).
+
+Term variants (a ``row_map``: many plan rows reading one gathered row) pay
+per unique row where the identities allow:
+
+* The per-trial maximum commutes with the occurrence terms.  ``f(x) =
+  clip(x - T_OccR, 0, T_OccL)`` is monotone in floating point (subtraction
+  rounds monotonically; ``max``/``min`` are exact), so ``max(f(x)) ==
+  f(max(x))`` bit for bit, and an empty trial's ``initial`` ``0`` maps to
+  ``f(0) == 0``.  The kernel reduces the *untermed* ``(n_unique,
+  n_events)`` gather and applies ``f`` to the small ``(n_rows, n_trials)``
+  expansion of the result.  (The one exception is a limit of ``-0.0``,
+  under which every termed value is a zero and the two orders may disagree
+  on its sign.)
+* The sums do need the termed rows, but not an expanded gather: a stable
+  ``argsort`` of ``row_map`` groups the plan rows, each unique row is
+  subtracted once into its group's slice of one ``(n_rows, n_events)``
+  scratch, one clip and one ``reduceat`` follow, and the small totals are
+  put back in plan order.  The same floats meet the same operations, so
+  the result is the expanded formula's, byte for byte.
+
+Without a ``row_map`` there is nothing to share, and the pass is unchanged.
 """
 
 from __future__ import annotations
@@ -273,7 +294,9 @@ def layer_trial_losses_batch(
         the *deduplicated* rows: when many layers share one term-netted loss
         row (candidate-term variants of the same exposure), it is gathered
         once and every layer mapped to it reads that gather — the same
-        floats as gathering from a fully expanded stack.  Without
+        floats as gathering from a fully expanded stack.  The per-trial
+        max is then taken per unique row and the occurrence terms are
+        written per group of rows (module docstring).  Without
         ``row_map`` there must be one row per layer.
 
     Returns
@@ -326,11 +349,21 @@ def layer_trial_losses_batch(
         gathered = _gather(stack, ids, row_store.ROW_STORE.take)
 
     with timer.phase(PHASE_LAYER_TERMS):
-        occurrence = _occurrence_losses(gathered, vectors, row_map)
-        year_losses = aggregate_terms_shortcut_batch(occurrence, trial_offsets, vectors)
-        max_occurrence = (
-            segment_max_2d(occurrence, trial_offsets) if record_max_occurrence else None
-        )
+        if row_map is None:
+            occurrence = _occurrence_losses(gathered, vectors)
+            year_losses = aggregate_terms_shortcut_batch(occurrence, trial_offsets, vectors)
+            max_occurrence = (
+                segment_max_2d(occurrence, trial_offsets) if record_max_occurrence else None
+            )
+        else:
+            groups = _RowGroups(row_map, vectors)
+            totals = segment_sum_2d(groups.occurrence_losses(gathered), trial_offsets)
+            year_losses = clip_aggregate_totals(groups.unsort(totals), vectors)
+            max_occurrence = (
+                groups.occurrence_maxima(segment_max_2d(gathered, trial_offsets))
+                if record_max_occurrence
+                else None
+            )
     return year_losses, max_occurrence
 
 
@@ -339,12 +372,58 @@ def _gather(stack, ids: np.ndarray, take_rows) -> np.ndarray:
     return np.take(stack, ids, axis=1) if isinstance(stack, np.ndarray) else take_rows(stack, ids)
 
 
-def _occurrence_losses(gathered: np.ndarray, vectors: LayerTermsVectors, row_map) -> np.ndarray:
+def _occurrence_losses(gathered: np.ndarray, vectors: LayerTermsVectors) -> np.ndarray:
     """Occurrence terms; a read-only gather (a shared store block) is never written."""
-    if row_map is not None:
-        gathered = gathered[row_map]  # a private expansion
     private = gathered.flags.writeable
     return apply_occurrence_terms_batch(gathered, vectors, out=gathered if private else None)
+
+
+class _RowGroups:
+    """Plan rows grouped by the unique gathered row they read (``row_map``).
+
+    A stable ``argsort`` makes each group one contiguous run of rows, so the
+    occurrence terms can write a group straight into a slice of one scratch
+    and the per-trial totals come back in that grouped order (``unsort``).
+    """
+
+    def __init__(self, row_map: np.ndarray, vectors: LayerTermsVectors) -> None:
+        self.row_map = row_map
+        self.vectors = vectors
+        self.order = np.argsort(row_map, kind="stable")
+        ordered = row_map[self.order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        bounds = np.append(starts, ordered.size).tolist()
+        #: ``(unique row, start, stop)`` of every group, in grouped order.
+        self.spans = list(zip(ordered[starts].tolist(), bounds, bounds[1:]))
+        self.retentions = vectors.occurrence_retentions[self.order][:, None]
+        self.limits = vectors.occurrence_limits[self.order][:, None]
+
+    def occurrence_losses(self, gathered: np.ndarray) -> np.ndarray:
+        """The termed ``(n_rows, n_events)`` scratch, in grouped row order:
+        one subtract per unique row broadcast over its group, then one clip
+        — never a ``gathered[row_map]`` expansion, and the gather itself
+        (possibly a read-only store block) is only read."""
+        scratch = np.empty((len(self.order), gathered.shape[1]), dtype=np.float64)
+        for unique, start, stop in self.spans:
+            np.subtract(gathered[unique], self.retentions[start:stop], out=scratch[start:stop])
+        np.clip(scratch, 0.0, self.limits, out=scratch)
+        return scratch
+
+    def unsort(self, grouped: np.ndarray) -> np.ndarray:
+        """Rows in grouped order -> rows in plan order."""
+        rows = np.empty_like(grouped)
+        rows[self.order] = grouped
+        return rows
+
+    def occurrence_maxima(self, maxima: np.ndarray) -> np.ndarray:
+        """Per-trial maximum occurrence losses of every plan row from the
+        ``(n_unique, n_trials)`` maxima of the *untermed* gather.
+
+        The occurrence terms ``f`` are monotone, so ``f(max(x)) ==
+        max(f(x))`` bit for bit (module docstring).
+        """
+        expanded = maxima[self.row_map]
+        return apply_occurrence_terms_batch(expanded, self.vectors, out=expanded)
 
 
 def _layer_trial_losses_batch_streamed(
@@ -370,9 +449,11 @@ def _layer_trial_losses_batch_streamed(
     offsets = validate_offsets(np.asarray(trial_offsets), ids.shape[0])
     n_layers = vectors.n_layers
     n_trials = offsets.size - 1
+    groups = None if row_map is None else _RowGroups(row_map, vectors)
     totals = np.zeros((n_layers, n_trials), dtype=np.float64)
+    # With a row_map the maxima are taken per gathered row, before the terms.
     max_occurrence = (
-        np.zeros((n_layers, n_trials), dtype=np.float64)
+        np.zeros((n_layers if groups is None else len(stack), n_trials), dtype=np.float64)
         if record_max_occurrence
         else None
     )
@@ -387,14 +468,23 @@ def _layer_trial_losses_batch_streamed(
         with timer.phase(PHASE_ELT_LOOKUP):
             gathered = _gather(stack, ids[start:stop], row_store.gather_rows)
         with timer.phase(PHASE_LAYER_TERMS):
-            occurrence = _occurrence_losses(gathered, vectors, row_map)
+            if groups is None:
+                occurrence = _occurrence_losses(gathered, vectors)
+            else:
+                occurrence = groups.occurrence_losses(gathered)
             local = offsets[t0 : t1 + 1] - start
             totals[:, t0:t1] = segment_sum_2d(occurrence, local)
             if max_occurrence is not None:
-                max_occurrence[:, t0:t1] = segment_max_2d(occurrence, local)
+                max_occurrence[:, t0:t1] = segment_max_2d(
+                    occurrence if groups is None else gathered, local
+                )
         t0 = t1
 
     with timer.phase(PHASE_LAYER_TERMS):
+        if groups is not None:
+            totals = groups.unsort(totals)
+            if max_occurrence is not None:
+                max_occurrence = groups.occurrence_maxima(max_occurrence)
         year_losses = clip_aggregate_totals(totals, vectors)
     return year_losses, max_occurrence
 

@@ -545,11 +545,20 @@ class PlanBuilder:
 
 def _shared_row_map(layers: Sequence[Layer]) -> np.ndarray | None:
     """Plan rows -> unique stack rows, keyed by the identity of each layer's
-    ELT tuple; ``None`` when no two layers share their ELT objects."""
+    ELT tuple; ``None`` when no two layers share their ELT objects.
+
+    Term variants (``Layer.with_terms``) share one ``elts`` tuple object, so
+    each key is built once per distinct tuple, not once per layer (the
+    ``layers`` sequence keeps every tuple alive, so no id is reused).
+    """
+    key_of: dict[int, tuple[int, ...]] = {}
     unique_of: dict[tuple[int, ...], int] = {}
     mapping = np.empty(len(layers), dtype=np.int64)
     for row, layer in enumerate(layers):
-        key = tuple(id(elt) for elt in layer.elts)
+        elts = layer.elts
+        key = key_of.get(id(elts))
+        if key is None:
+            key = key_of[id(elts)] = tuple(id(elt) for elt in elts)
         mapping[row] = unique_of.setdefault(key, len(unique_of))
     return mapping if len(unique_of) < len(layers) else None
 

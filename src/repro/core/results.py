@@ -108,26 +108,35 @@ class EngineResult:
         wall time of the shared run is carried over unchanged (the layers
         were priced together; their costs are not separable), and the
         workload shape keeps every dimension except the layer count.
+
+        A step-1 ``range`` (one program's rows of a batch) yields row views
+        of this result's arrays, read-only exactly when they are, and
+        re-validates nothing; any other selection copies the rows.
         """
-        idx = [int(i) for i in indices]
-        if not idx:
-            raise ValueError("at least one layer index is required")
-        for i in idx:
-            if not 0 <= i < self.ylt.n_layers:
-                raise IndexError(f"layer index {i} out of range [0, {self.ylt.n_layers})")
-        max_occ = self.ylt.max_occurrence_losses
-        ylt = YearLossTable(
-            self.ylt.losses[idx],
-            [self.ylt.layer_names[i] for i in idx],
-            max_occ[idx] if max_occ is not None else None,
-        )
+        n_layers = self.ylt.n_layers
+        span = isinstance(indices, range) and indices.step == 1
+        if span and 0 <= indices.start < indices.stop <= n_layers:
+            ylt = self.ylt._row_span(indices.start, indices.stop)
+        else:
+            idx = [int(i) for i in indices]
+            if not idx:
+                raise ValueError("at least one layer index is required")
+            for i in idx:
+                if not 0 <= i < n_layers:
+                    raise IndexError(f"layer index {i} out of range [0, {n_layers})")
+            max_occ = self.ylt.max_occurrence_losses
+            ylt = YearLossTable(
+                self.ylt.losses[idx],
+                [self.ylt.layer_names[i] for i in idx],
+                max_occ[idx] if max_occ is not None else None,
+            )
         details = dict(self.details)
         if extra_details:
             details.update(extra_details)
         return replace(
             self,
             ylt=ylt,
-            workload_shape=replace(self.workload_shape, n_layers=len(idx)),
+            workload_shape=replace(self.workload_shape, n_layers=ylt.n_layers),
             details=details,
         )
 

@@ -113,6 +113,20 @@ class YearLossTable:
             raise IndexError(f"layer index {index} out of range [0, {self.n_layers})")
         return index
 
+    def _row_span(self, start: int, stop: int) -> "YearLossTable":
+        """Rows ``start:stop`` as a table of views into this one's arrays.
+
+        The rows were validated when this table was built, so none of
+        ``__init__``'s scans run again; a view of a read-only block stays
+        read-only.
+        """
+        table = object.__new__(YearLossTable)
+        table.losses = self.losses[start:stop]
+        table.layer_names = self.layer_names[start:stop]
+        occ = self.max_occurrence_losses
+        table.max_occurrence_losses = None if occ is None else occ[start:stop]
+        return table
+
     def iter_layers(self) -> Iterator[tuple[str, np.ndarray]]:
         """Iterate over (layer name, year losses) pairs."""
         for name, row in zip(self.layer_names, self.losses):

@@ -105,19 +105,25 @@ class TestFusedGatherLayout:
 
     ``stack[:, ids]`` returns the same values event-major (strides
     ``(8, 8 * n_rows)``), which is 3x slower end to end and invisible in the
-    output — so the layout itself is asserted, where the terms receive it.
+    output — so the layout itself is asserted, on the termed scratch each
+    pass writes (in place of the gather, or grouped under a ``row_map``).
     """
 
     @pytest.fixture()
     def seen(self, monkeypatch):
         matrices = []
-        real = kernels.apply_occurrence_terms_batch
+        rows, groups = kernels._occurrence_losses, kernels._RowGroups.occurrence_losses
 
-        def spy(matrix, vectors, out=None):
-            matrices.append(matrix)
-            return real(matrix, vectors, out=out)
+        def rows_spy(gathered, vectors):
+            matrices.append(rows(gathered, vectors))
+            return matrices[-1]
 
-        monkeypatch.setattr(kernels, "apply_occurrence_terms_batch", spy)
+        def groups_spy(self, gathered):
+            matrices.append(groups(self, gathered))
+            return matrices[-1]
+
+        monkeypatch.setattr(kernels, "_occurrence_losses", rows_spy)
+        monkeypatch.setattr(kernels._RowGroups, "occurrence_losses", groups_spy)
         return matrices
 
     @pytest.mark.parametrize("chunk_events", [None, 40], ids=["monolithic", "streamed"])

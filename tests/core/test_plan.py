@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+import repro.core.kernels as kernels
+import repro.core.plan as plan_module
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder, PlanSegment
+from repro.elt.table import EventLossTable
 from repro.financial.terms import LayerTerms, LayerTermsVectors
+from repro.service.service import candidate_variants
+from repro.workloads import WorkloadGenerator, WorkloadSpec
+from repro.ylt.table import YearLossTable
 
 
 class TestPlanBuilderFromProgram:
@@ -105,6 +111,74 @@ class TestPlanBuilderFromPrograms:
     def test_empty_batch_rejected(self, tiny_workload):
         with pytest.raises(ValueError, match="at least one"):
             PlanBuilder.from_programs([], tiny_workload.yet)
+
+
+class TestSharedRowMap:
+    def test_elt_ids_are_read_once_per_distinct_tuple(self, tiny_workload, monkeypatch):
+        program = tiny_workload.program
+        layers = [layer for variant in candidate_variants(program, 8) for layer in variant.layers]
+        before = [sorted(vars(layer)) for layer in layers]
+        seen = []
+        monkeypatch.setattr(
+            plan_module, "id", lambda obj: seen.append(obj) or id(obj), raising=False
+        )
+        row_map = plan_module._shared_row_map(layers)
+        np.testing.assert_array_equal(row_map, np.tile(np.arange(program.n_layers), 8))
+        elt_reads = [obj for obj in seen if isinstance(obj, EventLossTable)]
+        assert len(elt_reads) == sum(layer.n_elts for layer in program.layers)
+        # Nothing is stored on the layers (a stored id tuple would go stale
+        # once a layer is pickled to another process).
+        assert [sorted(vars(layer)) for layer in layers] == before
+
+
+class TestTermVariantWorkCounts:
+    """At the ``batch_wide`` ledger shape — 16 term variants of an 8-layer,
+    8-ELT book: 128 plan rows over 8 unique rows, 150 trials x 100 events —
+    the per-trial max reduces the unique rows only, and the split builds no
+    table; the answers are the solo runs', byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def book(self):
+        spec = WorkloadSpec(
+            n_trials=150, events_per_trial=100, n_layers=8, elts_per_layer=8,
+            catalog_size=20_000, buildings_per_exposure=60, n_regions=32,
+            fixed_trial_length=True, seed=2012,
+        )
+        return WorkloadGenerator(spec).generate()
+
+    def test_max_sees_unique_rows_and_split_builds_no_table(self, book, monkeypatch):
+        variants = candidate_variants(book.program, 16)
+        plan = PlanBuilder.from_programs(variants, book.yet)
+        assert (plan.n_rows, plan.n_unique_rows) == (128, 8)
+        engine = AggregateRiskEngine(EngineConfig())
+
+        reduced_rows = []
+        segment_max_2d = kernels.segment_max_2d
+
+        def counting_max(values, offsets):
+            reduced_rows.append(len(values))
+            return segment_max_2d(values, offsets)
+
+        monkeypatch.setattr(kernels, "segment_max_2d", counting_max)
+        combined = engine.run_plan(plan)
+        assert reduced_rows == [8]
+
+        tables = []
+        init = YearLossTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            tables.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(YearLossTable, "__init__", counting_init)
+        split = plan.split_result(combined)
+        assert tables == [] and len(split) == 16
+        monkeypatch.undo()
+
+        for variant, got in zip(variants, split, strict=True):
+            solo = engine.run(variant, book.yet).ylt
+            assert got.ylt.losses.tobytes() == solo.losses.tobytes()
+            assert got.ylt.max_occurrence_losses.tobytes() == solo.max_occurrence_losses.tobytes()
 
 
 class TestPlanBuilderFromStack:

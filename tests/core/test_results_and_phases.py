@@ -40,6 +40,60 @@ class TestEngineResult:
         assert "trials=3" in text
 
 
+class TestLayerSubset:
+    """One program's rows of a batch are a view: nothing copied, nothing
+    re-validated; any other selection keeps the copy."""
+
+    @pytest.fixture()
+    def init_calls(self, monkeypatch):
+        calls = []
+        real = YearLossTable.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(YearLossTable, "__init__", counting)
+        return calls
+
+    @staticmethod
+    def with_max_occurrence() -> EngineResult:
+        losses = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        ylt = YearLossTable(losses, ["a", "b", "c"], losses / 2.0)
+        return EngineResult(ylt, "vectorized", 1.0, WorkloadShape(3, 10.0, 2, 3))
+
+    def test_range_split_is_a_view(self, init_calls):
+        parent = self.with_max_occurrence()
+        init_calls.clear()
+        split = parent.for_layer_subset(range(1, 3), extra_details={"tag": 1})
+        assert init_calls == []
+        assert split.ylt.layer_names == ("b", "c")
+        assert split.workload_shape.n_layers == 2 and split.details["tag"] == 1
+        for got, whole in (
+            (split.ylt.losses, parent.ylt.losses),
+            (split.ylt.max_occurrence_losses, parent.ylt.max_occurrence_losses),
+        ):
+            assert np.shares_memory(got, whole) and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, whole[1:3])
+
+    def test_other_selections_copy(self, init_calls):
+        parent = self.with_max_occurrence()
+        for indices in ([2, 0], range(0, 3, 2), (1,)):
+            init_calls.clear()
+            split = parent.for_layer_subset(indices)
+            assert len(init_calls) == 1
+            assert not np.shares_memory(split.ylt.losses, parent.ylt.losses)
+            np.testing.assert_array_equal(split.ylt.losses, parent.ylt.losses[list(indices)])
+
+    @pytest.mark.parametrize(
+        "indices, error",
+        [(range(0, 0), ValueError), (range(1, 4), IndexError), (range(-1, 2), IndexError)],
+    )
+    def test_bad_ranges_raise_as_before(self, indices, error):
+        with pytest.raises(error):
+            self.with_max_occurrence().for_layer_subset(indices)
+
+
 class TestPhases:
     def test_all_phases_order(self):
         assert ALL_PHASES == ("event_fetch", "elt_lookup", "financial_terms", "layer_terms")

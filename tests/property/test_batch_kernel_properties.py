@@ -9,7 +9,10 @@ kernel must satisfy its algebraic contracts regardless of the draw:
 * layers whose ELTs hold no records contribute exactly zero;
 * the chunked fused gather is independent of the chunk size;
 * the row-major (``np.take``) gather reproduces, byte for byte, the
-  event-major ``stack[:, ids]`` kernel it replaced.
+  event-major ``stack[:, ids]`` kernel it replaced;
+* under a ``row_map``, taking the per-trial max before the occurrence terms
+  and writing the terms per group reproduces, byte for byte, the
+  expand-then-term formula.
 """
 
 import numpy as np
@@ -18,8 +21,13 @@ from hypothesis import strategies as st
 
 from repro.core.kernels import layer_trial_losses, layer_trial_losses_batch
 from repro.elt.table import EventLossTable
+from repro.financial.policies import (
+    aggregate_terms_shortcut_batch,
+    apply_occurrence_terms_batch,
+)
 from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 from repro.portfolio.layer import Layer
+from repro.utils.arrays import segment_max_2d
 
 CATALOG_SIZE = 30
 
@@ -277,3 +285,74 @@ def test_row_major_gather_matches_event_major_reference(
         assert max_occ.tobytes() == want_max.tobytes()
     else:
         assert max_occ is None
+
+
+# --------------------------------------------------------------------------- #
+# row_map: max before terms, grouped term pass == expand-then-term
+# --------------------------------------------------------------------------- #
+def _expand_then_term(stack, ids, offsets, vectors, row_map):
+    """The ``row_map`` pass written out the long way: expand the gather to
+    one row per plan row, apply the occurrence terms, reduce the termed rows."""
+    occurrence = apply_occurrence_terms_batch(np.take(stack, ids, axis=1)[row_map], vectors)
+    return (
+        aggregate_terms_shortcut_batch(occurrence, offsets, vectors),
+        segment_max_2d(occurrence, offsets),
+    )
+
+
+#: Retentions and limits at the edges of the occurrence terms.
+EDGE_RETENTIONS = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e6])
+EDGE_LIMITS = st.sampled_from([0.0, 5e-324, 0.5, 2.0, 1e6, np.inf])
+
+
+@st.composite
+def grouped_problem(draw):
+    n_unique = draw(st.integers(min_value=1, max_value=6))
+    # Rows of ties and signed zeros (a ``from_stack`` stack may hold -0.0).
+    values = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 1e6])
+    stack = np.array(
+        draw(st.lists(st.lists(values, min_size=CATALOG_SIZE, max_size=CATALOG_SIZE),
+                      min_size=n_unique, max_size=n_unique)),
+        dtype=np.float64,
+    )
+    # Repeats in any order: groups are non-contiguous and uneven.
+    row_map = np.array(
+        draw(st.lists(st.integers(0, n_unique - 1), min_size=1, max_size=24)), dtype=np.int64
+    )
+    n_rows = row_map.size
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    ids = np.array(
+        draw(st.lists(st.integers(0, CATALOG_SIZE - 1),
+                      min_size=int(offsets[-1]), max_size=int(offsets[-1]))),
+        dtype=np.int64,
+    )
+    vectors = LayerTermsVectors(
+        np.array(draw(st.lists(EDGE_RETENTIONS, min_size=n_rows, max_size=n_rows))),
+        np.array(draw(st.lists(EDGE_LIMITS, min_size=n_rows, max_size=n_rows))),
+        np.array(draw(st.lists(EDGE_RETENTIONS, min_size=n_rows, max_size=n_rows))),
+        np.array(draw(st.lists(EDGE_LIMITS, min_size=n_rows, max_size=n_rows))),
+    )
+    return stack, ids, offsets, vectors, row_map
+
+
+@given(
+    grouped_problem(),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_grouped_row_map_pass_matches_expand_then_term(problem, chunk_events, as_rows):
+    """Year losses and maximum occurrence losses are byte-equal to the
+    expanded formula — retentions and limits of 0 and infinity, empty
+    trials, signed zeros and ties in the rows, monolithic or streamed, from
+    a contiguous stack or from referenced rows."""
+    stack, ids, offsets, vectors, row_map = problem
+    want_year, want_max = _expand_then_term(stack, ids, offsets, vectors, row_map)
+    year, max_occ = layer_trial_losses_batch(
+        (), ids, offsets, vectors,
+        stack=list(stack) if as_rows else stack, row_map=row_map, chunk_events=chunk_events,
+    )
+    assert year.shape == want_year.shape and max_occ.shape == want_max.shape
+    assert year.tobytes() == want_year.tobytes()
+    assert max_occ.tobytes() == want_max.tobytes()

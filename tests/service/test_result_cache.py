@@ -24,6 +24,7 @@ from repro.portfolio.pricing import price_program
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service import AnalysisRequest, ResultCache, RiskService
 from repro.service.digests import layer_digest, yet_digest
+from repro.service.service import candidate_variants
 from repro.yet.table import YearEventTable
 
 
@@ -585,28 +586,37 @@ class TestServiceResultCache:
         assert warm.quotes and len(warm.quotes) == len(cold.quotes)
         assert warm.quotes[0].total_premium == cold.quotes[0].total_premium
 
-    def test_served_blocks_cannot_overwrite_the_cache(self, tiny_workload):
+    @pytest.mark.parametrize("variants", [0, 4], ids=["run", "run_many"])
+    def test_served_blocks_cannot_overwrite_the_cache(self, tiny_workload, variants):
         # An exact hit (and the miss, whose table is its single block) hands
-        # out the cached arrays themselves; writing through them used to make
+        # out the cached arrays themselves, and a run_many's per-program
+        # results are row views of them; writing through them used to make
         # every later exact hit serve the written values.
         config = EngineConfig(backend="vectorized", record_max_occurrence=True)
+        document = {"kind": "run", "program": "w", "quote": True}
+        programs = [tiny_workload.program]
+        if variants:
+            document.update(kind="run_many", variants=variants)
+            programs = candidate_variants(tiny_workload.program, variants)
         with RiskService(config, result_cache=True) as service:
             service.register_workload("w", tiny_workload)
-            miss = service.submit({"kind": "run", "program": "w", "quote": True})
-            exact = service.submit({"kind": "run", "program": "w", "quote": True})
+            miss = service.submit(document)
+            exact = service.submit(document)
             for served in (miss, exact):
-                ylt = served.result.ylt
-                for block in (ylt.losses, ylt.max_occurrence_losses):
-                    with pytest.raises(ValueError, match="read-only"):
-                        block[:] = 0.0
-            again = service.submit({"kind": "run", "program": "w", "quote": True})
+                for result in served.results:
+                    for block in (result.ylt.losses, result.ylt.max_occurrence_losses):
+                        with pytest.raises(ValueError, match="read-only"):
+                            block[:] = 0.0
+            again = service.submit(document)
         assert again.result_cache["status"] == "exact"
-        cold = AggregateRiskEngine(config).run(tiny_workload.program, tiny_workload.yet)
-        np.testing.assert_array_equal(again.result.ylt.losses, cold.ylt.losses)
-        np.testing.assert_array_equal(
-            again.result.ylt.max_occurrence_losses, cold.ylt.max_occurrence_losses
-        )
-        cold_quote = price_program(tiny_workload.program, cold.ylt)
-        assert [p.metrics for p in again.quotes[0].layer_pricings] == [
-            p.metrics for p in cold_quote.layer_pricings
-        ]
+        engine = AggregateRiskEngine(config)
+        for program, result, quote in zip(programs, again.results, again.quotes, strict=True):
+            cold = engine.run(program, tiny_workload.yet)
+            np.testing.assert_array_equal(result.ylt.losses, cold.ylt.losses)
+            np.testing.assert_array_equal(
+                result.ylt.max_occurrence_losses, cold.ylt.max_occurrence_losses
+            )
+            cold_quote = price_program(program, cold.ylt)
+            assert [p.metrics for p in quote.layer_pricings] == [
+                p.metrics for p in cold_quote.layer_pricings
+            ]
