@@ -198,7 +198,7 @@ def main() -> None:
     #    against its registry, and a content-addressed PlanCache reuses the
     #    lowered plan + fused loss stack across requests — the second,
     #    warm submission skips every pre-kernel step and is bit-identical
-    #    to the first.  `service.submit(request.to_json())` would behave
+    #    to the first.  `service.submit(json.dumps(request))` would behave
     #    identically, which is exactly what `are serve` does per stdin line.
     # ------------------------------------------------------------------ #
     risk_service = RiskService(EngineConfig(backend="vectorized"))

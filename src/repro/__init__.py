@@ -42,13 +42,8 @@ memory bounded by one shard.
 """
 
 from repro.core.config import EngineConfig
-from repro.core.engine import AggregateRiskEngine, available_backends
-from repro.core.results import (
-    EngineResult,
-    MetricState,
-    PartialResult,
-    ResultAccumulator,
-)
+from repro.core.engine import AggregateRiskEngine
+from repro.core.results import EngineResult, PartialResult, ResultAccumulator
 from repro.elt.table import EventLossTable
 from repro.financial.terms import FinancialTerms, LayerTerms
 from repro.portfolio.layer import Layer
@@ -73,13 +68,11 @@ __all__ = [
     "AnalysisResponse",
     "EngineConfig",
     "EngineResult",
-    "MetricState",
     "PartialResult",
     "PlanCache",
     "ResultAccumulator",
     "RequestValidationError",
     "RiskService",
-    "available_backends",
     "EventLossTable",
     "FinancialTerms",
     "LayerTerms",

@@ -14,19 +14,10 @@ catalogs of any size with realistic rate/severity structure.
 """
 
 from repro.catalog.events import Event, EventCatalog
-from repro.catalog.frequency import (
-    FrequencyModel,
-    NegativeBinomialFrequency,
-    PoissonFrequency,
-)
+from repro.catalog.frequency import FrequencyModel, PoissonFrequency
 from repro.catalog.generator import CatalogGenerator, PerilMix
 from repro.catalog.peril import Peril, PerilProfile, default_peril_profiles
-from repro.catalog.severity import (
-    GammaSeverity,
-    LognormalSeverity,
-    ParetoSeverity,
-    SeverityModel,
-)
+from repro.catalog.severity import LognormalSeverity, SeverityModel
 
 __all__ = [
     "Peril",
@@ -36,11 +27,8 @@ __all__ = [
     "EventCatalog",
     "FrequencyModel",
     "PoissonFrequency",
-    "NegativeBinomialFrequency",
     "SeverityModel",
     "LognormalSeverity",
-    "ParetoSeverity",
-    "GammaSeverity",
     "CatalogGenerator",
     "PerilMix",
 ]

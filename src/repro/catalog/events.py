@@ -10,7 +10,7 @@ directly as array indices into a dense loss vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Sequence
+from typing import Dict, Iterator, Sequence
 
 import numpy as np
 
@@ -163,22 +163,6 @@ class EventCatalog:
             raise ValueError("catalog has zero total annual rate")
         return self.annual_rates / total
 
-    def peril_mask(self, peril: Peril) -> np.ndarray:
-        """Boolean mask of the events belonging to ``peril``."""
-        try:
-            code = self.peril_order.index(peril)
-        except ValueError as exc:
-            raise KeyError(f"peril {peril} not present in catalog peril_order") from exc
-        return self.peril_codes == code
-
-    def events_for_peril(self, peril: Peril) -> np.ndarray:
-        """Event ids of all events belonging to ``peril``."""
-        return np.nonzero(self.peril_mask(peril))[0].astype(np.int64)
-
-    def events_for_region(self, region: int) -> np.ndarray:
-        """Event ids of all events whose primary region is ``region``."""
-        return np.nonzero(self.regions == region)[0].astype(np.int64)
-
     def peril_summary(self) -> Dict[Peril, Dict[str, float]]:
         """Per-peril counts, total rates and mean severities (for reporting)."""
         summary: Dict[Peril, Dict[str, float]] = {}
@@ -193,35 +177,6 @@ class EventCatalog:
                 "mean_severity": float(self.mean_severities[mask].mean()),
             }
         return summary
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "EventCatalog":
-        """Build a catalog from a sequence of :class:`Event` records.
-
-        Events must have contiguous ids ``0..n-1`` (any order in the input).
-        """
-        n = len(events)
-        ids = sorted(event.event_id for event in events)
-        if ids != list(range(n)):
-            raise ValueError("event ids must be exactly 0..n-1 with no gaps or duplicates")
-        peril_order = tuple(Peril)
-        peril_index: Mapping[Peril, int] = {p: i for i, p in enumerate(peril_order)}
-        perils = np.zeros(n, dtype=np.int16)
-        rates = np.zeros(n, dtype=np.float64)
-        severities = np.zeros(n, dtype=np.float64)
-        intensities = np.zeros(n, dtype=np.float64)
-        regions = np.zeros(n, dtype=np.int32)
-        for event in events:
-            i = event.event_id
-            perils[i] = peril_index[event.peril]
-            rates[i] = event.annual_rate
-            severities[i] = event.mean_severity
-            intensities[i] = event.intensity
-            regions[i] = event.region
-        return cls(perils, rates, severities, intensities, regions, peril_order)
 
     def subset(self, event_ids: np.ndarray) -> "EventCatalog":
         """Return a new catalog containing only ``event_ids`` (re-indexed densely)."""

@@ -1,14 +1,9 @@
 """Event-occurrence frequency models.
 
 The Year Event Table simulator needs to decide *how many* catastrophic events
-occur in each simulated contractual year.  The industry-standard choices are
-
-* a **Poisson** model — independent occurrences at a constant annual rate, and
-* a **negative binomial** model — over-dispersed occurrence counts capturing
-  clustering of events (e.g. active hurricane seasons), parameterised by the
-  mean annual rate and a dispersion factor.
-
-Both are implemented as vectorised samplers returning one count per trial.
+occur in each simulated contractual year.  The industry-standard choice is a
+**Poisson** model — independent occurrences at a constant annual rate —
+implemented as a vectorised sampler returning one count per trial.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import numpy as np
 from repro.utils.rng import RNGLike, derive_rng
 from repro.utils.validation import ensure_positive
 
-__all__ = ["FrequencyModel", "PoissonFrequency", "NegativeBinomialFrequency"]
+__all__ = ["FrequencyModel", "PoissonFrequency"]
 
 
 class FrequencyModel(abc.ABC):
@@ -31,11 +26,6 @@ class FrequencyModel(abc.ABC):
     @abc.abstractmethod
     def mean(self) -> float:
         """Expected number of occurrences per year."""
-
-    @property
-    @abc.abstractmethod
-    def variance(self) -> float:
-        """Variance of the number of occurrences per year."""
 
     @abc.abstractmethod
     def sample_counts(self, n_trials: int, rng: RNGLike = None) -> np.ndarray:
@@ -76,56 +66,8 @@ class PoissonFrequency(FrequencyModel):
     def mean(self) -> float:
         return float(self.rate)
 
-    @property
-    def variance(self) -> float:
-        return float(self.rate)
-
     def sample_counts(self, n_trials: int, rng: RNGLike = None) -> np.ndarray:
         if n_trials < 0:
             raise ValueError(f"n_trials must be non-negative, got {n_trials}")
         generator = derive_rng(rng)
         return generator.poisson(self.rate, size=n_trials).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class NegativeBinomialFrequency(FrequencyModel):
-    """Negative binomial occurrence model.
-
-    Parameterised by the mean annual rate and a ``dispersion`` factor equal to
-    the variance-to-mean ratio.  ``dispersion = 1`` degenerates (in the limit)
-    to a Poisson model; values above 1 produce clustered, over-dispersed years.
-    """
-
-    rate: float
-    dispersion: float = 1.5
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.rate, "rate")
-        if self.dispersion <= 1.0:
-            raise ValueError(
-                f"dispersion must be > 1 for a proper negative binomial, got {self.dispersion}"
-            )
-
-    @property
-    def mean(self) -> float:
-        return float(self.rate)
-
-    @property
-    def variance(self) -> float:
-        return float(self.rate * self.dispersion)
-
-    @property
-    def _n_p(self) -> tuple[float, float]:
-        """NumPy's (n, p) parameterisation from (mean, variance)."""
-        mean = self.rate
-        var = self.variance
-        p = mean / var
-        n = mean * p / (1.0 - p)
-        return n, p
-
-    def sample_counts(self, n_trials: int, rng: RNGLike = None) -> np.ndarray:
-        if n_trials < 0:
-            raise ValueError(f"n_trials must be non-negative, got {n_trials}")
-        generator = derive_rng(rng)
-        n, p = self._n_p
-        return generator.negative_binomial(n, p, size=n_trials).astype(np.int64)

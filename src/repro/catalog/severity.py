@@ -8,9 +8,8 @@ used in two places:
 * the catastrophe model (:mod:`repro.hazard`) uses the severity scale together
   with vulnerability curves to produce exposure-specific expected losses.
 
-Three classic heavy-tailed families are provided — lognormal, Pareto (type I)
-and gamma — each parameterised by mean and coefficient of variation so that
-they can be swapped without re-deriving parameters.
+The heavy-tailed lognormal family is provided, parameterised by mean and
+coefficient of variation behind the abstract :class:`SeverityModel`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from repro.utils.rng import RNGLike, derive_rng
 from repro.utils.validation import ensure_positive
 
-__all__ = ["SeverityModel", "LognormalSeverity", "ParetoSeverity", "GammaSeverity"]
+__all__ = ["SeverityModel", "LognormalSeverity"]
 
 
 class SeverityModel(abc.ABC):
@@ -84,93 +83,3 @@ class LognormalSeverity(SeverityModel):
             raise ValueError(f"n must be non-negative, got {n}")
         generator = derive_rng(rng)
         return generator.lognormal(self.mu, self.sigma, size=n)
-
-
-@dataclass(frozen=True)
-class ParetoSeverity(SeverityModel):
-    """Pareto (type I) severity with shape ``alpha`` and scale ``x_min``.
-
-    ``alpha`` must exceed 2 for the coefficient of variation to be finite.
-    """
-
-    x_min: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.x_min, "x_min")
-        if self.alpha <= 2.0:
-            raise ValueError(f"alpha must be > 2 for finite variance, got {self.alpha}")
-
-    @property
-    def mean(self) -> float:
-        return float(self.alpha * self.x_min / (self.alpha - 1.0))
-
-    @property
-    def cv(self) -> float:
-        variance = (self.x_min**2 * self.alpha) / ((self.alpha - 1.0) ** 2 * (self.alpha - 2.0))
-        return float(math.sqrt(variance) / self.mean)
-
-    @classmethod
-    def from_mean_cv(cls, mean: float, cv: float) -> "ParetoSeverity":
-        """Construct from a target mean and coefficient of variation.
-
-        Solves ``cv^2 = 1 / (alpha (alpha - 2))`` for ``alpha`` and then picks
-        ``x_min`` to hit the mean.
-        """
-        ensure_positive(mean, "mean")
-        ensure_positive(cv, "cv")
-        # alpha^2 - 2 alpha - 1/cv^2 = 0  =>  alpha = 1 + sqrt(1 + 1/cv^2)
-        alpha = 1.0 + math.sqrt(1.0 + 1.0 / (cv * cv))
-        x_min = mean * (alpha - 1.0) / alpha
-        return cls(x_min=x_min, alpha=alpha)
-
-    def sample(self, n: int, rng: RNGLike = None) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        generator = derive_rng(rng)
-        # Inverse-CDF sampling: X = x_min * U^{-1/alpha}.
-        u = generator.random(n)
-        return self.x_min * np.power(1.0 - u, -1.0 / self.alpha)
-
-
-@dataclass(frozen=True)
-class GammaSeverity(SeverityModel):
-    """Gamma severity parameterised by mean and coefficient of variation."""
-
-    mean_loss: float
-    cv_loss: float
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.mean_loss, "mean_loss")
-        ensure_positive(self.cv_loss, "cv_loss")
-
-    @property
-    def mean(self) -> float:
-        return float(self.mean_loss)
-
-    @property
-    def cv(self) -> float:
-        return float(self.cv_loss)
-
-    @property
-    def shape(self) -> float:
-        """Gamma shape parameter ``k`` (= 1 / cv^2)."""
-        return 1.0 / (self.cv_loss**2)
-
-    @property
-    def scale(self) -> float:
-        """Gamma scale parameter ``theta`` (= mean / k)."""
-        return self.mean_loss / self.shape
-
-    def sample(self, n: int, rng: RNGLike = None) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        generator = derive_rng(rng)
-        return generator.gamma(self.shape, self.scale, size=n)
-
-
-def severity_for_peril(mean: float, cv: float, heavy_tailed: bool) -> SeverityModel:
-    """Pick a severity family appropriate to a peril's tail behaviour."""
-    if heavy_tailed:
-        return LognormalSeverity(mean, cv)
-    return GammaSeverity(mean, cv)

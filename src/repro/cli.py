@@ -428,29 +428,32 @@ def _command_uncertainty(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    return_periods = tuple(float(x) for x in args.return_periods.split(",") if x)
+    # Fall back to the preset seed so the default invocation is reproducible.
+    seed = args.seed if args.seed is not None else preset(args.preset).seed
+    request = AnalysisRequest(
+        kind="uncertainty",
+        program=args.preset,
+        replications=args.replications,
+        cv=args.cv,
+        family=args.family,
+        method=args.method,
+        replication_block=args.block,
+        return_periods=return_periods,
+        seed=seed,
+    )
+    try:
+        request.validate()
+    except RequestValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workload = _build_workload(args)
     config = _build_config(args).replace(
         record_max_occurrence=False, replication_block=args.block
     )
     service = RiskService(config=config)
     service.register_workload(args.preset, workload)
-    return_periods = tuple(float(x) for x in args.return_periods.split(",") if x)
-    # Fall back to the preset seed so the default invocation is reproducible.
-    seed = args.seed if args.seed is not None else preset(args.preset).seed
-
-    response = service.submit(
-        AnalysisRequest(
-            kind="uncertainty",
-            program=args.preset,
-            replications=args.replications,
-            cv=args.cv,
-            family=args.family,
-            method=args.method,
-            replication_block=args.block,
-            return_periods=return_periods,
-            seed=seed,
-        )
-    )
+    response = service.submit(request)
 
     print(f"workload : {workload.summary()}")
     block_note = f", block={args.block}" if args.block else ""

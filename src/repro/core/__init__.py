@@ -32,7 +32,7 @@ figure scripts (``benchmarks/paper/device.py``).
 
 from repro.core.chunked import ChunkedEngine
 from repro.core.config import EngineConfig
-from repro.core.engine import AggregateRiskEngine, available_backends
+from repro.core.engine import AggregateRiskEngine
 from repro.core.multicore import MulticoreEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder, PlanSegment
 from repro.core.phases import (
@@ -41,12 +41,7 @@ from repro.core.phases import (
     PHASE_FINANCIAL_TERMS,
     PHASE_LAYER_TERMS,
 )
-from repro.core.results import (
-    EngineResult,
-    MetricState,
-    PartialResult,
-    ResultAccumulator,
-)
+from repro.core.results import EngineResult, PartialResult, ResultAccumulator
 from repro.core.sequential import SequentialEngine
 from repro.core.vectorized import VectorizedEngine
 
@@ -55,12 +50,10 @@ __all__ = [
     "EngineConfig",
     "EngineResult",
     "ExecutionPlan",
-    "MetricState",
     "PartialResult",
     "PlanBuilder",
     "PlanSegment",
     "ResultAccumulator",
-    "available_backends",
     "SequentialEngine",
     "VectorizedEngine",
     "ChunkedEngine",

@@ -166,10 +166,6 @@ class EngineConfig:
                 f"native_threads must be non-negative, got {self.native_threads}"
             )
 
-    def with_backend(self, backend: str, **overrides: Any) -> "EngineConfig":
-        """A copy of this config with a different backend (and optional overrides)."""
-        return replace(self, backend=backend, **overrides)
-
     def replace(self, **overrides: Any) -> "EngineConfig":
         """A copy of this config with the given fields replaced."""
         return replace(self, **overrides)

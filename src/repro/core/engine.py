@@ -60,22 +60,16 @@ bit-identical to the monolithic run for any shard count.
 given a :class:`~repro.yet.io.YetShardReader`, it prices a stored YET
 larger than RAM with resident memory bounded by one shard plus the
 accumulated year-loss blocks.
-
-The facade also provides :meth:`AggregateRiskEngine.compare_backends`, which
-runs the same workload through several backends (optionally through both the
-fused multi-layer path and the per-layer path of each backend) and verifies
-that they agree — the programmatic form of the library's core correctness
-guarantee.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.chunked import ChunkedEngine
-from repro.core.config import BACKEND_NAMES, EngineConfig
+from repro.core.config import EngineConfig
 from repro.core.multicore import MulticoreEngine
 from repro.core.native_backend import NativeEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder
@@ -88,7 +82,7 @@ from repro.portfolio.program import ReinsuranceProgram
 from repro.yet.io import shard_count_for_budget
 from repro.yet.table import YearEventTable
 
-__all__ = ["AggregateRiskEngine", "available_backends"]
+__all__ = ["AggregateRiskEngine"]
 
 _BACKEND_CLASSES: Dict[str, Callable[[EngineConfig], object]] = {
     "sequential": SequentialEngine,
@@ -97,11 +91,6 @@ _BACKEND_CLASSES: Dict[str, Callable[[EngineConfig], object]] = {
     "multicore": MulticoreEngine,
     "native": NativeEngine,
 }
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the engine backends shipped with the library."""
-    return BACKEND_NAMES
 
 
 class AggregateRiskEngine:
@@ -137,10 +126,6 @@ class AggregateRiskEngine:
     def run(self, program: ReinsuranceProgram | Layer, yet: YearEventTable) -> EngineResult:
         """Run the aggregate analysis and return the full result object."""
         return self.run_plan(PlanBuilder.from_program(program, yet))
-
-    def year_loss_table(self, program: ReinsuranceProgram | Layer, yet: YearEventTable):
-        """Run the analysis and return only the Year Loss Table."""
-        return self.run(program, yet).ylt
 
     def run_sharded(
         self,
@@ -315,57 +300,3 @@ class AggregateRiskEngine:
             stack, terms, yet, row_names=layer_names, n_shards=n_shards
         )
         return self.run_plan(plan)
-
-    # ------------------------------------------------------------------ #
-    # Cross-backend validation
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def compare_backends(
-        program: ReinsuranceProgram | Layer,
-        yet: YearEventTable,
-        backends: Iterable[str] = ("sequential", "vectorized", "chunked"),
-        base_config: EngineConfig | None = None,
-        rtol: float = 1e-9,
-        atol: float = 1e-6,
-        check_fused: bool = False,
-    ) -> Mapping[str, EngineResult]:
-        """Run several backends on the same workload and assert agreement.
-
-        With ``check_fused=True`` every backend is additionally run with
-        ``fused_layers`` inverted relative to ``base_config`` — i.e. the fused
-        multi-layer batch path and the per-layer loop are both exercised and
-        must agree.  The extra results are stored under ``"<name>:fused"`` /
-        ``"<name>:per-layer"`` keys, which reflect the *requested* config:
-        the sequential backend has no fused path and simply runs its
-        reference path twice; check ``result.details["fused_layers"]`` for
-        the path a run actually took.
-
-        Returns the per-run results; raises ``AssertionError`` with a
-        descriptive message if any run's YLT deviates from the first run's
-        YLT beyond the tolerances.
-        """
-        base = base_config if base_config is not None else EngineConfig()
-        runs: List[tuple[str, EngineConfig]] = []
-        for name in backends:
-            runs.append((name, base.with_backend(name)))
-            if check_fused:
-                flipped = base.with_backend(name, fused_layers=not base.fused_layers)
-                suffix = "fused" if flipped.fused_layers else "per-layer"
-                runs.append((f"{name}:{suffix}", flipped))
-
-        results: Dict[str, EngineResult] = {}
-        reference_name: str | None = None
-        for key, config in runs:
-            results[key] = AggregateRiskEngine(config).run(program, yet)
-            if reference_name is None:
-                reference_name = key
-                continue
-            reference = results[reference_name].ylt.losses
-            candidate = results[key].ylt.losses
-            if not np.allclose(reference, candidate, rtol=rtol, atol=atol):
-                worst = float(np.max(np.abs(reference - candidate)))
-                raise AssertionError(
-                    f"backend {key!r} disagrees with {reference_name!r}: "
-                    f"max abs difference {worst:.3e}"
-                )
-        return results

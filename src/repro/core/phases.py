@@ -16,16 +16,12 @@ directly comparable:
 
 from __future__ import annotations
 
-from repro.utils.timing import PhaseTimer, TimingBreakdown
-
 __all__ = [
     "PHASE_EVENT_FETCH",
     "PHASE_ELT_LOOKUP",
     "PHASE_FINANCIAL_TERMS",
     "PHASE_LAYER_TERMS",
     "ALL_PHASES",
-    "new_phase_timer",
-    "empty_breakdown",
 ]
 
 PHASE_EVENT_FETCH = "event_fetch"
@@ -40,13 +36,3 @@ ALL_PHASES: tuple[str, ...] = (
     PHASE_FINANCIAL_TERMS,
     PHASE_LAYER_TERMS,
 )
-
-
-def new_phase_timer(enabled: bool) -> PhaseTimer:
-    """Create a phase timer (a disabled timer has negligible overhead)."""
-    return PhaseTimer(enabled=enabled)
-
-
-def empty_breakdown() -> TimingBreakdown:
-    """A breakdown with all four phases present and zero time."""
-    return TimingBreakdown({phase: 0.0 for phase in ALL_PHASES})

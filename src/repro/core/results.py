@@ -9,10 +9,7 @@ over trials (its map step); this module supplies the matching *reduce* step:
   process) and reassembles the monolithic result *exactly*: trial shards are
   disjoint and every per-trial reduction in the kernels is trial-local, so
   merging is pure column placement — no arithmetic — and the merged output
-  is bit-identical to a monolithic run of the same plan;
-* :class:`MetricState` — the small mergeable summary (count / sum / sum of
-  squares / max per layer row) that streaming consumers can keep without the
-  blocks.
+  is bit-identical to a monolithic run of the same plan.
 
 The one shard driver (:mod:`repro.core.driver`) is a shard loop + accumulate
 on top of these types, which is what makes ``EngineConfig.trial_shards``,
@@ -29,7 +26,7 @@ import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator, List, Mapping, Sequence
+from typing import Any, List, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +35,7 @@ from repro.utils.timing import TimingBreakdown
 from repro.ylt.metrics import RiskMetrics, compute_risk_metrics_batch
 from repro.ylt.table import YearLossTable
 
-__all__ = ["EngineResult", "MetricState", "PartialResult", "ResultAccumulator"]
+__all__ = ["EngineResult", "PartialResult", "ResultAccumulator"]
 
 #: Magic + version of the :meth:`PartialResult.to_bytes` wire format.
 _WIRE_MAGIC = b"ARPT"
@@ -156,69 +153,6 @@ class EngineResult:
             f"backend={self.backend} layers={self.n_layers} trials={self.n_trials} "
             f"wall={self.wall_seconds:.4f}s"
         )
-
-
-@dataclass(frozen=True)
-class MetricState:
-    """Mergeable per-layer summary statistics of accumulated year losses.
-
-    The state a streaming consumer can keep when the blocks themselves are
-    discarded: per layer row, the trial count, the sum and sum of squares of
-    the year losses, and the largest year loss.  Merging two states over
-    disjoint shards is exact for ``n_trials`` and ``max_loss`` and adds the
-    (deterministically accumulated) sums; quantile metrics (PML, TVaR) need
-    the actual blocks — see
-    :func:`~repro.ylt.metrics.compute_risk_metrics_from_blocks`.
-    """
-
-    n_trials: int
-    total: np.ndarray
-    total_sq: np.ndarray
-    max_loss: np.ndarray
-
-    @classmethod
-    def from_losses(cls, losses: np.ndarray) -> "MetricState":
-        """The state of one ``(n_rows, n_trials)`` year-loss block."""
-        block = np.asarray(losses, dtype=np.float64)
-        if block.ndim != 2:
-            raise ValueError(f"losses must be 2-D, got shape {block.shape}")
-        if block.shape[1] == 0:
-            zeros = np.zeros(block.shape[0], dtype=np.float64)
-            return cls(0, zeros, zeros.copy(), zeros.copy())
-        return cls(
-            n_trials=int(block.shape[1]),
-            total=block.sum(axis=1),
-            total_sq=(block * block).sum(axis=1),
-            max_loss=block.max(axis=1),
-        )
-
-    def merge(self, other: "MetricState") -> "MetricState":
-        """The state of the union of two disjoint shards."""
-        if self.total.shape != other.total.shape:
-            raise ValueError(
-                f"cannot merge metric states over {self.total.shape[0]} and "
-                f"{other.total.shape[0]} rows"
-            )
-        return MetricState(
-            n_trials=self.n_trials + other.n_trials,
-            total=self.total + other.total,
-            total_sq=self.total_sq + other.total_sq,
-            max_loss=np.maximum(self.max_loss, other.max_loss),
-        )
-
-    def mean(self) -> np.ndarray:
-        """Per-row mean year loss (the AAL) over the accumulated trials."""
-        if self.n_trials == 0:
-            raise ValueError("no trials accumulated")
-        return self.total / self.n_trials
-
-    def std(self, ddof: int = 1) -> np.ndarray:
-        """Per-row standard deviation of the accumulated year losses."""
-        if self.n_trials <= ddof:
-            return np.zeros_like(self.total)
-        mean = self.mean()
-        variance = (self.total_sq - self.n_trials * mean * mean) / (self.n_trials - ddof)
-        return np.sqrt(np.maximum(variance, 0.0))
 
 
 @dataclass(frozen=True)
@@ -610,7 +544,7 @@ class ResultAccumulator:
     @property
     def partials(self) -> tuple[PartialResult, ...]:
         """The accumulated blocks in trial order (shared, not copied)."""
-        return tuple(self._ordered())
+        return tuple(sorted(self._partials, key=lambda p: p.trials.start))
 
     @property
     def covered_trials(self) -> int:
@@ -638,55 +572,6 @@ class ResultAccumulator:
         if cursor < self.trials.stop:
             gaps.append(TrialRange(cursor, self.trials.stop))
         return gaps
-
-    # ------------------------------------------------------------------ #
-    # Streaming views
-    # ------------------------------------------------------------------ #
-    def _ordered(self) -> List[PartialResult]:
-        return sorted(self._partials, key=lambda p: p.trials.start)
-
-    def layer_blocks(self, row: int) -> Iterator[np.ndarray]:
-        """One layer's year-loss blocks in trial order (views, not copies).
-
-        Feed these to the block-wise metric constructors
-        (:func:`~repro.ylt.metrics.compute_risk_metrics_from_blocks`,
-        :func:`~repro.ylt.ep_curve.aep_curve_from_blocks`) without ever
-        materialising the full per-trial vector in one array.
-        """
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range [0, {self.n_rows})")
-        for partial in self._ordered():
-            yield partial.losses[row]
-
-    def portfolio_blocks(self) -> Iterator[np.ndarray]:
-        """Per-trial portfolio losses (sum over rows) in trial order."""
-        for partial in self._ordered():
-            yield partial.losses.sum(axis=0)
-
-    def max_occurrence_blocks(self, row: int) -> Iterator[np.ndarray]:
-        """One layer's maximum-occurrence blocks in trial order (for OEP)."""
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range [0, {self.n_rows})")
-        for partial in self._ordered():
-            if partial.max_occurrence is None:
-                raise ValueError("an accumulated partial lacks maximum occurrence losses")
-            yield partial.max_occurrence[row]
-
-    def metric_state(self) -> MetricState:
-        """The mergeable summary state of everything accumulated so far.
-
-        Computed over the blocks in trial order, so the state is a pure
-        function of the accumulated partials — independent of the order they
-        were added or merged in.
-        """
-        state: MetricState | None = None
-        for partial in self._ordered():
-            block_state = MetricState.from_losses(partial.losses)
-            state = block_state if state is None else state.merge(block_state)
-        if state is None:
-            zeros = np.zeros(self.n_rows, dtype=np.float64)
-            return MetricState(0, zeros, zeros.copy(), zeros.copy())
-        return state
 
     # ------------------------------------------------------------------ #
     # Assembly

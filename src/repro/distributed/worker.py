@@ -170,10 +170,6 @@ class FleetWorker:
         self.stop()
         return True
 
-    def is_serving(self) -> bool:
-        """Whether the server thread is live (started and not drained)."""
-        return self._thread is not None and not self._thread.join(0)
-
     def stop(self) -> None:
         """Drain — answer every in-flight request — then release the engines."""
         if self._thread is not None:

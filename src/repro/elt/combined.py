@@ -10,8 +10,8 @@ A layer's ELTs are read in two forms:
   million = 30 million event-loss pairs are generated in memory": an
   ``(n_elts, catalog_size)`` float64 matrix of direct access tables.  This
   is the *per-ELT lookup* representation, built on first use by the readers
-  of individual ELTs (``gather`` / ``row`` / ``ground_up_event_losses``: the
-  ``fused_layers=False`` ablation and the Fig. 6b phase probes).
+  of individual ELTs (``gather`` / ``row``: the ``fused_layers=False``
+  ablation and the Fig. 6b phase probes).
 
 The records-first row has the bytes of netting the dense stack and summing
 it over the ELT axis: a zero cell nets to exactly ``+0.0`` under validated
@@ -138,10 +138,6 @@ class LayerLossMatrix:
         if ids.size and (ids.min() < 0 or ids.max() >= self.catalog_size):
             raise IndexError("event ids out of range of the catalog")
         return np.take(self.losses, ids, axis=1)
-
-    def ground_up_event_losses(self, event_ids: np.ndarray) -> np.ndarray:
-        """Per-event ground-up losses summed over ELTs (no financial terms)."""
-        return sum_elt_rows(self.gather(event_ids))
 
     def combined_net_losses(self) -> np.ndarray:
         """Per-catalog-entry losses net of financial terms, combined across ELTs.

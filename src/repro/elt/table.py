@@ -144,21 +144,6 @@ class EventLossTable(Digested):
         """Fraction of catalog events with a non-zero loss in this ELT."""
         return self.size / self.catalog_size
 
-    def as_dict(self) -> Mapping[int, float]:
-        """Plain ``dict`` view {event_id: loss} (copies the data)."""
-        return {int(e): float(l) for e, l in zip(self.event_ids, self.losses)}
-
-    def sorted_copy(self) -> "EventLossTable":
-        """Return a copy with records sorted by event id."""
-        order = np.argsort(self.event_ids, kind="stable")
-        return EventLossTable(
-            self.event_ids[order],
-            self.losses[order],
-            self.catalog_size,
-            self.terms,
-            self.name,
-        )
-
     def dense_losses(self) -> np.ndarray:
         """Dense loss vector of length ``catalog_size`` (the direct access layout)."""
         dense = np.zeros(self.catalog_size, dtype=np.float64)

@@ -17,7 +17,7 @@ from repro.exposure.building import (
     OccupancyType,
 )
 from repro.exposure.generator import ExposureGenerator
-from repro.exposure.geography import Region, RegionGrid, haversine_km
+from repro.exposure.geography import Region, RegionGrid
 from repro.exposure.portfolio import ExposurePortfolio
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "ExposurePortfolio",
     "Region",
     "RegionGrid",
-    "haversine_km",
     "ExposureGenerator",
 ]

@@ -112,8 +112,3 @@ class Building:
         if self.region < 0:
             raise ValueError(f"region must be non-negative, got {self.region}")
         ensure_positive(self.replacement_value, "replacement_value")
-
-    def expected_site_loss(self, damage_ratio: float) -> float:
-        """Expected recoverable loss given a mean damage ratio in [0, 1]."""
-        ratio = ensure_in_range(damage_ratio, 0.0, 1.0, "damage_ratio")
-        return self.coverage.apply(ratio * self.replacement_value)

@@ -10,28 +10,12 @@ hazard propagation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.utils.validation import ensure_in_range
 
-__all__ = ["Region", "RegionGrid", "haversine_km"]
-
-_EARTH_RADIUS_KM = 6371.0088
-
-
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in kilometres between two points in degrees."""
-    ensure_in_range(lat1, -90.0, 90.0, "lat1")
-    ensure_in_range(lat2, -90.0, 90.0, "lat2")
-    ensure_in_range(lon1, -180.0, 180.0, "lon1")
-    ensure_in_range(lon2, -180.0, 180.0, "lon2")
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlmb = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
-    return 2.0 * _EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+__all__ = ["Region", "RegionGrid"]
 
 
 @dataclass(frozen=True)
@@ -63,14 +47,6 @@ class Region:
             raise ValueError("lat_max must exceed lat_min")
         if self.lon_max <= self.lon_min:
             raise ValueError("lon_max must exceed lon_min")
-
-    @property
-    def centroid(self) -> Tuple[float, float]:
-        """(latitude, longitude) of the cell centre."""
-        return (
-            0.5 * (self.lat_min + self.lat_max),
-            0.5 * (self.lon_min + self.lon_max),
-        )
 
     def contains(self, latitude: float, longitude: float) -> bool:
         """Whether the point lies inside the region (inclusive bounds)."""
@@ -126,21 +102,3 @@ class RegionGrid:
         if not 0 <= region_id < self.size:
             raise IndexError(f"region_id {region_id} out of range [0, {self.size})")
         return self._regions[region_id]
-
-    def locate(self, latitude: float, longitude: float) -> Region:
-        """Return the region containing the given point.
-
-        Points outside the grid bounds are clamped to the nearest cell, so
-        every coordinate maps to some region.
-        """
-        ensure_in_range(latitude, -90.0, 90.0, "latitude")
-        ensure_in_range(longitude, -180.0, 180.0, "longitude")
-        first = self._regions[0]
-        last = self._regions[-1]
-        lat_lo, lat_hi = first.lat_min, last.lat_max
-        lon_lo, lon_hi = first.lon_min, last.lon_max
-        dlat = (lat_hi - lat_lo) / self.n_lat
-        dlon = (lon_hi - lon_lo) / self.n_lon
-        i = min(max(int((latitude - lat_lo) / dlat), 0), self.n_lat - 1)
-        j = min(max(int((longitude - lon_lo) / dlon), 0), self.n_lon - 1)
-        return self._regions[i * self.n_lon + j]

@@ -12,7 +12,7 @@ records (for inspection and small-scale use) and column-wise NumPy arrays
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -90,36 +90,3 @@ class ExposurePortfolio:
     def total_insured_value(self) -> float:
         """Sum of replacement values (TIV) across the portfolio."""
         return float(self.replacement_values.sum())
-
-    def value_by_region(self) -> Dict[int, float]:
-        """Total insured value per geographic region."""
-        result: Dict[int, float] = {}
-        for region in np.unique(self.regions):
-            mask = self.regions == region
-            result[int(region)] = float(self.replacement_values[mask].sum())
-        return result
-
-    def value_by_construction(self) -> Dict[ConstructionClass, float]:
-        """Total insured value per construction class."""
-        result: Dict[ConstructionClass, float] = {}
-        for code, construction in enumerate(self.construction_order):
-            mask = self.construction_codes == code
-            if np.any(mask):
-                result[construction] = float(self.replacement_values[mask].sum())
-        return result
-
-    def regions_present(self) -> np.ndarray:
-        """Sorted array of region ids with at least one building."""
-        return np.unique(self.regions)
-
-    def region_value_fractions(self) -> Dict[int, float]:
-        """Fraction of TIV in each region (sums to 1)."""
-        tiv = self.total_insured_value
-        if tiv <= 0:
-            raise ValueError("portfolio has zero total insured value")
-        return {region: value / tiv for region, value in self.value_by_region().items()}
-
-    def subset_by_region(self, region: int) -> "ExposurePortfolio":
-        """A new portfolio containing only the buildings in ``region``."""
-        buildings = [b for b in self._buildings if b.region == region]
-        return ExposurePortfolio(f"{self.name}/region{region}", buildings)

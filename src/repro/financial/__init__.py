@@ -20,7 +20,6 @@ from repro.financial.contracts import (
     aggregate_xl_terms,
     combined_xl_terms,
     occurrence_xl_terms,
-    quota_share_terms,
 )
 from repro.financial.currency import Currency, CurrencyConverter
 from repro.financial.policies import (
@@ -29,7 +28,6 @@ from repro.financial.policies import (
     apply_financial_terms,
     apply_occurrence_terms,
     apply_occurrence_terms_batch,
-    layer_net_of_terms,
 )
 from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 
@@ -44,9 +42,7 @@ __all__ = [
     "apply_occurrence_terms_batch",
     "apply_aggregate_terms_cumulative",
     "aggregate_terms_shortcut_batch",
-    "layer_net_of_terms",
     "occurrence_xl_terms",
     "aggregate_xl_terms",
     "combined_xl_terms",
-    "quota_share_terms",
 ]

@@ -12,21 +12,20 @@ reinsurer's portfolio contains:
 * **Quota share** — a proportional cession, represented here at the ELT level
   through the ``share`` component of the financial terms.
 
-These helpers simply build the corresponding :class:`LayerTerms` /
-:class:`FinancialTerms` values with validation and descriptive names, so that
-examples and tests read like the underwriting they model.
+These helpers simply build the corresponding :class:`LayerTerms` values with
+validation and descriptive names, so that examples and tests read like the
+underwriting they model.
 """
 
 from __future__ import annotations
 
-from repro.financial.terms import FinancialTerms, LayerTerms
-from repro.utils.validation import ensure_in_range, ensure_non_negative, ensure_positive
+from repro.financial.terms import LayerTerms
+from repro.utils.validation import ensure_non_negative, ensure_positive
 
 __all__ = [
     "occurrence_xl_terms",
     "aggregate_xl_terms",
     "combined_xl_terms",
-    "quota_share_terms",
     "contract_kind",
 ]
 
@@ -76,21 +75,6 @@ def combined_xl_terms(
         aggregate_retention=aggregate_retention,
         aggregate_limit=aggregate_limit,
     )
-
-
-def quota_share_terms(share: float, event_limit: float = float("inf")) -> FinancialTerms:
-    """ELT-level financial terms of a quota-share cession.
-
-    Parameters
-    ----------
-    share:
-        Ceded proportion of each event loss, in ``[0, 1]``.
-    event_limit:
-        Optional per-event cap applied before the share.
-    """
-    ensure_in_range(share, 0.0, 1.0, "share")
-    ensure_positive(event_limit, "event_limit", allow_inf=True)
-    return FinancialTerms(retention=0.0, limit=event_limit, share=share, fx_rate=1.0)
 
 
 def contract_kind(terms: LayerTerms) -> str:

@@ -72,11 +72,6 @@ class CurrencyConverter:
             raise ValueError(f"rate for base currency {base} must be 1.0, got {rates[base]}")
         self._rates = rates
 
-    @property
-    def currencies(self) -> tuple[Currency, ...]:
-        """Currencies the converter knows about."""
-        return tuple(self._rates)
-
     def rate(self, source: Currency, target: Currency | None = None) -> float:
         """Conversion rate from ``source`` to ``target`` (default: the base)."""
         target = self.base if target is None else target
@@ -86,10 +81,6 @@ class CurrencyConverter:
         except KeyError as exc:
             raise KeyError(f"unknown currency {exc.args[0]}") from exc
         return to_base / target_to_base
-
-    def convert(self, amount: float, source: Currency, target: Currency | None = None) -> float:
-        """Convert ``amount`` from ``source`` currency to ``target``."""
-        return float(amount) * self.rate(source, target)
 
     def fx_rate_for_elt(self, elt_currency: Currency) -> float:
         """The ``fx_rate`` to embed in an ELT's financial terms."""

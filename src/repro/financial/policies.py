@@ -29,7 +29,6 @@ __all__ = [
     "aggregate_terms_shortcut",
     "aggregate_terms_shortcut_batch",
     "clip_aggregate_totals",
-    "layer_net_of_terms",
 ]
 
 
@@ -197,17 +196,3 @@ def aggregate_terms_shortcut_batch(
             f"occurrence_losses must be 2-D (n_layers, n_events), got shape {matrix.shape}"
         )
     return clip_aggregate_totals(segment_sum_2d(matrix, trial_offsets), vectors)
-
-
-def layer_net_of_terms(
-    per_event_losses: np.ndarray,
-    trial_offsets: np.ndarray,
-    terms: LayerTerms,
-) -> np.ndarray:
-    """Year loss per trial given combined per-event losses of one layer.
-
-    Applies the occurrence terms event-wise, then the aggregate terms per
-    trial (lines 10–19 of the basic algorithm, telescoped).
-    """
-    occurrence = apply_occurrence_terms(per_event_losses, terms)
-    return aggregate_terms_shortcut(occurrence, trial_offsets, terms)

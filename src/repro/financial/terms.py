@@ -67,16 +67,6 @@ class FinancialTerms:
         if self.fx_rate <= 0:
             raise ValueError(f"fx_rate must be positive, got {self.fx_rate}")
 
-    @property
-    def is_passthrough(self) -> bool:
-        """True when the terms leave every loss unchanged."""
-        return (
-            self.retention == 0.0
-            and self.limit == float("inf")
-            and self.share == 1.0
-            and self.fx_rate == 1.0
-        )
-
     def apply(self, ground_up_loss: float) -> float:
         """Net loss of one event after applying these terms."""
         loss = ensure_non_negative(ground_up_loss, "ground_up_loss") * self.fx_rate
@@ -112,16 +102,6 @@ class LayerTerms:
         ensure_non_negative(self.aggregate_limit, "aggregate_limit", allow_inf=True)
 
     @property
-    def is_passthrough(self) -> bool:
-        """True when the layer terms leave every loss unchanged."""
-        return (
-            self.occurrence_retention == 0.0
-            and self.occurrence_limit == float("inf")
-            and self.aggregate_retention == 0.0
-            and self.aggregate_limit == float("inf")
-        )
-
-    @property
     def has_occurrence_terms(self) -> bool:
         """True when non-trivial per-occurrence terms are present."""
         return self.occurrence_retention != 0.0 or self.occurrence_limit != float("inf")
@@ -140,10 +120,6 @@ class LayerTerms:
         """Cumulative loss net of ``T_AggR``/``T_AggL`` (line 15 of the algorithm)."""
         loss = ensure_non_negative(cumulative_loss, "cumulative_loss")
         return min(max(loss - self.aggregate_retention, 0.0), self.aggregate_limit)
-
-    def max_annual_recovery(self) -> float:
-        """Largest possible year loss under these terms (``T_AggL``)."""
-        return self.aggregate_limit
 
     def describe(self) -> str:
         """Human-readable description, mirroring Table I's notation."""

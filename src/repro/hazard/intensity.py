@@ -78,8 +78,3 @@ class RegionalFootprintModel(FootprintModel):
             np.maximum.at(matrix, (rows, right), spill)
             matrix[rows, regions] = base
         return matrix
-
-    def affected_regions(self, catalog: EventCatalog, n_regions: int) -> list[np.ndarray]:
-        """For each event, the array of region ids it affects."""
-        matrix = self.intensity_matrix(catalog, n_regions)
-        return [np.nonzero(matrix[e] > 0.0)[0] for e in range(catalog.size)]

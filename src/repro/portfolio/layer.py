@@ -110,10 +110,6 @@ class Layer(Digested):
             self._loss_matrix = LayerLossMatrix(self.elts)
         return self._loss_matrix
 
-    def invalidate_cache(self) -> None:
-        """Drop the cached loss matrix (call after mutating ELT contents)."""
-        self._loss_matrix = None
-
     def with_terms(self, terms: LayerTerms, name: str | None = None) -> "Layer":
         """A copy of this layer under different layer terms.
 
@@ -127,7 +123,3 @@ class Layer(Digested):
                       premium=self.premium)
         clone._loss_matrix = self.loss_matrix()
         return clone
-
-    def expected_ground_up_loss(self) -> float:
-        """Sum over ELT records of rate-free expected losses (a crude exposure measure)."""
-        return float(sum(float(elt.losses.sum()) for elt in self.elts))

@@ -42,7 +42,6 @@ __all__ = [
     "price_program",
     "batch_quote",
     "rate_on_line",
-    "loss_ratio",
 ]
 
 
@@ -110,11 +109,6 @@ class ProgramQuote:
     layer_pricings: tuple[LayerPricing, ...]
     uncertainty: "Mapping[str, ReplicationSummary] | None" = None
 
-    @property
-    def has_uncertainty(self) -> bool:
-        """True when the quote carries secondary-uncertainty bands."""
-        return bool(self.uncertainty)
-
     def band(self, metric: str) -> "ReplicationSummary":
         """Uncertainty band of one metric (KeyError if absent)."""
         if not self.uncertainty:
@@ -171,14 +165,6 @@ def rate_on_line(premium: float, aggregate_limit: float) -> float:
     if not np.isfinite(aggregate_limit):
         return float("nan")
     return premium / aggregate_limit
-
-
-def loss_ratio(expected_loss: float, premium: float) -> float:
-    """Expected loss divided by premium (the underwriter's loss ratio)."""
-    ensure_non_negative(expected_loss, "expected_loss")
-    if premium <= 0:
-        raise ValueError(f"premium must be positive, got {premium}")
-    return expected_loss / premium
 
 
 def _check_loadings(volatility_loading: float, expense_ratio: float) -> None:

@@ -96,13 +96,6 @@ class ReinsuranceProgram(Digested):
         """Sum of the layers' annual premiums."""
         return float(sum(layer.premium for layer in self.layers))
 
-    def layer_by_name(self, name: str) -> Layer:
-        """The first layer with the given name (KeyError if absent)."""
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r} in program {self.name!r}")
-
     def group_by(self, key: Callable[[Layer], str]) -> Dict[str, List[Layer]]:
         """Group layers by an arbitrary key function (cedant, kind, region...)."""
         groups: Dict[str, List[Layer]] = {}

@@ -48,11 +48,6 @@ class RollupResult:
     reference_return_period: float
     group_metrics: Mapping[str, RiskMetrics]
 
-    @property
-    def portfolio_aal(self) -> float:
-        """Average annual loss of the whole portfolio."""
-        return self.portfolio_metrics.aal
-
 
 def portfolio_rollup(
     ylt: YearLossTable,

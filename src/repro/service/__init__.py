@@ -27,7 +27,6 @@ from repro.service.digests import (
     PLAN_RELEVANT_CONFIG_FIELDS,
     config_digest,
     program_digest,
-    stack_digest,
     yet_digest,
     yet_prefix_digest,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "error_payload",
     "config_digest",
     "program_digest",
-    "stack_digest",
     "yet_digest",
     "yet_prefix_digest",
 ]

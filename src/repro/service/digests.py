@@ -5,9 +5,7 @@ key is built from SHA-256 digests of everything that determines what an
 :class:`~repro.core.plan.ExecutionPlan` (and its fused loss stack) *is* —
 
 * the program's terms and ELT contents (:func:`program_digest`),
-* the Year Event Table (:func:`yet_digest`),
-* a synthetic stack's rows and terms (:func:`stack_digest`,
-  :func:`terms_digest`), and
+* the Year Event Table (:func:`yet_digest`), and
 * the plan-relevant :class:`~repro.core.config.EngineConfig` fields
   (:func:`config_digest`, see :data:`PLAN_RELEVANT_CONFIG_FIELDS`).
 
@@ -29,13 +27,10 @@ tracer's) named entry points.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.financial.terms import LayerTerms
-from repro.portfolio.layer import Layer, terms_bytes
+from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.utils.digest import hexdigest as _hexdigest
 from repro.yet.table import YearEventTable
@@ -44,12 +39,9 @@ __all__ = [
     "PLAN_RELEVANT_CONFIG_FIELDS",
     "array_digest",
     "config_digest",
-    "elt_digest",
     "layer_digest",
     "plan_relevant_config",
     "program_digest",
-    "stack_digest",
-    "terms_digest",
     "yet_digest",
     "yet_prefix_digest",
 ]
@@ -82,11 +74,6 @@ def array_digest(array: np.ndarray) -> str:
     return _hexdigest((array.dtype.str.encode(), repr(array.shape).encode(), array))
 
 
-def elt_digest(elt) -> str:
-    """Content digest of one Event Loss Table (its stored ``digest``)."""
-    return elt.digest
-
-
 def layer_digest(layer: Layer) -> str:
     """Content digest of one layer: its ELT contents, terms and name."""
     return layer.digest
@@ -107,20 +94,6 @@ def yet_prefix_digest(yet: YearEventTable, n_trials: int) -> str:
     """Digest of the first ``n_trials`` trials of ``yet``
     (:meth:`YearEventTable.prefix_digest`)."""
     return yet.prefix_digest(n_trials)
-
-
-def stack_digest(stack: np.ndarray) -> str:
-    """Content digest of a precomputed loss stack.
-
-    Hashed once, at ``register_stack``, over the read-only copy the
-    service keeps, so no request re-hashes it.
-    """
-    return array_digest(stack)
-
-
-def terms_digest(terms: Sequence[LayerTerms]) -> str:
-    """Content digest of a sequence of layer terms (``run_stacked`` rows)."""
-    return _hexdigest((b"terms", *(terms_bytes(t) for t in terms)))
 
 
 def plan_relevant_config(config: EngineConfig) -> dict:

@@ -6,28 +6,29 @@ request/response form of the engine's public workloads::
 
     kind="run"          one program over one YET          (engine.run)
     kind="run_many"     many programs / term variants     (one concatenated run)
-    kind="run_stacked"  precomputed term-netted rows      (engine.run_stacked)
     kind="sweep"        run_many priced in row blocks     (one concatenated run)
     kind="uncertainty"  replication-banded metrics/quote  (SecondaryUncertaintyAnalysis)
 
 Requests reference their inputs *by name*: a name resolves against the
-service's artifact registry (programs, YETs, stacks registered by the
-caller) and falls back to the built-in workload presets
-(:mod:`repro.workloads.presets`), so a request is pure data — it travels as
-a dict or JSON document (``to_dict``/``from_dict``, ``to_json``/``from_json``)
-and two processes that registered the same artifacts mean the same thing by
-the same request.
+service's artifact registry (programs and YETs registered by the caller) and
+falls back to the built-in workload presets (:mod:`repro.workloads.presets`),
+so a request is pure data — it travels as a dict or JSON document
+(``to_dict``/``from_dict``, ``from_json``) and two processes that registered
+the same artifacts mean the same thing by the same request.
 
 Validation is eager and total: :meth:`AnalysisRequest.validate` (called by
 the service before dispatch) raises :class:`RequestValidationError` naming
-the offending field, and ``from_dict`` rejects unknown keys outright so a
-misspelled option can never be silently ignored.
+the offending field.  ``from_dict`` rejects unknown keys outright, so a
+misspelled option can never be silently ignored, and checks every value's
+wire type, so ``"2"`` or ``2.5`` for a shard count is a field error rather
+than a ``TypeError`` later or a cache key of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 __all__ = ["AnalysisRequest", "REQUEST_KINDS", "RequestValidationError"]
@@ -36,7 +37,6 @@ __all__ = ["AnalysisRequest", "REQUEST_KINDS", "RequestValidationError"]
 REQUEST_KINDS: tuple[str, ...] = (
     "run",
     "run_many",
-    "run_stacked",
     "sweep",
     "uncertainty",
 )
@@ -65,6 +65,43 @@ def _error(message: str, field: str | None = None) -> RequestValidationError:
     return RequestValidationError(prefix + message, field=field)
 
 
+#: The wire type of every field: a scalar type, or a one-element tuple for a
+#: list of that type.  ``int`` excludes ``bool``; ``float`` takes any real
+#: (JSON integers included).
+_FIELD_TYPES: dict[str, Any] = {
+    "kind": str, "program": str, "programs": (str,), "yet": str,
+    "variants": int, "shards": int, "max_rows_per_block": int,
+    "replications": int, "cv": float, "family": str, "method": str,
+    "replication_block": int, "return_periods": (float,), "tvar_levels": (float,),
+    "seed": int, "quote": bool, "result_cache": bool, "workers": (str,),
+    "tags": Mapping,
+}
+#: Fields that also take ``null``.
+_NULLABLE = frozenset({"program", "yet", "seed"})
+_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+    Mapping: "an object",
+}
+
+
+def _has_type(value: Any, expected: type) -> bool:
+    if expected is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if expected is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, expected)
+
+
+def _check_band_names(metric: str, values: tuple, field: str) -> None:
+    """Reject axis values that name one band twice: the uncertainty analysis
+    keys its bands ``<metric>_<value:g>``, so ``100`` and ``100.0000001``
+    would pool two metrics' values into one ``pml_100`` band."""
+    if len(values) > 1 and len({format(value, "g") for value in values}) < len(values):
+        names = [f"{metric}_{value:g}" for value in values]
+        clashes = sorted({name for name in names if names.count(name) > 1})
+        raise _error(f"values {list(values)} collide on band names {clashes}", field)
+
+
 @dataclass(frozen=True)
 class AnalysisRequest:
     """One declarative unit of work for the :class:`RiskService`.
@@ -80,8 +117,6 @@ class AnalysisRequest:
     programs:
         Explicit program names for ``run_many``/``sweep`` (mutually
         exclusive with ``variants``).
-    stack:
-        Name of a registered stack (``run_stacked`` only).
     yet:
         Name of the Year Event Table to price over.  ``None`` uses the YET
         registered under (or generated alongside) the subject program's name.
@@ -107,10 +142,14 @@ class AnalysisRequest:
         family, ``"batched"``/``"replay"`` execution, and the streaming
         block size (``0`` = one fused pass).
     return_periods, tvar_levels:
-        Metric axes of the ``uncertainty`` kind.
+        Metric axes of the ``uncertainty`` kind: finite return periods of
+        at least one year, and TVaR levels in ``(0, 1)``.  Two values that
+        print alike (``pml_100`` for both ``100`` and ``100.0000001``) would
+        share one band, so they are rejected.
     seed:
         RNG seed of the ``uncertainty`` kind (``None`` = nondeterministic)
-        and of preset workload generation (``None`` = the preset's seed).
+        and of preset workload generation (``None`` = the preset's seed);
+        a non-negative integer.
     quote:
         Attach technical-premium :class:`~repro.portfolio.pricing.ProgramQuote`
         objects to the response where the kind supports them.
@@ -123,7 +162,7 @@ class AnalysisRequest:
     workers:
         Fleet worker addresses (``"host:port"`` of ``are worker``
         processes) to distribute a ``run``, ``run_many`` or ``sweep``
-        request across (not ``run_stacked`` or ``uncertainty``).  The shard
+        request across (not ``uncertainty``).  The shard
         merge is bit-identical to the local run; ``shards`` sets the fleet
         shard count (``0`` = two shards per worker).  Empty (the default)
         executes locally.  The result cache answers fleet requests as it
@@ -136,7 +175,6 @@ class AnalysisRequest:
     kind: str
     program: str | None = None
     programs: tuple[str, ...] = ()
-    stack: str | None = None
     yet: str | None = None
     variants: int = 0
     shards: int = 0
@@ -186,12 +224,20 @@ class AnalysisRequest:
                 f"unknown method {self.method!r}; expected one of {UNCERTAINTY_METHODS}",
                 "method",
             )
-        if any(rp <= 0 for rp in self.return_periods):
-            raise _error("return periods must be positive", "return_periods")
-        if any(not 0.0 < level < 1.0 for level in self.tvar_levels):
+        if not all(1.0 <= rp < math.inf for rp in self.return_periods):
+            raise _error(
+                f"return periods must be finite and at least 1 year, got "
+                f"{list(self.return_periods)}",
+                "return_periods",
+            )
+        if not all(0.0 < level < 1.0 for level in self.tvar_levels):
             raise _error("TVaR levels must lie in (0, 1)", "tvar_levels")
+        _check_band_names("pml", self.return_periods, "return_periods")
+        _check_band_names("tvar", self.tvar_levels, "tvar_levels")
+        if self.seed is not None and self.seed < 0:
+            raise _error(f"must be non-negative, got {self.seed}", "seed")
         if self.workers:
-            if self.kind in ("run_stacked", "uncertainty"):
+            if self.kind == "uncertainty":
                 raise _error(
                     f"kind {self.kind!r} does not support distributed workers",
                     "workers",
@@ -219,17 +265,6 @@ class AnalysisRequest:
                     "a subject program plus variants > 0",
                     "programs",
                 )
-        if self.kind == "run_stacked":
-            if not self.stack:
-                raise _error("kind 'run_stacked' requires a stack name", "stack")
-            if not self.yet:
-                raise _error(
-                    "kind 'run_stacked' requires an explicit YET name "
-                    "(a stack has no preset to derive one from)",
-                    "yet",
-                )
-        elif self.stack:
-            raise _error(f"kind {self.kind!r} does not take a stack", "stack")
         return self
 
     # ------------------------------------------------------------------ #
@@ -249,33 +284,36 @@ class AnalysisRequest:
     def from_dict(cls, payload: Mapping[str, Any]) -> "AnalysisRequest":
         """Build and validate a request from a plain dict.
 
-        Unknown keys raise :class:`RequestValidationError` — a misspelled
+        Unknown keys and values of the wrong wire type raise
+        :class:`RequestValidationError` naming the field — a misspelled
         option must fail loudly, not fall back to a default.
         """
         if not isinstance(payload, Mapping):
             raise _error(f"expected a mapping, got {type(payload).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(payload.keys() - _FIELD_TYPES.keys())
         if unknown:
-            raise _error(f"unknown fields {unknown}; expected a subset of {sorted(known)}")
+            raise _error(
+                f"unknown fields {unknown}; expected a subset of {sorted(_FIELD_TYPES)}"
+            )
         if "kind" not in payload:
             raise _error("missing required field 'kind'", "kind")
         data = dict(payload)
-        for name in ("programs", "return_periods", "tvar_levels", "workers"):
-            if name in data:
-                value = data[name]
+        for name, value in payload.items():
+            expected = _FIELD_TYPES[name]
+            if type(value) is expected:
+                continue
+            if type(expected) is tuple:
                 if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
                     raise _error(f"must be a list, got {value!r}", name)
-                data[name] = tuple(value)
-        try:
-            request = cls(**data)
-        except TypeError as exc:
-            raise _error(str(exc)) from exc
-        return request.validate()
-
-    def to_json(self, indent: int | None = None) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+                value = data[name] = tuple(value)
+                if not all(_has_type(item, expected[0]) for item in value):
+                    raise _error(
+                        f"must be a list of {expected[0].__name__} values, got {list(value)!r}",
+                        name,
+                    )
+            elif not (_has_type(value, expected) or value is None and name in _NULLABLE):
+                raise _error(f"must be {_TYPE_NAMES[expected]}, got {value!r}", name)
+        return cls(**data).validate()
 
     @classmethod
     def from_json(cls, document: str) -> "AnalysisRequest":

@@ -86,9 +86,9 @@ class AnalysisResponse:
     request:
         The (validated) request this response answers.
     results:
-        The engine results, in request order — one for ``run``/``run_stacked``,
-        one per program for ``run_many``/``sweep``, and the expected-program
-        result for ``uncertainty``.
+        The engine results, in request order — one for ``run``, one per
+        program for ``run_many``/``sweep``, and the expected-program result
+        for ``uncertainty``.
     quotes:
         Technical-premium quotes where the kind supports them (and the
         request asked for them); the ``uncertainty`` quote carries the

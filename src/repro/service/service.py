@@ -16,8 +16,8 @@ requests:
   warm request skips straight to the kernel pass and is bit-identical to
   the cold one by construction (same plan object, same kernels);
 * it resolves declarative :class:`~repro.service.request.AnalysisRequest`
-  documents against a registry of named artifacts (programs, YETs, stacks,
-  uncertain layers) with the built-in workload presets as fallback;
+  documents against a registry of named artifacts (programs and YETs) with
+  the built-in workload presets as fallback;
 * optionally (``result_cache=True`` / ``result_cache_dir=...``) it keeps a
   delta-aware :class:`~repro.service.result_cache.ResultCache` of
   accumulated results: an exact repeat skips the kernel pass entirely, a
@@ -71,18 +71,10 @@ from repro.portfolio.layer import Layer
 from repro.portfolio.pricing import price_program
 from repro.portfolio.program import ReinsuranceProgram
 from repro.service.cache import CacheStats, PlanCache
-from repro.service.digests import (
-    config_digest,
-    layer_digest,
-    program_digest,
-    stack_digest,
-    terms_digest,
-    yet_digest,
-)
+from repro.service.digests import config_digest, layer_digest, program_digest, yet_digest
 from repro.service.request import AnalysisRequest, RequestValidationError
 from repro.service.response import AnalysisResponse, CacheInfo
 from repro.service.result_cache import ResultCache, ResultCacheStats
-from repro.utils.arrays import read_only
 from repro.yet.table import YearEventTable
 from repro.ylt.table import YearLossTable
 
@@ -124,17 +116,6 @@ def candidate_variants(
         ]
         variants.append(ReinsuranceProgram(layers, name=f"{program.name}@retx{scale:.2f}"))
     return variants
-
-
-@dataclass(frozen=True)
-class _StackEntry:
-    """A registered precomputed stack: a read-only copy of the rows, per-row
-    terms (+ names), and the (stack, terms) digests taken at registration."""
-
-    stack: np.ndarray
-    digests: tuple[str, str]
-    terms: tuple[LayerTerms, ...]
-    row_names: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -238,8 +219,6 @@ class RiskService:
         self.expense_ratio = float(expense_ratio)
         self._programs: Dict[str, ReinsuranceProgram] = {}
         self._yets: Dict[str, YearEventTable] = {}
-        self._stacks: Dict[str, _StackEntry] = {}
-        self._uncertain: Dict[str, tuple] = {}
         # Generated preset workloads, LRU-bounded: a long-lived serve loop
         # fed ever-changing seeds must not pin one workload per seed forever.
         self._preset_workloads: "OrderedDict[tuple, Any]" = OrderedDict()
@@ -272,32 +251,6 @@ class RiskService:
         yet_digest(yet)
         with self._registry_lock:
             self._yets[str(name)] = yet
-
-    def register_stack(
-        self,
-        name: str,
-        stack: np.ndarray,
-        terms: Sequence[LayerTerms],
-        row_names: Sequence[str] | None = None,
-    ) -> None:
-        """Register a precomputed term-netted stack for ``run_stacked``: a
-        read-only copy, digested here, so a later write to the caller's array
-        changes no answer and no request re-hashes the stack or its terms."""
-        stack = read_only(np.array(stack, dtype=np.float64, order="C"))
-        terms = tuple(terms)
-        entry = _StackEntry(
-            stack=stack,
-            digests=(stack_digest(stack), terms_digest(terms)),
-            terms=terms,
-            row_names=tuple(str(n) for n in row_names) if row_names is not None else None,
-        )
-        with self._registry_lock:
-            self._stacks[str(name)] = entry
-
-    def register_uncertain(self, name: str, layers: Sequence) -> None:
-        """Register uncertain layers (for ``uncertainty`` requests)."""
-        with self._registry_lock:
-            self._uncertain[str(name)] = tuple(layers)
 
     def register_workload(self, name: str, workload) -> None:
         """Register a generated workload's program and YET under one name."""
@@ -447,7 +400,6 @@ class RiskService:
         handler = {
             "run": self._handle_run,
             "run_many": self._handle_run,
-            "run_stacked": self._handle_run_stacked,
             "sweep": self._handle_run,
             "uncertainty": self._handle_uncertainty,
         }[request.kind]
@@ -706,44 +658,6 @@ class RiskService:
         _, programs, program = entry
         return programs, program, yet
 
-    def _handle_run_stacked(
-        self, request: AnalysisRequest, acct: _CacheAccounting
-    ) -> AnalysisResponse:
-        entry = self._stacks.get(request.stack)
-        if entry is None:
-            raise RequestValidationError(
-                f"unknown stack {request.stack!r}: register it with register_stack()",
-                field="stack",
-            )
-        yet = self._resolve_yet(request, None)
-        key = (
-            "run_stacked",
-            *entry.digests,
-            yet_digest(yet),
-            self._config_digest,
-            request.shards,
-        )
-        plan, lower_seconds = self._cached_plan(
-            key,
-            lambda: PlanBuilder.from_stack(
-                entry.stack,
-                entry.terms,
-                yet,
-                row_names=entry.row_names,
-                n_shards=request.shards,
-            ),
-            acct,
-            key[1][:12],
-        )
-        executed = time.perf_counter()
-        result = self.engine.run_plan(plan)
-        execute_seconds = time.perf_counter() - executed
-        return AnalysisResponse(
-            request=request,
-            results=(result,),
-            timings={"lower": lower_seconds, "execute": execute_seconds},
-        )
-
     def _handle_uncertainty(
         self, request: AnalysisRequest, acct: _CacheAccounting
     ) -> AnalysisResponse:
@@ -751,32 +665,24 @@ class RiskService:
         from repro.uncertainty.table import LossDistributionFamily, UncertainEventLossTable
         from repro.uncertainty.analysis import UncertainLayer
 
-        registered = self._uncertain.get(request.program)
-        if registered is not None:
-            uncertain_layers = registered
-            base_program = None
-            companion = self._yets.get(request.program)
-        else:
-            base_program, companion = self._resolve_program(request.program, request.seed)
-            try:
-                family = LossDistributionFamily(request.family)
-            except ValueError as exc:
-                raise RequestValidationError(
-                    f"unknown distribution family {request.family!r}", field="family"
-                ) from exc
-            uncertain_layers = tuple(
-                UncertainLayer(
-                    elts=[
-                        UncertainEventLossTable.from_elt(
-                            elt, cv=request.cv, family=family
-                        )
-                        for elt in layer.elts
-                    ],
-                    terms=layer.terms,
-                    name=layer.name,
-                )
-                for layer in base_program.layers
+        base_program, companion = self._resolve_program(request.program, request.seed)
+        try:
+            family = LossDistributionFamily(request.family)
+        except ValueError as exc:
+            raise RequestValidationError(
+                f"unknown distribution family {request.family!r}", field="family"
+            ) from exc
+        uncertain_layers = tuple(
+            UncertainLayer(
+                elts=[
+                    UncertainEventLossTable.from_elt(elt, cv=request.cv, family=family)
+                    for elt in layer.elts
+                ],
+                terms=layer.terms,
+                name=layer.name,
             )
+            for layer in base_program.layers
+        )
         yet = self._resolve_yet(request, companion)
 
         analysis = SecondaryUncertaintyAnalysis(

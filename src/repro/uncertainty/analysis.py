@@ -170,8 +170,7 @@ class SecondaryUncertaintyAnalysis:
     rows and prices them in one stacked engine pass over the YET (optionally
     streaming blocks of replications).  ``method="replay"`` runs the same
     draws through one engine invocation per replication and serves as the
-    conformance oracle.  :meth:`run` is the legacy loop drawing from a single
-    shared stream (kept for backward-compatible seeds).
+    conformance oracle.
 
     Parameters
     ----------
@@ -236,9 +235,13 @@ class SecondaryUncertaintyAnalysis:
     @staticmethod
     def _metric_names(return_periods: Sequence[float],
                       tvar_levels: Sequence[float]) -> List[str]:
+        """Band keys; two axis values that print alike would share a band."""
         names = ["aal"]
         names.extend(f"pml_{rp:g}" for rp in return_periods)
         names.extend(f"tvar_{level:g}" for level in tvar_levels)
+        if len(set(names)) != len(names):
+            clashes = sorted({name for name in names if names.count(name) > 1})
+            raise ValueError(f"metric axes collide on band names {clashes}")
         return names
 
     @staticmethod
@@ -293,18 +296,20 @@ class SecondaryUncertaintyAnalysis:
             bit, so the bands are unchanged by it.
 
         Returns a mapping with keys ``"aal"``, ``"pml_<rp>"`` and
-        ``"tvar_<level>"`` describing the distribution of each metric across
-        replications.
+        ``"tvar_<level>"`` (``:g`` format) describing the distribution of
+        each metric across replications.  Axis values whose keys print alike
+        (``100`` and ``100.0000001`` both name ``pml_100``) raise
+        ``ValueError`` before anything is drawn.
         """
         if n_replications <= 0:
             raise ValueError(f"n_replications must be positive, got {n_replications}")
         if method not in ("batched", "replay"):
             raise ValueError(f"method must be 'batched' or 'replay', got {method!r}")
         n_replications = int(n_replications)
-        rngs = spawn_rngs(rng, n_replications)
         metric_values: Dict[str, list] = {
             name: [] for name in self._metric_names(return_periods, tvar_levels)
         }
+        rngs = spawn_rngs(rng, n_replications)
         engine = self.engine
 
         if method == "replay":
@@ -357,45 +362,6 @@ class SecondaryUncertaintyAnalysis:
                     return_periods, tvar_levels,
                 )
 
-        return {name: ReplicationSummary.from_values(values)
-                for name, values in metric_values.items()}
-
-    def run(
-        self,
-        yet: YearEventTable,
-        n_replications: int,
-        rng: RNGLike = None,
-        return_periods: Sequence[float] = (100.0, 250.0),
-        tvar_levels: Sequence[float] = (0.99,),
-    ) -> Dict[str, ReplicationSummary]:
-        """Legacy replicated analysis drawing from one shared stream.
-
-        All replications consume the single generator derived from ``rng``
-        sequentially (so seeds from before the batched engine existed keep
-        their meaning).  New code should prefer :meth:`run_batched`, which
-        gives every replication its own child stream and prices all of them
-        in one fused pass.
-
-        Returns a mapping with keys ``"aal"``, ``"pml_<rp>"`` and
-        ``"tvar_<level>"`` describing the distribution of each metric across
-        replications.
-        """
-        if n_replications <= 0:
-            raise ValueError(f"n_replications must be positive, got {n_replications}")
-        generator = derive_rng(rng)
-        engine = self.engine
-        metric_values: Dict[str, list] = {
-            name: [] for name in self._metric_names(return_periods, tvar_levels)
-        }
-        for _ in range(int(n_replications)):
-            program = ReinsuranceProgram(
-                [layer.sample_layer(generator) for layer in self.layers], name="replication"
-            )
-            result = engine.run(program, yet)
-            self._collect_metrics(
-                metric_values, result.ylt.portfolio_losses()[np.newaxis],
-                return_periods, tvar_levels,
-            )
         return {name: ReplicationSummary.from_values(values)
                 for name, values in metric_values.items()}
 

@@ -26,7 +26,6 @@ __all__ = [
     "segment_sum_2d",
     "segment_max_2d",
     "cumulative_within_segments",
-    "segment_ids_from_offsets",
 ]
 
 
@@ -83,15 +82,6 @@ def segment_lengths(offsets: np.ndarray) -> np.ndarray:
     if offsets.size < 1:
         raise ValueError("offsets must have at least one element")
     return np.diff(offsets)
-
-
-def segment_ids_from_offsets(offsets: np.ndarray) -> np.ndarray:
-    """Expand CSR offsets to a per-element segment-id array.
-
-    Example: offsets ``[0, 2, 5]`` -> ``[0, 0, 1, 1, 1]``.
-    """
-    lengths = segment_lengths(offsets)
-    return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ seed-handling logic here guarantees that
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -174,12 +174,6 @@ class SeedSequenceFactory:
     def rngs(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
         """Return a dictionary of generators, one per name."""
         return {name: self.rng(name) for name in names}
-
-    def spawn_for_workers(self, name: str, count: int) -> Sequence[np.random.Generator]:
-        """Spawn ``count`` independent generators under the named stream."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [np.random.default_rng(s) for s in self.seed_sequence(name).spawn(count)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SeedSequenceFactory(entropy={self._entropy!r})"

@@ -58,12 +58,6 @@ class Timer:
             return self._elapsed + (time.perf_counter() - self._start)
         return self._elapsed
 
-    def reset(self) -> None:
-        """Reset the accumulated time to zero."""
-        self._start = None
-        self._elapsed = 0.0
-        self._running = False
-
     def __enter__(self) -> "Timer":
         return self.start()
 
@@ -105,10 +99,6 @@ class TimingBreakdown:
         for name, value in other.seconds.items():
             merged[name] = merged.get(name, 0.0) + float(value)
         return TimingBreakdown(merged)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain ``dict`` copy of the per-phase seconds."""
-        return dict(self.seconds)
 
     def format_table(self) -> str:
         """Human-readable fixed-width table (used by the Fig. 6b bench)."""
@@ -174,11 +164,6 @@ class PhaseTimer:
     def breakdown(self) -> TimingBreakdown:
         """Snapshot of the accumulated per-phase times."""
         return TimingBreakdown(dict(self._seconds))
-
-    def reset(self) -> None:
-        """Clear all accumulated times and counts."""
-        self._seconds.clear()
-        self._counts.clear()
 
     def merge(self, other: "PhaseTimer") -> None:
         """Fold another timer's accumulations into this one (for workers)."""

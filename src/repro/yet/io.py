@@ -22,7 +22,7 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -277,17 +277,6 @@ class YetShardReader:
     def shard_ranges(self, n_shards: int) -> List[TrialRange]:
         """At most ``n_shards`` contiguous non-empty trial ranges covering the table."""
         return shard_partition(self.n_trials, n_shards)
-
-    def iter_shards(
-        self, n_shards: int
-    ) -> Iterator[Tuple[TrialRange, YearEventTable]]:
-        """Yield ``(trial range, in-memory shard YET)`` pairs in trial order.
-
-        Each shard is materialised lazily as the caller advances, so at most
-        one shard's columns are resident at a time.
-        """
-        for trials in self.shard_ranges(n_shards):
-            yield trials, self.shard(trials)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -4,8 +4,7 @@ Real YETs are produced once by the catastrophe-model vendor and shipped as
 data; here we simulate them from a catalog:
 
 1. the number of occurrences in each trial is drawn from a frequency model
-   (Poisson over the catalog's total annual rate by default, negative binomial
-   for clustered years),
+   (Poisson over the catalog's total annual rate by default),
 2. the identity of each occurrence is drawn from the catalog's per-event rate
    distribution (independent occurrences given the count),
 3. each occurrence receives a timestamp in ``[0, 1)`` drawn from the peril's

@@ -17,7 +17,7 @@ reach.  This module defines the store contract and two backends:
 
 Both backends hand out **shard sources** — objects with the
 :class:`~repro.yet.io.YetShardReader` shard interface (``n_trials``,
-``shard(trials)``, ``shard_ranges``, ``iter_shards``, context-manager
+``shard(trials)``, ``shard_ranges``, context-manager
 lifecycle) — so the engine's shard loop and the fleet worker are
 indifferent to where the trial columns actually live.  ``shard`` bounds
 errors follow the reader's ``0 <= start <= stop <= n`` contract exactly.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Iterator, List, Mapping, Tuple
+from typing import Any, List, Mapping
 
 from repro.parallel.partitioner import TrialRange, shard_partition
 from repro.yet.io import YetShardReader, save_yet_store, shard_count_for_budget
@@ -111,10 +111,6 @@ class TableShardSource:
 
     def shard_ranges(self, n_shards: int) -> List[TrialRange]:
         return shard_partition(self.n_trials, n_shards)
-
-    def iter_shards(self, n_shards: int) -> Iterator[Tuple[TrialRange, YearEventTable]]:
-        for trials in self.shard_ranges(n_shards):
-            yield trials, self.shard(trials)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

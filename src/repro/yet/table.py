@@ -12,7 +12,7 @@ Storage layout follows the paper's basic implementation (Section III-B):
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -191,26 +191,6 @@ class YearEventTable(Digested):
             raise IndexError(f"trial index {index} out of range [0, {self.n_trials})")
         start, stop = self.trial_offsets[index], self.trial_offsets[index + 1]
         return self.event_ids[start:stop]
-
-    def trial_timestamps(self, index: int) -> np.ndarray:
-        """Timestamps of trial ``index`` (zeros if no timestamps stored)."""
-        if not 0 <= index < self.n_trials:
-            raise IndexError(f"trial index {index} out of range [0, {self.n_trials})")
-        start, stop = self.trial_offsets[index], self.trial_offsets[index + 1]
-        if self.timestamps is None:
-            return np.zeros(int(stop - start), dtype=np.float64)
-        return self.timestamps[start:stop]
-
-    def iter_trials(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Iterate over (trial index, event id array) pairs."""
-        for index in range(self.n_trials):
-            yield index, self.trial(index)
-
-    def trial_records(self, index: int) -> list[Tuple[int, float]]:
-        """Trial as a list of (event id, timestamp) tuples, the paper's ``T_i``."""
-        events = self.trial(index)
-        times = self.trial_timestamps(index)
-        return [(int(e), float(t)) for e, t in zip(events, times)]
 
     # ------------------------------------------------------------------ #
     # Slicing / partitioning (used by the parallel backends)

@@ -12,35 +12,16 @@ and rating agencies" (Section I).
 * :mod:`repro.ylt.reporting` — formatted risk reports.
 """
 
-from repro.ylt.ep_curve import (
-    EPCurve,
-    aep_curve,
-    aep_curve_from_blocks,
-    oep_curve,
-    oep_curve_from_blocks,
-)
-from repro.ylt.io import load_ylt, save_ylt
-from repro.ylt.metrics import (
-    RiskMetrics,
-    aal,
-    compute_risk_metrics,
-    compute_risk_metrics_from_blocks,
-    pml,
-    tvar,
-)
+from repro.ylt.ep_curve import EPCurve, aep_curve, oep_curve
+from repro.ylt.metrics import RiskMetrics, aal, compute_risk_metrics, pml, tvar
 from repro.ylt.reporting import format_metrics_report, format_ep_table
 from repro.ylt.table import YearLossTable
 
 __all__ = [
     "YearLossTable",
-    "save_ylt",
-    "load_ylt",
     "EPCurve",
     "aep_curve",
-    "aep_curve_from_blocks",
     "oep_curve",
-    "oep_curve_from_blocks",
-    "compute_risk_metrics_from_blocks",
     "aal",
     "pml",
     "tvar",

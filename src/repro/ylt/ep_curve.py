@@ -21,13 +21,7 @@ import numpy as np
 
 from repro.utils.validation import ensure_positive
 
-__all__ = [
-    "EPCurve",
-    "aep_curve",
-    "aep_curve_from_blocks",
-    "oep_curve",
-    "oep_curve_from_blocks",
-]
+__all__ = ["EPCurve", "aep_curve", "oep_curve"]
 
 
 @dataclass(frozen=True)
@@ -138,28 +132,3 @@ def aep_curve(year_losses: np.ndarray, max_points: int | None = None) -> EPCurve
 def oep_curve(max_occurrence_losses: np.ndarray, max_points: int | None = None) -> EPCurve:
     """Occurrence EP curve from per-trial maximum occurrence losses."""
     return _empirical_curve(max_occurrence_losses, "OEP", max_points)
-
-
-def _concatenate_blocks(blocks) -> np.ndarray:
-    arrays = [np.asarray(block, dtype=np.float64).ravel() for block in blocks]
-    if not arrays:
-        raise ValueError("at least one block of annual values is required")
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def aep_curve_from_blocks(blocks, max_points: int | None = None) -> EPCurve:
-    """AEP curve from per-shard year-loss blocks.
-
-    ``blocks`` is any iterable of 1-D arrays — typically
-    :meth:`~repro.core.results.ResultAccumulator.layer_blocks` or
-    :meth:`~repro.core.results.ResultAccumulator.portfolio_blocks`.  The
-    empirical curve is a function of the *set* of per-trial values, so the
-    result is identical to :func:`aep_curve` over the monolithic vector
-    regardless of how the trials were sharded.
-    """
-    return aep_curve(_concatenate_blocks(blocks), max_points)
-
-
-def oep_curve_from_blocks(blocks, max_points: int | None = None) -> EPCurve:
-    """OEP curve from per-shard maximum-occurrence blocks (see :func:`aep_curve_from_blocks`)."""
-    return oep_curve(_concatenate_blocks(blocks), max_points)

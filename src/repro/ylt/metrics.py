@@ -19,11 +19,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.utils.validation import ensure_positive, ensure_probability
-from repro.ylt.ep_curve import EPCurve, _concatenate_blocks, aep_curve
 from repro.ylt.table import YearLossTable
 
 __all__ = ["aal", "pml", "tvar", "value_at_risk", "RiskMetrics", "compute_risk_metrics",
-           "compute_risk_metrics_batch", "compute_risk_metrics_from_blocks",
+           "compute_risk_metrics_batch",
            "DEFAULT_RETURN_PERIODS", "DEFAULT_TVAR_LEVELS"]
 
 #: Return periods (years) reported by default: the levels regulators and
@@ -121,14 +120,6 @@ class RiskMetrics:
     max_loss: float = 0.0
     n_trials: int = 0
 
-    def pml_at(self, return_period: float) -> float:
-        """PML at one of the computed return periods (KeyError otherwise)."""
-        return self.pml[return_period]
-
-    def tvar_at(self, level: float) -> float:
-        """TVaR at one of the computed probability levels (KeyError otherwise)."""
-        return self.tvar[level]
-
 
 def compute_risk_metrics_batch(
     losses_2d: np.ndarray,
@@ -210,26 +201,6 @@ def compute_risk_metrics(
     return compute_risk_metrics_batch(values.reshape(1, -1), return_periods, tvar_levels)[0]
 
 
-def compute_risk_metrics_from_blocks(
-    blocks,
-    return_periods: Sequence[float] = DEFAULT_RETURN_PERIODS,
-    tvar_levels: Sequence[float] = DEFAULT_TVAR_LEVELS,
-) -> RiskMetrics:
-    """The standard metric set from per-shard year-loss blocks.
-
-    ``blocks`` is any iterable of 1-D arrays, typically
-    :meth:`~repro.core.results.ResultAccumulator.layer_blocks` or
-    :meth:`~repro.core.results.ResultAccumulator.portfolio_blocks` of a
-    sharded run.  Every metric here is a function of the *set* of per-trial
-    year losses (quantiles sort them anyway), so the result is identical to
-    :func:`compute_risk_metrics` over the monolithic vector regardless of
-    how the trials were sharded.  The blocks are concatenated once — for the
-    order-insensitive subset (AAL, max) without the concatenation, keep a
-    running :class:`~repro.core.results.MetricState` instead.
-    """
-    return compute_risk_metrics(_concatenate_blocks(blocks), return_periods, tvar_levels)
-
-
 def layer_metrics(ylt: YearLossTable,
                   return_periods: Sequence[float] = DEFAULT_RETURN_PERIODS,
                   tvar_levels: Sequence[float] = DEFAULT_TVAR_LEVELS,
@@ -238,8 +209,3 @@ def layer_metrics(ylt: YearLossTable,
     return dict(zip(
         ylt.layer_names, compute_risk_metrics_batch(ylt.losses, return_periods, tvar_levels)
     ))
-
-
-def portfolio_ep_curve(ylt: YearLossTable, max_points: int | None = None) -> EPCurve:
-    """AEP curve of the whole portfolio (sum of layers per trial)."""
-    return aep_curve(ylt.portfolio_losses(), max_points)

@@ -8,7 +8,7 @@ exceedance-probability (OEP) curve is computed from.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,13 +95,6 @@ class YearLossTable:
         index = self._resolve(index_or_name)
         return self.losses[index]
 
-    def layer_max_occurrence(self, index_or_name: int | str) -> np.ndarray:
-        """Largest occurrence loss per trial for one layer (if recorded)."""
-        if self.max_occurrence_losses is None:
-            raise ValueError("this YLT does not record per-trial maximum occurrence losses")
-        index = self._resolve(index_or_name)
-        return self.max_occurrence_losses[index]
-
     def _resolve(self, index_or_name: int | str) -> int:
         if isinstance(index_or_name, str):
             try:
@@ -126,11 +119,6 @@ class YearLossTable:
         occ = self.max_occurrence_losses
         table.max_occurrence_losses = None if occ is None else occ[start:stop]
         return table
-
-    def iter_layers(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Iterate over (layer name, year losses) pairs."""
-        for name, row in zip(self.layer_names, self.losses):
-            yield name, row
 
     # ------------------------------------------------------------------ #
     # Aggregation
@@ -163,19 +151,3 @@ class YearLossTable:
         if self.max_occurrence_losses is not None and other.max_occurrence_losses is not None:
             occ = np.vstack([self.max_occurrence_losses, other.max_occurrence_losses])
         return YearLossTable(losses, names, occ)
-
-    def as_dict(self) -> Mapping[str, np.ndarray]:
-        """Mapping of layer name to its year-loss vector (views, not copies)."""
-        return {name: row for name, row in self.iter_layers()}
-
-    @classmethod
-    def single_layer(
-        cls,
-        losses: np.ndarray,
-        name: str = "layer_0",
-        max_occurrence_losses: np.ndarray | None = None,
-    ) -> "YearLossTable":
-        """Convenience constructor for a one-layer YLT."""
-        occ = None if max_occurrence_losses is None else np.asarray(max_occurrence_losses)
-        return cls(np.asarray(losses, dtype=np.float64).reshape(1, -1), [name],
-                   None if occ is None else occ.reshape(1, -1))

@@ -8,13 +8,18 @@ from repro.catalog.peril import Peril
 
 
 def build_catalog(n: int = 10) -> EventCatalog:
-    events = [
-        Event(event_id=i, peril=Peril.HURRICANE if i % 2 == 0 else Peril.FLOOD,
-              annual_rate=0.1 * (i + 1), mean_severity=1e6 * (i + 1),
-              intensity=0.1 * i, region=i % 3)
-        for i in range(n)
-    ]
-    return EventCatalog.from_events(events)
+    """Event ``i``: hurricane when even, flood when odd; rate 0.1 (i + 1)."""
+    ids = np.arange(n)
+    peril_order = tuple(Peril)
+    return EventCatalog(
+        perils=np.where(ids % 2 == 0, peril_order.index(Peril.HURRICANE),
+                        peril_order.index(Peril.FLOOD)).astype(np.int16),
+        annual_rates=0.1 * (ids + 1),
+        mean_severities=1e6 * (ids + 1.0),
+        intensities=0.1 * ids,
+        regions=(ids % 3).astype(np.int32),
+        peril_order=peril_order,
+    )
 
 
 class TestEvent:
@@ -59,26 +64,10 @@ class TestEventCatalog:
         catalog = build_catalog(10)
         assert catalog.occurrence_probabilities().sum() == pytest.approx(1.0)
 
-    def test_peril_mask_and_events(self):
-        catalog = build_catalog(10)
-        hurricane_ids = catalog.events_for_peril(Peril.HURRICANE)
-        assert all(i % 2 == 0 for i in hurricane_ids)
-        assert catalog.peril_mask(Peril.HURRICANE).sum() == 5
-
-    def test_events_for_region(self):
-        catalog = build_catalog(9)
-        region_ids = catalog.events_for_region(1)
-        assert all(i % 3 == 1 for i in region_ids)
-
     def test_peril_summary_counts(self):
         summary = build_catalog(10).peril_summary()
         assert summary[Peril.HURRICANE]["count"] == 5
         assert summary[Peril.FLOOD]["count"] == 5
-
-    def test_from_events_requires_dense_ids(self):
-        events = [Event(0, Peril.FLOOD, 0.1, 1.0, 0.1), Event(2, Peril.FLOOD, 0.1, 1.0, 0.1)]
-        with pytest.raises(ValueError):
-            EventCatalog.from_events(events)
 
     def test_subset_reindexes(self):
         catalog = build_catalog(10)

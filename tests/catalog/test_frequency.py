@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.catalog.frequency import NegativeBinomialFrequency, PoissonFrequency
+from repro.catalog.frequency import PoissonFrequency
 
 
 class TestPoissonFrequency:
     def test_moments(self):
         model = PoissonFrequency(rate=5.0)
         assert model.mean == 5.0
-        assert model.variance == 5.0
 
     def test_sample_mean_close_to_rate(self):
         model = PoissonFrequency(rate=20.0)
@@ -33,23 +32,6 @@ class TestPoissonFrequency:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError):
             PoissonFrequency(1.0).sample_counts(-1)
-
-
-class TestNegativeBinomialFrequency:
-    def test_moments(self):
-        model = NegativeBinomialFrequency(rate=10.0, dispersion=2.0)
-        assert model.mean == 10.0
-        assert model.variance == 20.0
-
-    def test_overdispersion_visible_in_samples(self):
-        model = NegativeBinomialFrequency(rate=10.0, dispersion=3.0)
-        counts = model.sample_counts(50_000, rng=3)
-        assert counts.mean() == pytest.approx(10.0, rel=0.05)
-        assert counts.var() > 1.5 * counts.mean()
-
-    def test_dispersion_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            NegativeBinomialFrequency(rate=5.0, dispersion=1.0)
 
 
 class TestClippedCounts:

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.catalog.severity import (
-    GammaSeverity,
-    LognormalSeverity,
-    ParetoSeverity,
-    severity_for_peril,
-)
+from repro.catalog.severity import LognormalSeverity
 
 
 class TestLognormalSeverity:
@@ -26,57 +21,12 @@ class TestLognormalSeverity:
         samples = LognormalSeverity(1e5, 2.0).sample(1000, rng=3)
         assert (samples > 0).all()
 
+    def test_std_property(self):
+        model = LognormalSeverity(1000.0, 0.5)
+        assert model.std == pytest.approx(500.0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LognormalSeverity(0.0, 1.0)
         with pytest.raises(ValueError):
             LognormalSeverity(1.0, 0.0)
-
-
-class TestParetoSeverity:
-    def test_mean_formula(self):
-        model = ParetoSeverity(x_min=100.0, alpha=3.0)
-        assert model.mean == pytest.approx(150.0)
-
-    def test_from_mean_cv_roundtrip(self):
-        model = ParetoSeverity.from_mean_cv(mean=1e6, cv=0.5)
-        assert model.mean == pytest.approx(1e6, rel=1e-9)
-        assert model.cv == pytest.approx(0.5, rel=1e-9)
-
-    def test_sample_mean(self):
-        model = ParetoSeverity.from_mean_cv(1e5, 0.4)
-        samples = model.sample(200_000, rng=4)
-        assert samples.mean() == pytest.approx(1e5, rel=0.05)
-
-    def test_samples_above_xmin(self):
-        model = ParetoSeverity(x_min=50.0, alpha=4.0)
-        assert (model.sample(1000, rng=5) >= 50.0).all()
-
-    def test_alpha_must_exceed_two(self):
-        with pytest.raises(ValueError):
-            ParetoSeverity(x_min=1.0, alpha=2.0)
-
-
-class TestGammaSeverity:
-    def test_shape_scale_derivation(self):
-        model = GammaSeverity(mean_loss=1000.0, cv_loss=0.5)
-        assert model.shape == pytest.approx(4.0)
-        assert model.scale == pytest.approx(250.0)
-
-    def test_sample_moments(self):
-        model = GammaSeverity(mean_loss=2000.0, cv_loss=0.7)
-        samples = model.sample(200_000, rng=6)
-        assert samples.mean() == pytest.approx(2000.0, rel=0.03)
-        assert samples.std() / samples.mean() == pytest.approx(0.7, rel=0.05)
-
-    def test_std_property(self):
-        model = GammaSeverity(1000.0, 0.5)
-        assert model.std == pytest.approx(500.0)
-
-
-class TestSeverityForPeril:
-    def test_heavy_tailed_selects_lognormal(self):
-        assert isinstance(severity_for_peril(1e6, 2.0, heavy_tailed=True), LognormalSeverity)
-
-    def test_light_tailed_selects_gamma(self):
-        assert isinstance(severity_for_peril(1e6, 0.5, heavy_tailed=False), GammaSeverity)

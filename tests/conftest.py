@@ -121,3 +121,46 @@ def manual_program(manual_layer_and_yet):
     """A one-layer program around the manual layer."""
     layer, yet = manual_layer_and_yet
     return ReinsuranceProgram([layer], name="manual-program"), yet
+
+
+def compare_backends(
+    program,
+    yet: YearEventTable,
+    backends=("sequential", "vectorized", "chunked"),
+    base_config: EngineConfig | None = None,
+    rtol: float = 1e-9,
+    atol: float = 1e-6,
+    check_fused: bool = False,
+) -> dict:
+    """Run several backends on one workload and assert their YLTs agree.
+
+    The cross-backend test oracle.  With ``check_fused=True`` every backend
+    also runs with ``fused_layers`` inverted relative to ``base_config``,
+    stored under ``"<name>:fused"`` / ``"<name>:per-layer"`` (the *requested*
+    path: the sequential backend has no fused path and runs its reference
+    path twice).  Returns the results by key; raises ``AssertionError``
+    naming the first run that deviates from the first run beyond the
+    tolerances.
+    """
+    base = base_config if base_config is not None else EngineConfig()
+    runs = []
+    for name in backends:
+        runs.append((name, base.replace(backend=name)))
+        if check_fused:
+            flipped = base.replace(backend=name, fused_layers=not base.fused_layers)
+            suffix = "fused" if flipped.fused_layers else "per-layer"
+            runs.append((f"{name}:{suffix}", flipped))
+
+    results = {}
+    reference_name = runs[0][0]
+    for key, config in runs:
+        results[key] = AggregateRiskEngine(config).run(program, yet)
+        reference = results[reference_name].ylt.losses
+        candidate = results[key].ylt.losses
+        if not np.allclose(reference, candidate, rtol=rtol, atol=atol):
+            worst = float(np.max(np.abs(reference - candidate)))
+            raise AssertionError(
+                f"backend {key!r} disagrees with {reference_name!r}: "
+                f"max abs difference {worst:.3e}"
+            )
+    return results

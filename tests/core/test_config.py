@@ -52,18 +52,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="start_method"):
             EngineConfig(start_method="teleport")
 
-    def test_with_backend(self):
-        config = EngineConfig(backend="vectorized", n_workers=4)
-        updated = config.with_backend("multicore")
-        assert updated.backend == "multicore"
-        assert updated.n_workers == 4
-        assert config.backend == "vectorized"  # original untouched
-
-    def test_with_backend_overrides(self):
-        updated = EngineConfig().with_backend("chunked", chunk_events=128)
-        assert updated.backend == "chunked"
-        assert updated.chunk_events == 128
-
     def test_replace(self):
         updated = EngineConfig().replace(n_workers=2, oversubscription=8)
         assert updated.n_workers == 2

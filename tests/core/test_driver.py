@@ -119,7 +119,7 @@ class TestArchitectureGuard:
         }
         assert not loaded & {"ResultAccumulator", "PartialResult", "finalize_plan_result"}
         called = {name.rsplit(".", 1)[-1] for name in _called_names(CORE_DIR / module)}
-        assert not called & {"shard_ranges", "shard_partition", "shard", "iter_shards"}
+        assert not called & {"shard_ranges", "shard_partition", "shard"}
 
     @pytest.mark.parametrize("module", ("fleet.py", "worker.py"))
     def test_the_fleet_prices_through_the_driver(self, module):

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.chunked import ChunkedEngine
-from repro.core.config import EngineConfig
-from repro.core.engine import AggregateRiskEngine, available_backends
+from repro.core.config import BACKEND_NAMES, EngineConfig
+from repro.core.engine import AggregateRiskEngine
 from repro.core.multicore import MulticoreEngine
 from repro.core.native_backend import NativeEngine
 from repro.core.sequential import SequentialEngine
 from repro.core.vectorized import VectorizedEngine
-from repro.ylt.table import YearLossTable
+from tests.conftest import compare_backends
 
 
 class TestFacade:
     def test_available_backends(self):
-        assert set(available_backends()) == {
+        assert set(BACKEND_NAMES) == {
             "sequential", "vectorized", "chunked", "multicore", "native",
         }
 
@@ -39,10 +39,6 @@ class TestFacade:
         assert result.ylt.n_trials == tiny_workload.yet.n_trials
         assert "backend=vectorized" in result.summary()
 
-    def test_year_loss_table_shortcut(self, tiny_workload):
-        ylt = AggregateRiskEngine().year_loss_table(tiny_workload.program, tiny_workload.yet)
-        assert isinstance(ylt, YearLossTable)
-
     def test_trials_per_second_positive(self, tiny_workload):
         result = AggregateRiskEngine().run(tiny_workload.program, tiny_workload.yet)
         assert result.trials_per_second > 0
@@ -50,7 +46,7 @@ class TestFacade:
 
 class TestCompareBackends:
     def test_agreeing_backends_pass(self, tiny_workload):
-        results = AggregateRiskEngine.compare_backends(
+        results = compare_backends(
             tiny_workload.program,
             tiny_workload.yet,
             backends=("sequential", "vectorized", "chunked", "native"),
@@ -58,7 +54,7 @@ class TestCompareBackends:
         assert set(results) == {"sequential", "vectorized", "chunked", "native"}
 
     def test_results_actually_agree(self, tiny_workload):
-        results = AggregateRiskEngine.compare_backends(
+        results = compare_backends(
             tiny_workload.program, tiny_workload.yet, backends=("sequential", "vectorized")
         )
         np.testing.assert_allclose(
@@ -66,7 +62,7 @@ class TestCompareBackends:
         )
 
     def test_custom_base_config(self, tiny_workload):
-        results = AggregateRiskEngine.compare_backends(
+        results = compare_backends(
             tiny_workload.program,
             tiny_workload.yet,
             backends=("vectorized", "chunked"),
@@ -94,7 +90,7 @@ class TestCompareBackends:
 
         monkeypatch.setattr(ChunkedEngine, "prepare", corrupted_prepare)
         with pytest.raises(AssertionError, match="disagrees"):
-            AggregateRiskEngine.compare_backends(
+            compare_backends(
                 tiny_workload.program, tiny_workload.yet, backends=("vectorized", "chunked")
             )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.phases import ALL_PHASES, empty_breakdown, new_phase_timer
+from repro.core.phases import ALL_PHASES
 from repro.core.results import EngineResult
 from repro.parallel.partitioner import WorkloadShape
 from repro.utils.timing import TimingBreakdown
@@ -97,21 +97,6 @@ class TestLayerSubset:
 class TestPhases:
     def test_all_phases_order(self):
         assert ALL_PHASES == ("event_fetch", "elt_lookup", "financial_terms", "layer_terms")
-
-    def test_empty_breakdown_has_all_phases(self):
-        breakdown = empty_breakdown()
-        assert set(breakdown.seconds) == set(ALL_PHASES)
-        assert breakdown.total == 0.0
-
-    def test_new_phase_timer_respects_enabled_flag(self):
-        enabled = new_phase_timer(True)
-        disabled = new_phase_timer(False)
-        with enabled.phase("x"):
-            pass
-        with disabled.phase("x"):
-            pass
-        assert enabled.count("x") == 1
-        assert disabled.count("x") == 0
 
 
 class TestPartialResult:
@@ -295,31 +280,3 @@ class TestResultAccumulator:
         acc.add(self._partial(0, 3, 1.0))  # carries max-occurrence losses
         with pytest.raises(ValueError, match="maximum occurrence"):
             acc.with_rows([0], make_result().for_layer_subset([0]))
-
-
-class TestMetricState:
-    def test_merge_matches_whole_computation(self):
-        from repro.core.results import MetricState
-
-        rng = np.random.default_rng(7)
-        losses = rng.uniform(0.0, 100.0, size=(3, 20))
-        whole = MetricState.from_losses(losses)
-        merged = MetricState.from_losses(losses[:, :8]).merge(
-            MetricState.from_losses(losses[:, 8:])
-        )
-        assert merged.n_trials == whole.n_trials == 20
-        np.testing.assert_allclose(merged.mean(), losses.mean(axis=1), rtol=1e-12)
-        np.testing.assert_array_equal(merged.max_loss, losses.max(axis=1))
-        np.testing.assert_allclose(
-            merged.std(), losses.std(axis=1, ddof=1), rtol=1e-9
-        )
-
-    def test_empty_state_guards(self):
-        from repro.core.results import MetricState
-
-        state = MetricState.from_losses(np.zeros((2, 0)))
-        assert state.n_trials == 0
-        with pytest.raises(ValueError, match="no trials"):
-            state.mean()
-        with pytest.raises(ValueError, match="rows"):
-            state.merge(MetricState.from_losses(np.zeros((3, 0))))

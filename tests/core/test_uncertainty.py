@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig
 from repro.core.kernels import replication_portfolio_losses
 from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 from repro.uncertainty.analysis import ReplicationSummary, SecondaryUncertaintyAnalysis, UncertainLayer
@@ -88,66 +87,6 @@ class TestReplicationSummary:
             ReplicationSummary.from_values([])
 
 
-class TestSecondaryUncertaintyAnalysis:
-    @pytest.fixture()
-    def setup(self):
-        uelts = [make_uelt(cv=0.6), UncertainEventLossTable(
-            event_ids=np.array([2, 4]),
-            mean_losses=np.array([50.0, 80.0]),
-            cv_losses=np.array([0.6, 0.6]),
-            catalog_size=10,
-            name="uelt2",
-        )]
-        layer = UncertainLayer(uelts, LayerTerms(aggregate_limit=1e6), name="u-layer")
-        yet = YearEventTable.from_trials([[1, 2], [3], [4, 5, 1]], catalog_size=10)
-        return layer, yet
-
-    def test_metric_summaries_returned(self, setup):
-        layer, yet = setup
-        analysis = SecondaryUncertaintyAnalysis([layer])
-        summaries = analysis.run(yet, n_replications=20, rng=5,
-                                 return_periods=(2.0,), tvar_levels=(0.5,))
-        assert set(summaries) == {"aal", "pml_2", "tvar_0.5"}
-        assert summaries["aal"].std > 0.0
-
-    def test_replicated_mean_close_to_expected(self, setup):
-        layer, yet = setup
-        analysis = SecondaryUncertaintyAnalysis([layer])
-        summaries = analysis.run(yet, n_replications=200, rng=6, return_periods=(2.0,))
-        expected = analysis.expected_metrics(yet, return_periods=(2.0,))
-        assert summaries["aal"].mean == pytest.approx(expected["aal"], rel=0.1)
-
-    def test_zero_cv_collapses_to_deterministic(self):
-        uelt = make_uelt(cv=0.0)
-        layer = UncertainLayer([uelt], LayerTerms(), name="det")
-        yet = YearEventTable.from_trials([[1, 3], [5]], catalog_size=10)
-        analysis = SecondaryUncertaintyAnalysis([layer])
-        summaries = analysis.run(yet, n_replications=5, rng=7, return_periods=(2.0,))
-        assert summaries["aal"].std == pytest.approx(0.0, abs=1e-9)
-
-    def test_deterministic_given_seed(self, setup):
-        layer, yet = setup
-        analysis = SecondaryUncertaintyAnalysis([layer])
-        a = analysis.run(yet, n_replications=10, rng=9)["aal"].values
-        b = analysis.run(yet, n_replications=10, rng=9)["aal"].values
-        np.testing.assert_allclose(a, b)
-
-    def test_config_respected(self, setup):
-        layer, yet = setup
-        analysis = SecondaryUncertaintyAnalysis(
-            [layer], config=EngineConfig(backend="chunked", record_max_occurrence=False)
-        )
-        summaries = analysis.run(yet, n_replications=5, rng=11, return_periods=(2.0,))
-        assert "aal" in summaries
-
-    def test_invalid_arguments(self, setup):
-        layer, yet = setup
-        with pytest.raises(ValueError):
-            SecondaryUncertaintyAnalysis([])
-        with pytest.raises(ValueError):
-            SecondaryUncertaintyAnalysis([layer]).run(yet, n_replications=0)
-
-
 class TestBatchedAnalysis:
     @pytest.fixture()
     def setup(self):
@@ -182,10 +121,28 @@ class TestBatchedAnalysis:
     def test_batched_metric_names(self, setup):
         layer, yet = setup
         analysis = SecondaryUncertaintyAnalysis([layer])
-        summaries = analysis.run_batched(yet, 6, rng=5, return_periods=(2.0,),
+        summaries = analysis.run_batched(yet, 200, rng=5, return_periods=(2.0,),
                                          tvar_levels=(0.5,))
         assert set(summaries) == {"aal", "pml_2", "tvar_0.5"}
-        assert all(s.values.size == 6 for s in summaries.values())
+        assert all(s.values.size == 200 for s in summaries.values())
+        assert summaries["aal"].std > 0.0
+        expected = analysis.expected_metrics(yet, return_periods=(2.0,))
+        assert summaries["aal"].mean == pytest.approx(expected["aal"], rel=0.1)
+
+    @pytest.mark.parametrize("axes", [
+        {"return_periods": (100.0, 100.0)},
+        {"return_periods": (100.0, 100.0000001)},
+        {"tvar_levels": (0.99, 0.990000001)},
+    ])
+    def test_colliding_band_names_rejected_before_drawing(self, setup, axes, monkeypatch):
+        layer, yet = setup
+        analysis = SecondaryUncertaintyAnalysis([layer])
+        drawn = []
+        monkeypatch.setattr(UncertainLayer, "sample_net_row",
+                            lambda *args, **kwargs: drawn.append(1))
+        with pytest.raises(ValueError, match="collide"):
+            analysis.run_batched(yet, 3, rng=1, **axes)
+        assert drawn == []
 
     def test_zero_cv_collapses_to_deterministic(self):
         uelt = UncertainEventLossTable(
@@ -202,7 +159,7 @@ class TestBatchedAnalysis:
         layer, yet = setup
         analysis = SecondaryUncertaintyAnalysis([layer])
         quote = analysis.quote(yet, 8, rng=3, return_periods=(2.0,))
-        assert quote.has_uncertainty
+        assert quote.uncertainty
         band = quote.band("aal")
         assert band.values.size == 8
         assert "aal_band=" in quote.summary()
@@ -215,7 +172,7 @@ class TestBatchedAnalysis:
         program = SecondaryUncertaintyAnalysis([layer]).expected_program()
         result = AggregateRiskEngine().run(program, yet)
         quote = price_program(program, result.ylt)
-        assert not quote.has_uncertainty
+        assert not quote.uncertainty
         with pytest.raises(KeyError):
             quote.band("aal")
 

@@ -32,6 +32,11 @@ from tests.service.test_server import HOSTILE_LINES, send_hostile_line
 CONFIG = EngineConfig(backend="vectorized")
 
 
+def is_serving(worker: FleetWorker) -> bool:
+    """Whether the worker's server thread is live (started and not drained)."""
+    return worker._thread is not None and not worker._thread.join(0)
+
+
 @pytest.fixture(scope="module")
 def worker():
     with FleetWorker(config=CONFIG, name="proto-test") as live:
@@ -89,7 +94,7 @@ class TestControlOps:
         line, keeps_serving = HOSTILE_LINES[case]
         host, port = worker.address.rsplit(":", 1)
         send_hostile_line(host, int(port), line, keeps_serving)
-        assert worker.is_serving()
+        assert is_serving(worker)
 
     def test_bind_failure_raises_the_oserror(self):
         with socket.socket() as taken:
@@ -234,7 +239,7 @@ class TestShutdownAndStats:
                     TrialRange(0, 8),
                 )
                 stopper.join(timeout=30.0)
-            assert not stopper.is_alive() and not live.is_serving()
+            assert not stopper.is_alive() and not is_serving(live)
         mono = AggregateRiskEngine(CONFIG).run(program, yet)
         assert np.array_equal(partial.losses, mono.ylt.losses[:, 0:8])
 
@@ -245,4 +250,4 @@ class TestShutdownAndStats:
             assert reply["stopping"] is True
             assert reply["stats"].startswith("served ")
             live.wait(timeout=10.0)
-            assert not live.is_serving()
+            assert not is_serving(live)

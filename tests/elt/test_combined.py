@@ -44,12 +44,6 @@ class TestLayerLossMatrix:
         with pytest.raises(IndexError):
             LayerLossMatrix(make_elts()).gather(np.array([10]))
 
-    def test_ground_up_event_losses(self):
-        matrix = LayerLossMatrix(make_elts())
-        np.testing.assert_allclose(
-            matrix.ground_up_event_losses(np.array([3, 4])), [35.0, 40.0]
-        )
-
     def test_row_view_readonly(self):
         matrix = LayerLossMatrix(make_elts())
         with pytest.raises(ValueError):

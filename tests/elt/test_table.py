@@ -29,7 +29,7 @@ class TestEventLossTableConstruction:
         assert elt.density == pytest.approx(0.15)
 
     def test_default_terms_passthrough(self):
-        assert make_elt().terms.is_passthrough
+        assert make_elt().terms == FinancialTerms()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -66,14 +66,6 @@ class TestEventLossTableViews:
         pairs = list(make_elt())
         assert (5, 10.0) in pairs and len(pairs) == 3
 
-    def test_as_dict(self):
-        assert make_elt().as_dict() == {5: 10.0, 1: 20.0, 9: 30.0}
-
-    def test_sorted_copy(self):
-        sorted_elt = make_elt().sorted_copy()
-        np.testing.assert_array_equal(sorted_elt.event_ids, [1, 5, 9])
-        np.testing.assert_allclose(sorted_elt.losses, [20.0, 10.0, 30.0])
-
     def test_dense_losses(self):
         dense = make_elt().dense_losses()
         assert dense.shape == (20,)
@@ -84,16 +76,11 @@ class TestEventLossTableViews:
     def test_from_dict_drops_zero_losses(self):
         elt = EventLossTable.from_dict({3: 5.0, 7: 0.0, 2: 1.0}, catalog_size=10)
         assert elt.size == 2
-        assert 7 not in elt.as_dict()
+        assert 7 not in elt.event_ids
 
     def test_from_dict_empty(self):
         elt = EventLossTable.from_dict({}, catalog_size=10)
         assert elt.size == 0
-
-    def test_terms_preserved_in_sorted_copy(self):
-        terms = FinancialTerms(retention=5.0)
-        elt = make_elt(terms=terms).sorted_copy()
-        assert elt.terms.retention == 5.0
 
 
 class TestEventLossTableDigest:

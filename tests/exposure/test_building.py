@@ -70,14 +70,3 @@ class TestBuilding:
     def test_invalid_building(self, overrides):
         with pytest.raises(ValueError):
             make_building(**overrides)
-
-    def test_expected_site_loss(self):
-        building = make_building(
-            coverage=CoverageTerms(deductible=10_000.0, limit=400_000.0, participation=1.0)
-        )
-        # damage 0.5 -> 250k ground up -> 240k after deductible
-        assert building.expected_site_loss(0.5) == pytest.approx(240_000.0)
-
-    def test_expected_site_loss_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            make_building().expected_site_loss(1.5)

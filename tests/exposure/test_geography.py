@@ -2,30 +2,10 @@
 
 import pytest
 
-from repro.exposure.geography import Region, RegionGrid, haversine_km
-
-
-class TestHaversine:
-    def test_zero_distance(self):
-        assert haversine_km(10.0, 20.0, 10.0, 20.0) == pytest.approx(0.0)
-
-    def test_known_distance_equator_degree(self):
-        # One degree of longitude at the equator is ~111.19 km.
-        assert haversine_km(0.0, 0.0, 0.0, 1.0) == pytest.approx(111.19, rel=0.01)
-
-    def test_symmetric(self):
-        assert haversine_km(10, 20, 30, 40) == pytest.approx(haversine_km(30, 40, 10, 20))
-
-    def test_invalid_coordinates(self):
-        with pytest.raises(ValueError):
-            haversine_km(100.0, 0.0, 0.0, 0.0)
+from repro.exposure.geography import Region, RegionGrid
 
 
 class TestRegion:
-    def test_centroid(self):
-        region = Region(0, lat_min=0.0, lat_max=10.0, lon_min=20.0, lon_max=40.0)
-        assert region.centroid == (5.0, 30.0)
-
     def test_contains(self):
         region = Region(0, 0.0, 10.0, 0.0, 10.0)
         assert region.contains(5.0, 5.0)
@@ -43,17 +23,6 @@ class TestRegionGrid:
     def test_region_ids_dense(self):
         grid = RegionGrid(n_lat=2, n_lon=3)
         assert [region.region_id for region in grid] == list(range(6))
-
-    def test_locate_returns_containing_region(self):
-        grid = RegionGrid(n_lat=2, n_lon=4)
-        for region in grid:
-            lat, lon = region.centroid
-            assert grid.locate(lat, lon).region_id == region.region_id
-
-    def test_locate_clamps_outside_grid(self):
-        grid = RegionGrid(n_lat=2, n_lon=4, lat_range=(-60.0, 75.0))
-        region = grid.locate(89.0, 0.0)
-        assert 0 <= region.region_id < grid.size
 
     def test_getitem_bounds(self):
         grid = RegionGrid(1, 2)

@@ -34,31 +34,12 @@ class TestExposurePortfolio:
         portfolio = build_portfolio(4)
         assert portfolio.total_insured_value == pytest.approx(1000 + 2000 + 3000 + 4000)
 
-    def test_value_by_region_sums_to_tiv(self):
-        portfolio = build_portfolio(9)
-        by_region = portfolio.value_by_region()
-        assert sum(by_region.values()) == pytest.approx(portfolio.total_insured_value)
-
-    def test_value_by_construction_sums_to_tiv(self):
-        portfolio = build_portfolio(12)
-        by_construction = portfolio.value_by_construction()
-        assert sum(by_construction.values()) == pytest.approx(portfolio.total_insured_value)
-
-    def test_region_value_fractions_sum_to_one(self):
-        fractions = build_portfolio(9).region_value_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
     def test_columnar_arrays_match_rows(self):
         portfolio = build_portfolio(5)
         np.testing.assert_allclose(
             portfolio.replacement_values, [1000.0, 2000.0, 3000.0, 4000.0, 5000.0]
         )
         assert portfolio.construction_codes.dtype == np.int16
-
-    def test_subset_by_region(self):
-        subset = build_portfolio(9).subset_by_region(1)
-        assert subset.size == 3
-        assert all(b.region == 1 for b in subset)
 
     def test_duplicate_ids_rejected(self):
         building = Building(0, 0.0, 0.0, 0, ConstructionClass.MASONRY,
@@ -69,7 +50,3 @@ class TestExposurePortfolio:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             ExposurePortfolio("", [])
-
-    def test_regions_present_sorted(self):
-        regions = build_portfolio(9).regions_present()
-        np.testing.assert_array_equal(regions, [0, 1, 2])

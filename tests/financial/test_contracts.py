@@ -9,7 +9,6 @@ from repro.financial.contracts import (
     combined_xl_terms,
     contract_kind,
     occurrence_xl_terms,
-    quota_share_terms,
 )
 from repro.financial.terms import LayerTerms
 
@@ -53,18 +52,3 @@ class TestCombinedXL:
 
     def test_passthrough_kind(self):
         assert contract_kind(LayerTerms()) == "pass-through"
-
-
-class TestQuotaShare:
-    def test_share_applied(self):
-        terms = quota_share_terms(0.3)
-        assert terms.share == 0.3
-        assert terms.apply(1000.0) == pytest.approx(300.0)
-
-    def test_event_limit(self):
-        terms = quota_share_terms(0.5, event_limit=100.0)
-        assert terms.apply(1000.0) == pytest.approx(50.0)
-
-    def test_invalid_share(self):
-        with pytest.raises(ValueError):
-            quota_share_terms(1.5)

@@ -9,9 +9,13 @@ from repro.financial.policies import (
     apply_financial_terms,
     apply_financial_terms_matrix,
     apply_occurrence_terms,
-    layer_net_of_terms,
 )
 from repro.financial.terms import FinancialTerms, LayerTerms
+
+
+def layer_net_of_terms(per_event, offsets, terms):
+    """Year loss per trial: occurrence terms, then the telescoped aggregate."""
+    return aggregate_terms_shortcut(apply_occurrence_terms(per_event, terms), offsets, terms)
 
 
 class TestApplyFinancialTerms:

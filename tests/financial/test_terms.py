@@ -10,7 +10,8 @@ from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 class TestFinancialTerms:
     def test_passthrough_defaults(self):
         terms = FinancialTerms()
-        assert terms.is_passthrough
+        assert (terms.retention, terms.limit, terms.share, terms.fx_rate) == (
+            0.0, math.inf, 1.0, 1.0)
         assert terms.apply(123.4) == pytest.approx(123.4)
 
     def test_retention_subtracted(self):
@@ -54,7 +55,7 @@ class TestFinancialTerms:
 class TestLayerTerms:
     def test_passthrough_defaults(self):
         terms = LayerTerms()
-        assert terms.is_passthrough
+        assert terms == LayerTerms(0.0, math.inf, 0.0, math.inf)
         assert not terms.has_occurrence_terms
         assert not terms.has_aggregate_terms
 
@@ -70,10 +71,6 @@ class TestLayerTerms:
         assert terms.apply_aggregate(400.0) == 0.0
         assert terms.apply_aggregate(900.0) == pytest.approx(400.0)
         assert terms.apply_aggregate(5000.0) == pytest.approx(1000.0)
-
-    def test_max_annual_recovery(self):
-        assert LayerTerms(aggregate_limit=750.0).max_annual_recovery() == 750.0
-        assert math.isinf(LayerTerms().max_annual_recovery())
 
     def test_flags(self):
         assert LayerTerms(occurrence_retention=1.0).has_occurrence_terms

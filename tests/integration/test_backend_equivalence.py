@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
+from tests.conftest import compare_backends
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def test_year_losses_nonzero_somewhere(reference):
 
 
 def test_compare_backends_helper_on_realistic_workload(workload):
-    results = AggregateRiskEngine.compare_backends(
+    results = compare_backends(
         workload.program, workload.yet,
         backends=("vectorized", "chunked", "multicore"),
         base_config=EngineConfig(n_workers=2),

@@ -219,3 +219,5 @@ class TestBatchedValidation:
                 UncertainLayer([small], LayerTerms()),
                 UncertainLayer([big], LayerTerms()),
             ])
+        with pytest.raises(ValueError, match="at least one uncertain layer"):
+            SecondaryUncertaintyAnalysis([])

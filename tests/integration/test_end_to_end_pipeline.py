@@ -88,7 +88,7 @@ class TestPipeline:
         pricing = price_layer(program[0], result.ylt.layer(0))
         assert pricing.technical_premium > pricing.expected_loss > 0
         rollup = portfolio_rollup(result.ylt, program)
-        assert rollup.portfolio_aal == pytest.approx(
+        assert rollup.portfolio_metrics.aal == pytest.approx(
             sum(m.aal for m in rollup.layer_metrics.values()), rel=1e-9
         )
         assert 0.0 <= rollup.diversification_benefit <= 1.0

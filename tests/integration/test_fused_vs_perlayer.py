@@ -21,6 +21,7 @@ from repro.portfolio.layer import Layer
 from repro.portfolio.program import ReinsuranceProgram
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.yet.table import YearEventTable
+from tests.conftest import compare_backends
 
 RTOL = 1e-9
 
@@ -98,7 +99,7 @@ def test_fused_matches_sequential_reference(workload, sequential_reference, back
 
 def test_compare_backends_over_fused_path_all_five_backends(workload):
     """Acceptance: compare_backends extended over the fused path, all 5 backends."""
-    results = AggregateRiskEngine.compare_backends(
+    results = compare_backends(
         workload.program,
         workload.yet,
         backends=BACKEND_NAMES,

@@ -282,7 +282,7 @@ class TestOutOfCore:
             ranges = reader.shard_ranges(9)
             assert ranges[0].start == 0 and ranges[-1].stop == workload.yet.n_trials
             covered = 0
-            for trials, shard_yet in reader.iter_shards(9):
-                assert shard_yet.n_trials == trials.size
+            for trials in ranges:
+                assert reader.shard(trials).n_trials == trials.size
                 covered += trials.size
             assert covered == workload.yet.n_trials

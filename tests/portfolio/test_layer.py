@@ -25,7 +25,7 @@ class TestLayer:
         assert layer.n_records == 20
 
     def test_default_terms_passthrough(self):
-        assert Layer(make_elts()).terms.is_passthrough
+        assert Layer(make_elts()).terms == LayerTerms()
 
     def test_contract_kind(self):
         layer = Layer(make_elts(), LayerTerms(occurrence_retention=10.0, occurrence_limit=100.0))
@@ -34,12 +34,6 @@ class TestLayer:
     def test_loss_matrix_cached(self):
         layer = Layer(make_elts())
         assert layer.loss_matrix() is layer.loss_matrix()
-
-    def test_invalidate_cache(self):
-        layer = Layer(make_elts())
-        first = layer.loss_matrix()
-        layer.invalidate_cache()
-        assert layer.loss_matrix() is not first
 
     def test_with_terms_shares_matrix(self):
         layer = Layer(make_elts(), name="original", premium=100.0)
@@ -60,11 +54,6 @@ class TestLayer:
     def test_with_terms_new_name(self):
         clone = Layer(make_elts(), name="a").with_terms(LayerTerms(), name="b")
         assert clone.name == "b"
-
-    def test_expected_ground_up_loss(self):
-        elts = make_elts(2)
-        expected = sum(float(elt.losses.sum()) for elt in elts)
-        assert Layer(elts).expected_ground_up_loss() == pytest.approx(expected)
 
     def test_requires_elts(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro.financial.terms import LayerTerms
 from repro.portfolio.layer import Layer
 from repro.portfolio.pricing import (
     batch_quote,
-    loss_ratio,
     price_layer,
     price_program,
     rate_on_line,
@@ -32,15 +31,6 @@ class TestRateOnLine:
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             rate_on_line(1.0, 0.0)
-
-
-class TestLossRatio:
-    def test_basic(self):
-        assert loss_ratio(50.0, 200.0) == pytest.approx(0.25)
-
-    def test_zero_premium_rejected(self):
-        with pytest.raises(ValueError):
-            loss_ratio(50.0, 0.0)
 
 
 class TestPriceLayer:

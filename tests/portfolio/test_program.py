@@ -45,11 +45,6 @@ class TestReinsuranceProgram:
     def test_layer_names(self):
         assert make_program().layer_names == ("occ", "agg", "both")
 
-    def test_layer_by_name(self):
-        assert make_program().layer_by_name("agg").name == "agg"
-        with pytest.raises(KeyError):
-            make_program().layer_by_name("missing")
-
     def test_total_premium(self):
         assert make_program().total_premium == pytest.approx(150.0)
 

@@ -33,7 +33,7 @@ class TestPortfolioRollup:
         ylt = make_ylt()
         result = portfolio_rollup(ylt)
         layer_aal_sum = sum(m.aal for m in result.layer_metrics.values())
-        assert result.portfolio_aal == pytest.approx(layer_aal_sum, rel=1e-9)
+        assert result.portfolio_metrics.aal == pytest.approx(layer_aal_sum, rel=1e-9)
 
     def test_diversification_benefit_positive_for_independent_layers(self):
         result = portfolio_rollup(make_ylt())

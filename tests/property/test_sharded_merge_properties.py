@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.config import BACKEND_NAMES, EngineConfig
 from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import PlanBuilder
-from repro.core.results import MetricState, ResultAccumulator
+from repro.core.results import ResultAccumulator
 from repro.elt.table import EventLossTable
 from repro.financial.terms import FinancialTerms, LayerTerms
 from repro.portfolio.layer import Layer
@@ -141,49 +141,3 @@ class TestShardedMergeExactness:
             right.add_result(result, trials)
         left.merge(right)
         _assert_bit_identical(left.to_ylt(), monolithic.ylt)
-
-    @given(sharded_case())
-    @settings(max_examples=30, deadline=None)
-    def test_metric_state_matches_direct_computation(self, case):
-        """The mergeable state equals statistics of the monolithic table."""
-        program, yet, n_shards = case
-        engine = AggregateRiskEngine(EngineConfig(backend="vectorized"))
-        plan = PlanBuilder.from_program(program, yet)
-        monolithic = engine.run_plan(plan)
-
-        accumulator = ResultAccumulator.for_plan(plan)
-        for shard_plan in plan.shard(n_shards):
-            accumulator.add_result(engine.run_plan(shard_plan))
-        state = accumulator.metric_state()
-        assert state.n_trials == yet.n_trials
-        np.testing.assert_allclose(
-            state.mean(), monolithic.ylt.losses.mean(axis=1), rtol=1e-12
-        )
-        np.testing.assert_array_equal(
-            state.max_loss, monolithic.ylt.losses.max(axis=1)
-        )
-        if yet.n_trials > 1:
-            np.testing.assert_allclose(
-                state.std(), monolithic.ylt.losses.std(axis=1, ddof=1),
-                rtol=1e-9, atol=1e-9,
-            )
-
-    @given(sharded_case())
-    @settings(max_examples=20, deadline=None)
-    def test_metric_state_merge_is_associative_enough(self, case):
-        """Pairwise-merged per-shard states equal the accumulated state."""
-        program, yet, n_shards = case
-        engine = AggregateRiskEngine(EngineConfig(backend="vectorized"))
-        plan = PlanBuilder.from_program(program, yet)
-        states = [
-            MetricState.from_losses(engine.run_plan(shard_plan).ylt.losses)
-            for shard_plan in plan.shard(n_shards)
-        ]
-        merged = states[0]
-        for state in states[1:]:
-            merged = merged.merge(state)
-        assert merged.n_trials == yet.n_trials
-        monolithic = engine.run_plan(plan)
-        np.testing.assert_array_equal(
-            merged.max_loss, monolithic.ylt.losses.max(axis=1)
-        )

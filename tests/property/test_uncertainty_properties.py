@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.elt.combined import LayerLossMatrix
+from repro.elt.combined import LayerLossMatrix, sum_elt_rows
 from repro.elt.table import EventLossTable
 from repro.financial.policies import apply_financial_terms_matrix
 from repro.financial.terms import FinancialTerms, LayerTerms
@@ -260,7 +260,7 @@ class TestCombinedNetRowIsTheDenseReduction:
         in_elt_order = 0.0  # the summation-order contract: left to right over ELTs
         for row in dense[:, ids]:
             in_elt_order = in_elt_order + row
-        assert matrix.ground_up_event_losses(ids).tobytes() == in_elt_order.tobytes()
+        assert sum_elt_rows(matrix.gather(ids)).tobytes() == in_elt_order.tobytes()
         for index in range(len(elts)):
             np.testing.assert_array_equal(matrix.row(index), dense[index])
             assert not matrix.row(index).flags.writeable

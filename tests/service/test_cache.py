@@ -1,6 +1,5 @@
 """Tests for the content digests and the PlanCache LRU."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
@@ -12,8 +11,6 @@ from repro.service.digests import (
     PLAN_RELEVANT_CONFIG_FIELDS,
     config_digest,
     program_digest,
-    stack_digest,
-    terms_digest,
     yet_digest,
 )
 
@@ -83,14 +80,6 @@ class TestDigests:
         config = EngineConfig()
         for name in PLAN_RELEVANT_CONFIG_FIELDS:
             getattr(config, name)
-
-    def test_stack_and_terms_digests(self):
-        stack = np.arange(12, dtype=np.float64).reshape(3, 4)
-        assert stack_digest(stack) == stack_digest(stack.copy())
-        assert stack_digest(stack) != stack_digest(stack * 2)
-        terms = [LayerTerms(), LayerTerms(occurrence_retention=5.0)]
-        assert terms_digest(terms) == terms_digest(list(terms))
-        assert terms_digest(terms) != terms_digest(terms[:1])
 
 
 class TestPlanCache:

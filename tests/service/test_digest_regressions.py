@@ -34,7 +34,6 @@ from repro.portfolio.program import ReinsuranceProgram
 from repro.service.digests import (
     _hexdigest,
     array_digest,
-    elt_digest,
     layer_digest,
     program_digest,
     yet_digest,
@@ -149,9 +148,9 @@ class TestDigestValuesArePinned:
         terms = LayerTerms(occurrence_retention=1.0, occurrence_limit=20.0,
                            aggregate_retention=0.5, aggregate_limit=40.0)
         program = ReinsuranceProgram([Layer([elt, empty], terms, name="L")], name="P")
-        assert elt_digest(elt) == (
+        assert elt.digest == (
             "329cb4184c02572c1c5f3eb559ffa4dcbb86f8b82623d13abdc8864d65be0277")
-        assert elt_digest(empty) == (
+        assert empty.digest == (
             "bbac2bc2471572ca53808974835f5f9f57711d5a92001c5b08f06a93500d5d5e")
         assert program_digest(program) == (
             "00618a26bddef70ed47a990067422dbe5866ccb5faef26ccae4cee802f39dc1c")
@@ -228,36 +227,6 @@ class TestWarmRequestsFrameNothing:
         assert second.result_cache["status"] == "exact"
         assert framed == []
         assert np.array_equal(first.result.ylt.losses, second.result.ylt.losses)
-
-    def test_registered_stack_is_a_frozen_snapshot(self, tiny_workload, monkeypatch):
-        program = tiny_workload.program
-        stack = np.stack([layer.loss_matrix().combined_net_losses() for layer in program])
-        terms = [layer.terms for layer in program.layers]
-        service = RiskService()
-        service.register_yet("yet", tiny_workload.yet)
-        service.register_stack("rows", stack, terms)
-        request = {"kind": "run_stacked", "stack": "rows", "yet": "yet"}
-        stack *= 2.0  # the caller keeps writing to its own array
-
-        framed = []
-        real = digest_module.hexdigest
-
-        def spy(parts):
-            parts = tuple(parts)
-            framed.append(parts[0])
-            return real(parts)
-
-        monkeypatch.setattr(digest_module, "hexdigest", spy)
-        monkeypatch.setattr(digests, "_hexdigest", spy)
-        try:
-            served = service.submit(dict(request))
-        finally:
-            service.close()
-        direct = AggregateRiskEngine(EngineConfig()).run_stacked(
-            stack / 2.0, terms, tiny_workload.yet
-        )
-        np.testing.assert_array_equal(served.result.ylt.losses, direct.ylt.losses)
-        assert framed == []  # stack and terms were digested at registration
 
     def test_memoised_digest_is_the_content_digest(self, tiny_workload):
         layer = tiny_workload.program.layers[0]

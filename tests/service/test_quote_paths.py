@@ -319,4 +319,4 @@ class TestUncertaintyBands:
             np.testing.assert_array_equal(batched.bands[name].values, band.values)
             np.testing.assert_array_equal(blocked.bands[name].values, band.values)
         assert_quotes_equal(batched.quotes[0], replay.quotes[0])
-        assert batched.quotes[0].has_uncertainty
+        assert batched.quotes[0].uncertainty

@@ -1,10 +1,12 @@
 """Tests for the AnalysisRequest schema: round-trips and validation."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.service.request import (
+    _FIELD_TYPES,
     REQUEST_KINDS,
     AnalysisRequest,
     RequestValidationError,
@@ -34,8 +36,7 @@ class TestRoundTrip:
         request = AnalysisRequest(
             kind="run_many", programs=("a", "b"), yet="y", shards=2
         ).validate()
-        document = request.to_json()
-        json.loads(document)  # well-formed
+        document = json.dumps(request.to_dict())
         assert AnalysisRequest.from_json(document) == request
 
     def test_to_dict_is_json_compatible(self):
@@ -85,15 +86,13 @@ class TestValidation:
                 kind="run_many", program="a", variants=2, programs=("b",)
             ).validate()
 
-    def test_run_stacked_requires_stack_and_yet(self):
-        with pytest.raises(RequestValidationError, match="requires a stack"):
-            AnalysisRequest(kind="run_stacked").validate()
-        with pytest.raises(RequestValidationError, match="explicit YET"):
-            AnalysisRequest(kind="run_stacked", stack="s").validate()
-
-    def test_stack_rejected_on_other_kinds(self):
-        with pytest.raises(RequestValidationError, match="does not take a stack"):
-            AnalysisRequest(kind="run", program="a", stack="s").validate()
+    def test_stack_is_not_a_field(self):
+        """``run_stacked`` is not a request kind, so nothing takes a stack."""
+        assert "run_stacked" not in REQUEST_KINDS
+        with pytest.raises(RequestValidationError, match="unknown fields"):
+            AnalysisRequest.from_dict({"kind": "run", "program": "a", "stack": "s"})
+        with pytest.raises(RequestValidationError, match="unknown kind"):
+            AnalysisRequest.from_dict({"kind": "run_stacked", "yet": "y"})
 
     @pytest.mark.parametrize(
         "overrides,match",
@@ -112,12 +111,9 @@ class TestValidation:
         with pytest.raises(RequestValidationError, match=match):
             AnalysisRequest(kind="uncertainty", program="a", **overrides).validate()
 
-    @pytest.mark.parametrize("kind", ["run_stacked", "uncertainty"])
-    def test_workers_rejected_on_stacked_and_uncertainty(self, kind):
+    def test_workers_rejected_on_uncertainty(self):
         with pytest.raises(RequestValidationError, match="does not support distributed"):
-            AnalysisRequest(
-                kind=kind, program="a", stack="s", yet="y", workers=("h:1",)
-            ).validate()
+            AnalysisRequest(kind="uncertainty", program="a", workers=("h:1",)).validate()
 
     @pytest.mark.parametrize("kind", ["run_many", "sweep"])
     def test_workers_accepted_on_many_program_kinds(self, kind):
@@ -138,7 +134,7 @@ class TestValidation:
             kind="run", program="a", workers=("10.0.0.1:7001", "10.0.0.2:7001")
         ).validate()
         assert AnalysisRequest.from_dict(request.to_dict()) == request
-        assert AnalysisRequest.from_json(request.to_json()).workers == request.workers
+        assert AnalysisRequest.from_json(json.dumps(request.to_dict())).workers == request.workers
 
     def test_validation_error_names_field(self):
         with pytest.raises(RequestValidationError) as excinfo:
@@ -156,3 +152,72 @@ class TestValidation:
     def test_scalar_list_field_rejected(self):
         with pytest.raises(RequestValidationError, match="must be a list"):
             AnalysisRequest.from_dict({"kind": "run_many", "programs": "solo"})
+
+
+class TestMetricAxes:
+    """Axis values that cannot be a band: non-finite, under a year, or two
+    values whose ``:g`` band names collide (they would pool 2R values)."""
+
+    @pytest.mark.parametrize("field,values", [
+        ("return_periods", [100, 100]),
+        ("return_periods", [100.0000001, 100.0000002]),
+        ("return_periods", [float("nan")]),
+        ("return_periods", [float("inf")]),
+        ("return_periods", [0.5]),
+        ("tvar_levels", [0.99, 0.99]),
+        ("tvar_levels", [0.99, 0.990000001]),
+    ])
+    def test_rejected_naming_the_field(self, field, values):
+        payload = {"kind": "uncertainty", "program": "tiny", field: values}
+        with pytest.raises(RequestValidationError) as excinfo:
+            AnalysisRequest.from_dict(payload)
+        assert excinfo.value.field == field
+
+    def test_distinct_and_integral_values_accepted(self):
+        request = AnalysisRequest.from_dict({
+            "kind": "uncertainty", "program": "tiny",
+            "return_periods": [1, 100, 100.5], "tvar_levels": [0.99, 0.995],
+        })
+        assert request.return_periods == (1, 100, 100.5)
+
+
+class TestFieldTypes:
+    """Wire values of the wrong type are field errors, never a raw
+    ``TypeError`` and never a silently different request."""
+
+    def test_every_field_has_a_wire_type(self):
+        assert set(_FIELD_TYPES) == {each.name for each in fields(AnalysisRequest)}
+
+    @pytest.mark.parametrize("field,value", [
+        ("shards", "2"),
+        ("shards", 2.5),
+        ("replications", "4"),
+        ("variants", True),
+        ("quote", "no"),
+        ("result_cache", 1),
+        ("cv", "0.5"),
+        ("cv", False),
+        ("return_periods", ["a"]),
+        ("tvar_levels", [True]),
+        ("programs", ["a", 3]),
+        ("workers", "h:1"),
+        ("program", 7),
+        ("kind", 5),
+        ("seed", "abc"),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("tags", ["x"]),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        payload = {"kind": "run", "program": "tiny", field: value}
+        with pytest.raises(RequestValidationError) as excinfo:
+            AnalysisRequest.from_dict(payload)
+        assert excinfo.value.field == field
+
+    def test_json_numbers_and_nulls_accepted(self):
+        request = AnalysisRequest.from_dict({
+            "kind": "uncertainty", "program": "tiny", "yet": None, "seed": None,
+            "cv": 1, "return_periods": [100, 250.0], "replications": 3,
+        })
+        assert (request.cv, request.seed, request.yet) == (1, None, None)
+        assert AnalysisRequest.from_dict({"kind": "run", "program": "a", "seed": 0}).seed == 0

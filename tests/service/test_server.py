@@ -159,7 +159,10 @@ class TestPipelinedServing:
                     bad_schema = client.request({"kind": "run", "program": "nope", "id": 1})
                     assert bad_schema["error"]["type"] == "RequestValidationError"
                     assert bad_schema["id"] == 1
-                    # The connection is still serving after both errors.
+                    bad_type = client.request({"kind": "run", "program": "w", "shards": "2"})
+                    assert bad_type["error"]["type"] == "RequestValidationError"
+                    assert bad_type["error"]["field"] == "shards"
+                    # The connection is still serving after every error.
                     ok = client.request({"kind": "run", "program": "w"})
                     assert ok["kind"] == "run"
             assert service is not None

@@ -86,21 +86,6 @@ class TestDispatch:
             response.results[0].ylt.losses, response.results[1].ylt.losses
         )
 
-    def test_run_stacked_matches_engine(self, service, tiny_workload):
-        program = tiny_workload.program
-        stack = np.stack(
-            [layer.loss_matrix().combined_net_losses() for layer in program.layers]
-        )
-        terms = [layer.terms for layer in program.layers]
-        service.register_stack("rows", stack, terms)
-        response = service.submit(
-            {"kind": "run_stacked", "stack": "rows", "yet": "tiny"}
-        )
-        direct = AggregateRiskEngine(EngineConfig()).run_stacked(
-            stack, terms, tiny_workload.yet
-        )
-        np.testing.assert_array_equal(response.result.ylt.losses, direct.ylt.losses)
-
     def test_sweep_matches_run_many_quotes(self, service):
         swept = service.submit(
             {"kind": "sweep", "program": "tiny", "variants": 4, "max_rows_per_block": 4}
@@ -118,7 +103,7 @@ class TestDispatch:
             {"kind": "uncertainty", "program": "tiny", "replications": 4, "seed": 5}
         )
         assert "aal" in response.bands
-        assert response.quotes[0].has_uncertainty
+        assert response.quotes[0].uncertainty
         repeat = service.submit(
             {"kind": "uncertainty", "program": "tiny", "replications": 4, "seed": 5}
         )
@@ -174,9 +159,18 @@ class TestRegistryErrors:
         with pytest.raises(RequestValidationError, match="unknown program"):
             service.submit({"kind": "run", "program": "nope"})
 
-    def test_unknown_stack(self, service):
-        with pytest.raises(RequestValidationError, match="unknown stack"):
-            service.submit({"kind": "run_stacked", "stack": "nope", "yet": "tiny"})
+    def test_colliding_return_periods_rejected_before_sampling(self, service):
+        """``[100, 100]`` once pooled 2R values into one ``pml_100`` band."""
+        with pytest.raises(RequestValidationError) as excinfo:
+            service.submit({"kind": "uncertainty", "program": "tiny", "replications": 3,
+                            "return_periods": [100, 100], "seed": 1})
+        assert excinfo.value.field == "return_periods"
+
+    @pytest.mark.parametrize("field,value", [("shards", "2"), ("seed", -1), ("quote", "no")])
+    def test_wrong_wire_type_names_the_field(self, service, field, value):
+        with pytest.raises(RequestValidationError) as excinfo:
+            service.submit({"kind": "run", "program": "tiny", field: value})
+        assert excinfo.value.field == field
 
     def test_unknown_yet(self, service):
         with pytest.raises(RequestValidationError, match="unknown YET"):

@@ -149,6 +149,14 @@ class TestCommands:
             "--backend", "sequential", "--method", "replay", "--seed", "1",
         ]) == 0
 
+    @pytest.mark.parametrize("periods", ["100,100", "100,100.0000001", "0.5", "inf"])
+    def test_uncertainty_rejects_return_periods_that_are_no_band(self, capsys, periods):
+        assert main([
+            "uncertainty", "--preset", "tiny", "--replications", "3",
+            "--return-periods", periods,
+        ]) == 2
+        assert "'return_periods'" in capsys.readouterr().err
+
     def test_uncertainty_lognormal_family(self, capsys):
         assert main([
             "uncertainty", "--preset", "tiny", "--replications", "3",

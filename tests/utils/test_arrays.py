@@ -7,7 +7,6 @@ from repro.utils.arrays import (
     as_float_array,
     as_int_array,
     cumulative_within_segments,
-    segment_ids_from_offsets,
     segment_lengths,
     segment_max,
     segment_max_2d,
@@ -61,11 +60,6 @@ class TestValidateOffsets:
 class TestSegmentReductions:
     def test_segment_lengths(self):
         np.testing.assert_array_equal(segment_lengths(np.array([0, 2, 2, 5])), [2, 0, 3])
-
-    def test_segment_ids(self):
-        np.testing.assert_array_equal(
-            segment_ids_from_offsets(np.array([0, 2, 5])), [0, 0, 1, 1, 1]
-        )
 
     def test_segment_sum_basic(self):
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])

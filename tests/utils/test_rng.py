@@ -128,13 +128,6 @@ class TestSeedSequenceFactory:
         streams = factory.rngs(["a", "b"])
         assert set(streams) == {"a", "b"}
 
-    def test_spawn_for_workers_independent_and_deterministic(self):
-        f1, f2 = SeedSequenceFactory(4), SeedSequenceFactory(4)
-        a = [r.random() for r in f1.spawn_for_workers("mc", 3)]
-        b = [r.random() for r in f2.spawn_for_workers("mc", 3)]
-        assert a == b
-        assert len(set(a)) == 3
-
     def test_generator_seed_supported(self):
         factory = SeedSequenceFactory(np.random.default_rng(5))
         assert isinstance(factory.rng("x"), np.random.Generator)

@@ -73,7 +73,8 @@ class TestYetStore:
         original = make_yet(False)
         store = save_yet_store(original, tmp_path / "store")
         with YetShardReader(store) as reader:
-            for trials, shard in reader.iter_shards(2):
+            for trials in reader.shard_ranges(2):
+                shard = reader.shard(trials)
                 expected = original.slice_trials(trials.start, trials.stop)
                 np.testing.assert_array_equal(shard.event_ids, expected.event_ids)
                 np.testing.assert_array_equal(

@@ -69,11 +69,12 @@ class TestTableShardSource:
         assert str(from_source.value) == str(from_reader.value)
         assert f"0 <= start <= stop <= {yet.n_trials}" in str(from_source.value)
 
-    def test_iter_shards_covers_the_table(self):
+    def test_shard_ranges_cover_the_table(self):
         source = TableShardSource(small_yet())
-        ranges = [trials for trials, _ in source.iter_shards(3)]
+        ranges = source.shard_ranges(3)
         assert ranges[0].start == 0
         assert ranges[-1].stop == source.n_trials
+        assert sum(source.shard(trials).n_trials for trials in ranges) == source.n_trials
 
     def test_closed_source_rejects_shards(self):
         source = TableShardSource(small_yet())

@@ -55,23 +55,11 @@ class TestTrialAccess:
 
     def test_trial_timestamps(self):
         yet = make_yet()
-        np.testing.assert_allclose(yet.trial_timestamps(3), [0.4, 0.9])
-
-    def test_trial_timestamps_default_zeros(self):
-        yet = YearEventTable.from_trials([[1, 2]], catalog_size=10)
-        np.testing.assert_allclose(yet.trial_timestamps(0), [0.0, 0.0])
-
-    def test_trial_records_tuples(self):
-        records = make_yet().trial_records(0)
-        assert records == [(1, 0.1), (2, 0.2), (3, 0.3)]
+        np.testing.assert_allclose(yet.timestamps[yet.trial_offsets[3]:], [0.4, 0.9])
 
     def test_trial_out_of_range(self):
         with pytest.raises(IndexError):
             make_yet().trial(4)
-
-    def test_iter_trials(self):
-        indices = [i for i, _ in make_yet().iter_trials()]
-        assert indices == [0, 1, 2, 3]
 
 
 class TestSlicing:
@@ -84,7 +72,7 @@ class TestSlicing:
 
     def test_slice_trials_timestamps(self):
         sliced = make_yet().slice_trials(3, 4)
-        np.testing.assert_allclose(sliced.trial_timestamps(0), [0.4, 0.9])
+        np.testing.assert_allclose(sliced.timestamps, [0.4, 0.9])
 
     def test_slice_invalid_range(self):
         with pytest.raises(IndexError):

@@ -79,33 +79,3 @@ class TestEmpiricalCurves:
         curve = aep_curve(np.arange(1.0, 11.0))
         with pytest.raises(ValueError):
             curve.loss_at_return_period(0.0)
-
-
-class TestCurvesFromBlocks:
-    def test_aep_from_blocks_identical(self):
-        from repro.ylt.ep_curve import aep_curve, aep_curve_from_blocks
-
-        rng = np.random.default_rng(13)
-        losses = rng.uniform(0.0, 1e6, size=150)
-        whole = aep_curve(losses)
-        blocked = aep_curve_from_blocks([losses[:40], losses[40:]])
-        np.testing.assert_array_equal(blocked.losses, whole.losses)
-        np.testing.assert_array_equal(
-            blocked.exceedance_probabilities, whole.exceedance_probabilities
-        )
-
-    def test_oep_from_blocks_identical(self):
-        from repro.ylt.ep_curve import oep_curve, oep_curve_from_blocks
-
-        rng = np.random.default_rng(17)
-        occ = rng.uniform(0.0, 1e5, size=90)
-        whole = oep_curve(occ, max_points=32)
-        blocked = oep_curve_from_blocks([occ[:10], occ[10:55], occ[55:]], max_points=32)
-        np.testing.assert_array_equal(blocked.losses, whole.losses)
-        assert blocked.kind == "OEP"
-
-    def test_empty_blocks_rejected(self):
-        from repro.ylt.ep_curve import aep_curve_from_blocks
-
-        with pytest.raises(ValueError, match="at least one block"):
-            aep_curve_from_blocks([])

@@ -10,7 +10,6 @@ from repro.ylt.metrics import (
     compute_risk_metrics_batch,
     layer_metrics,
     pml,
-    portfolio_ep_curve,
     tvar,
     value_at_risk,
 )
@@ -72,12 +71,6 @@ class TestComputeRiskMetrics:
         metrics = compute_risk_metrics(losses)
         assert metrics.max_loss == 10.0
         assert metrics.std == pytest.approx(np.std(losses, ddof=1))
-
-    def test_accessors(self):
-        losses = np.arange(1.0, 101.0)
-        metrics = compute_risk_metrics(losses, return_periods=(50.0,), tvar_levels=(0.9,))
-        assert metrics.pml_at(50.0) == metrics.pml[50.0]
-        assert metrics.tvar_at(0.9) == metrics.tvar[0.9]
 
     def test_single_trial_std_zero(self):
         metrics = compute_risk_metrics(np.array([5.0]))
@@ -156,36 +149,5 @@ class TestYLTHelpers:
         ylt = YearLossTable(losses, ["a", "b", "c", "d"])
         metrics = layer_metrics(ylt)
         assert quantile_calls == [1]
-        for name, row in ylt.iter_layers():
+        for name, row in zip(ylt.layer_names, ylt.losses):
             assert metrics[name] == compute_risk_metrics(row)
-
-    def test_portfolio_ep_curve(self):
-        ylt = YearLossTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        curve = portfolio_ep_curve(ylt)
-        assert curve.kind == "AEP"
-        assert curve.n_points == 2
-
-
-class TestMetricsFromBlocks:
-    def test_identical_to_monolithic_vector(self):
-        from repro.ylt.metrics import compute_risk_metrics_from_blocks
-
-        rng = np.random.default_rng(11)
-        losses = rng.uniform(0.0, 1e6, size=200)
-        whole = compute_risk_metrics(losses)
-        blocked = compute_risk_metrics_from_blocks(
-            [losses[:70], losses[70:71], losses[71:]]
-        )
-        assert blocked == whole
-
-    def test_single_block_shortcut(self):
-        from repro.ylt.metrics import compute_risk_metrics_from_blocks
-
-        losses = np.array([1.0, 5.0, 3.0])
-        assert compute_risk_metrics_from_blocks([losses]) == compute_risk_metrics(losses)
-
-    def test_no_blocks_rejected(self):
-        from repro.ylt.metrics import compute_risk_metrics_from_blocks
-
-        with pytest.raises(ValueError, match="at least one block"):
-            compute_risk_metrics_from_blocks([])

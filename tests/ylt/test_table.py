@@ -59,21 +59,6 @@ class TestAccess:
         with pytest.raises(IndexError):
             make_ylt().layer(5)
 
-    def test_layer_max_occurrence(self):
-        np.testing.assert_allclose(make_ylt().layer_max_occurrence("cat-xl"), [1.0, 1.5, 2.0])
-
-    def test_max_occurrence_missing_raises(self):
-        ylt = YearLossTable(np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            ylt.layer_max_occurrence(0)
-
-    def test_iter_layers(self):
-        names = [name for name, _ in make_ylt().iter_layers()]
-        assert names == ["cat-xl", "stop-loss"]
-
-    def test_as_dict(self):
-        assert set(make_ylt().as_dict()) == {"cat-xl", "stop-loss"}
-
 
 class TestAggregation:
     def test_portfolio_losses(self):
@@ -83,20 +68,15 @@ class TestAggregation:
         np.testing.assert_allclose(make_ylt().portfolio_max_occurrence(), [9.0, 1.5, 6.0])
 
     def test_merged_with(self):
-        merged = make_ylt().merged_with(YearLossTable.single_layer(np.array([7.0, 7.0, 7.0]), "extra"))
+        merged = make_ylt().merged_with(YearLossTable(np.array([[7.0, 7.0, 7.0]]), ["extra"]))
         assert merged.n_layers == 3
         assert merged.layer_names[-1] == "extra"
         np.testing.assert_allclose(merged.portfolio_losses(), [18.0, 9.0, 15.0])
 
     def test_merged_requires_same_trials(self):
         with pytest.raises(ValueError):
-            make_ylt().merged_with(YearLossTable.single_layer(np.array([1.0])))
+            make_ylt().merged_with(YearLossTable(np.array([[1.0]])))
 
     def test_merged_drops_occurrence_if_missing(self):
-        merged = make_ylt().merged_with(YearLossTable.single_layer(np.array([1.0, 1.0, 1.0])))
+        merged = make_ylt().merged_with(YearLossTable(np.array([[1.0, 1.0, 1.0]])))
         assert merged.max_occurrence_losses is None
-
-    def test_single_layer_constructor(self):
-        ylt = YearLossTable.single_layer(np.array([1.0, 2.0]), "solo", np.array([0.5, 1.0]))
-        assert ylt.n_layers == 1
-        np.testing.assert_allclose(ylt.layer_max_occurrence("solo"), [0.5, 1.0])
