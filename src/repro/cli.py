@@ -407,11 +407,17 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_metrics(args: argparse.Namespace) -> int:
+    return_periods = tuple(float(x) for x in args.return_periods.split(",") if x)
+    request = AnalysisRequest(kind="run", program=args.preset, return_periods=return_periods)
+    try:
+        request.validate()
+    except RequestValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workload = _build_workload(args)
     service = _build_service(args, workload)
-    response = service.submit(AnalysisRequest(kind="run", program=args.preset))
+    response = service.submit(request)
     result = response.result
-    return_periods = tuple(float(x) for x in args.return_periods.split(",") if x)
     metrics = compute_risk_metrics(result.ylt.portfolio_losses(), return_periods=return_periods)
     print(f"workload : {workload.summary()}")
     print(f"result   : {result.summary()}")

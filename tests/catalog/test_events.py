@@ -84,6 +84,35 @@ class TestEventCatalog:
                 intensities=np.ones(3),
             )
 
+    def test_peril_codes_outside_the_peril_order_rejected(self):
+        with pytest.raises(ValueError, match="peril codes"):
+            EventCatalog(
+                perils=np.array([0, 2], dtype=np.int16),
+                annual_rates=np.ones(2),
+                mean_severities=np.ones(2),
+                intensities=np.ones(2),
+                peril_order=(Peril.FLOOD, Peril.HURRICANE),
+            )
+
+    def test_negative_severities_rejected(self):
+        with pytest.raises(ValueError, match="mean_severities"):
+            EventCatalog(
+                perils=np.zeros(2, dtype=np.int16),
+                annual_rates=np.ones(2),
+                mean_severities=np.array([1.0, -1.0]),
+                intensities=np.ones(2),
+            )
+
+    def test_empty_catalog_has_no_occurrence_probabilities(self):
+        empty = EventCatalog(
+            perils=np.zeros(0, dtype=np.int16),
+            annual_rates=np.zeros(0),
+            mean_severities=np.zeros(0),
+            intensities=np.zeros(0),
+        )
+        with pytest.raises(ValueError, match="zero total annual rate"):
+            empty.occurrence_probabilities()
+
     def test_non_positive_rates_rejected(self):
         with pytest.raises(ValueError):
             EventCatalog(

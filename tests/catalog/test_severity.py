@@ -1,5 +1,7 @@
 """Tests for repro.catalog.severity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,11 @@ class TestLognormalSeverity:
     def test_samples_positive(self):
         samples = LognormalSeverity(1e5, 2.0).sample(1000, rng=3)
         assert (samples > 0).all()
+
+    def test_log_space_parameters_reproduce_the_moments(self):
+        model = LognormalSeverity(mean_loss=2000.0, cv_loss=0.7)
+        assert math.exp(model.mu + model.sigma**2 / 2) == pytest.approx(2000.0)
+        assert math.sqrt(math.expm1(model.sigma**2)) == pytest.approx(0.7)
 
     def test_std_property(self):
         model = LognormalSeverity(1000.0, 0.5)

@@ -73,6 +73,49 @@ class TestLayerTrialLosses:
         )
 
 
+class TestPerLayerTrialLosses:
+    def test_one_kernel_call_per_row(self, matrix):
+        event_ids = np.array([1, 2, 4, 3, 3])
+        offsets = np.array([0, 3, 5])
+        terms = [LayerTerms(occurrence_retention=10.0), LayerTerms(aggregate_limit=200.0)]
+        losses, max_occ = kernels.per_layer_trial_losses(
+            layer_trial_losses, [matrix, matrix], terms, event_ids, offsets
+        )
+        assert losses.shape == max_occ.shape == (2, 2)
+        for row, layer_terms in enumerate(terms):
+            year, trial_max = layer_trial_losses(matrix, event_ids, offsets, layer_terms)
+            np.testing.assert_array_equal(losses[row], year)
+            np.testing.assert_array_equal(max_occ[row], trial_max)
+
+    def test_max_occurrence_optional(self, matrix):
+        losses, max_occ = kernels.per_layer_trial_losses(
+            layer_trial_losses, [matrix], [LayerTerms()], np.array([1]), np.array([0, 1]),
+            record_max_occurrence=False,
+        )
+        np.testing.assert_allclose(losses, [[50.0]])
+        assert max_occ is None
+
+
+class TestBuildLayerLossStack:
+    def test_rows_are_the_combined_net_rows(self, matrix):
+        other = LayerLossMatrix([EventLossTable(np.array([0, 9]), np.array([7.0, 8.0]), 10)])
+        timer = PhaseTimer()
+        stack = kernels.build_layer_loss_stack([matrix, other], timer)
+        assert stack.shape == (2, 10) and stack.dtype == np.float64
+        np.testing.assert_array_equal(stack[0], matrix.combined_net_losses())
+        np.testing.assert_array_equal(stack[1], other.combined_net_losses())
+        assert timer.count(PHASE_FINANCIAL_TERMS) == 1
+
+    def test_no_matrices_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            kernels.build_layer_loss_stack([])
+
+    def test_mixed_catalog_sizes_rejected(self, matrix):
+        other = LayerLossMatrix([EventLossTable(np.array([0]), np.array([1.0]), 12)])
+        with pytest.raises(ValueError, match="one catalog size"):
+            kernels.build_layer_loss_stack([matrix, other])
+
+
 class TestChunkedKernel:
     @pytest.mark.parametrize("chunk_events", [1, 3, 7, 64, 1000])
     def test_chunking_invariant_to_chunk_size(self, matrix, chunk_events):

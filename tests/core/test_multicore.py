@@ -140,3 +140,38 @@ class TestTransportRule:
 
 def test_available_cores_positive():
     assert available_cores() >= 1
+
+
+@pytest.mark.usefixtures("publish_under_fork")
+class TestWorkspaceRetention:
+    """A warm engine keeps a plan's segments published until told to let go."""
+
+    def _warm_engine(self):
+        engine = AggregateRiskEngine(EngineConfig(backend="multicore", n_workers=2))
+        engine.retain_shared_workspaces()
+        return engine
+
+    def test_release_unlinks_segments_of_a_live_plan(self, tiny_workload):
+        before = _shm_entries()
+        engine = self._warm_engine()
+        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
+        cold, warm = engine.run_plan(plan), engine.run_plan(plan)
+        assert cold.details["shared_memory"] is True
+        assert (cold.details["workspace_reused"], warm.details["workspace_reused"]) == (
+            False, True)
+        assert _shm_entries() - before
+        engine.release_workspaces()
+        assert _shm_entries() - before == set()
+        assert engine.run_plan(plan).details["workspace_reused"] is False
+        engine.close()
+        assert _shm_entries() - before == set()
+
+    def test_disabling_retention_releases(self, tiny_workload):
+        before = _shm_entries()
+        engine = self._warm_engine()
+        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
+        engine.run_plan(plan)
+        engine.retain_shared_workspaces(False)
+        assert _shm_entries() - before == set()
+        assert engine.run_plan(plan).details["workspace_reused"] is False
+        assert _shm_entries() - before == set()

@@ -25,6 +25,7 @@ from repro.core.native.build import (
     ensure_built,
     find_compiler,
     library_path,
+    load_kernels,
     native_status,
     openmp_flags,
 )
@@ -182,6 +183,13 @@ class TestNativeStatus:
         assert status["compiler_version"]
         assert isinstance(status["openmp"], bool)
         assert "cache_dir" in status
+
+    @requires_compiler
+    def test_loaded_kernels_report_their_thread_count(self):
+        kernels = load_kernels()
+        assert kernels.max_threads() >= 1
+        if not kernels.openmp:
+            assert kernels.max_threads() == 1
 
 
 class TestFallbackEngine:

@@ -10,6 +10,7 @@ from repro.core.engine import AggregateRiskEngine
 from repro.core.plan import ExecutionPlan, PlanBuilder, PlanSegment
 from repro.elt.table import EventLossTable
 from repro.financial.terms import LayerTerms, LayerTermsVectors
+from repro.parallel.partitioner import TrialRange
 from repro.service.service import candidate_variants
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 from repro.ylt.table import YearLossTable
@@ -258,6 +259,37 @@ class TestExecutionPlanValidation:
                 stack=np.zeros((2, catalog)),
                 row_map=np.zeros(5, dtype=np.int64),
             )
+
+
+class TestRestrict:
+    def test_shard_shares_the_parent_stack(self, tiny_workload):
+        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
+        child = plan.restrict(TrialRange(2, 7))
+        assert (child.trials.start, child.trials.stop) == (2, 7)
+        assert child.n_trials == 5
+        assert child.stack() is plan.stack()
+
+    def test_range_outside_the_plan_rejected(self, tiny_workload):
+        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
+        child = plan.restrict(TrialRange(2, 7))
+        with pytest.raises(ValueError, match="outside the plan"):
+            child.restrict(TrialRange(0, 4))
+        with pytest.raises(ValueError, match="outside the plan"):
+            plan.restrict(TrialRange(0, tiny_workload.yet.n_trials + 1))
+
+    def test_stack_f32_is_the_cached_quantised_stack(self, tiny_workload):
+        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
+        quantised = plan.stack_f32()
+        assert quantised.dtype == np.float32
+        assert quantised.flags.c_contiguous
+        np.testing.assert_array_equal(quantised, plan.stack().astype(np.float32))
+        assert plan.stack_f32() is quantised
+
+    def test_shards_quantise_once(self, tiny_workload):
+        plan = PlanBuilder.from_program(tiny_workload.program, tiny_workload.yet)
+        shards = plan.shard(3)
+        assert len(shards) > 1
+        assert all(shard.stack_f32() is plan.stack_f32() for shard in shards)
 
 
 class TestSplitResult:

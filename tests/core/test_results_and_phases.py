@@ -151,6 +151,19 @@ class TestResultAccumulator:
         with pytest.raises(ValueError, match="rows"):
             acc.add(self._partial(4, 6, 2.0, n_rows=3))
 
+    def test_covered_trials_counts_accumulated_partials(self):
+        from repro.core.results import ResultAccumulator
+
+        acc = ResultAccumulator(2, 10)
+        assert acc.covered_trials == 0
+        acc.add(self._partial(6, 10, 1.0))
+        acc.add(self._partial(0, 3, 1.0))
+        assert acc.covered_trials == 7
+        assert not acc.is_complete
+        acc.add(self._partial(3, 6, 1.0))
+        assert acc.covered_trials == 10
+        assert acc.is_complete
+
     def test_overlap_error_names_endpoints_and_provenance(self):
         # A fleet diagnosing a double shard assignment needs the conflicting
         # endpoints AND where each block came from, in one message.

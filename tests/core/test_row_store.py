@@ -11,7 +11,7 @@ import pytest
 from repro.core import row_store
 from repro.core.config import EngineConfig
 from repro.core.engine import AggregateRiskEngine
-from repro.core.row_store import RowStore
+from repro.core.row_store import RowStore, gather_rows
 from repro.elt.table import EventLossTable
 from repro.service.service import RiskService, candidate_variants
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
@@ -198,3 +198,11 @@ def test_event_loss_table_columns_are_read_only(column):
     with pytest.raises(ValueError, match="read-only"):
         getattr(elt, column)[0] = 0
     source[0] = 2  # the caller's own array keeps its flags
+
+
+def test_gather_rows_equals_take_from_the_stacked_rows():
+    rng = np.random.default_rng(3)
+    rows = [rng.random(CATALOG) for _ in range(3)]
+    ids = rng.integers(0, CATALOG, 50)
+    gathered = gather_rows(rows, ids)
+    assert gathered.tobytes() == np.take(np.stack(rows), ids, axis=1).tobytes()

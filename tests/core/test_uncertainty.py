@@ -126,8 +126,21 @@ class TestBatchedAnalysis:
         assert set(summaries) == {"aal", "pml_2", "tvar_0.5"}
         assert all(s.values.size == 200 for s in summaries.values())
         assert summaries["aal"].std > 0.0
+
+    def test_replicated_mean_close_to_expected(self, setup):
+        layer, yet = setup
+        analysis = SecondaryUncertaintyAnalysis([layer])
+        summaries = analysis.run_batched(yet, 200, rng=6, return_periods=(2.0,))
         expected = analysis.expected_metrics(yet, return_periods=(2.0,))
         assert summaries["aal"].mean == pytest.approx(expected["aal"], rel=0.1)
+
+    def test_expected_layer_holds_the_mean_losses(self, setup):
+        layer, _ = setup
+        expected = layer.expected_layer()
+        assert (expected.name, expected.terms) == (layer.name, layer.terms)
+        for elt, uelt in zip(expected.elts, layer.elts):
+            np.testing.assert_array_equal(elt.losses, uelt.mean_losses)
+            np.testing.assert_array_equal(elt.event_ids, uelt.event_ids)
 
     @pytest.mark.parametrize("axes", [
         {"return_periods": (100.0, 100.0)},

@@ -25,6 +25,7 @@ from repro.distributed import (
     WorkerError,
     WorkerProcess,
 )
+from repro.distributed.fleet import format_address, parse_address
 from repro.service.request import AnalysisRequest
 from repro.service.service import RiskService
 from repro.yet.io import YetShardReader, save_yet_store
@@ -485,3 +486,22 @@ class TestServiceRoute:
         assert sent == []  # the repeat sends no shard
         for served, cold in zip(again.results, first.results):
             assert served.ylt.losses.tobytes() == cold.ylt.losses.tobytes()
+
+
+class TestWorkerAddresses:
+    def test_parse_splits_host_and_port(self):
+        assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
+
+    def test_parse_accepts_a_split_pair(self):
+        assert parse_address(("localhost", "9001")) == ("localhost", 9001)
+
+    def test_parse_splits_on_the_last_colon(self):
+        assert parse_address("::1:9002") == ("::1", 9002)
+
+    @pytest.mark.parametrize("address", ["localhost", ":9000"])
+    def test_parse_rejects_a_missing_host_or_port(self, address):
+        with pytest.raises(ValueError, match="HOST:PORT"):
+            parse_address(address)
+
+    def test_format_round_trips_through_parse(self):
+        assert format_address(*parse_address("example:8080")) == "example:8080"

@@ -70,6 +70,13 @@ class TestControlOps:
             client.request({"op": "frobnicate"})
         assert client.ping()["ok"] is True
 
+    def test_reconnect_opens_a_fresh_connection(self, client):
+        client.connect()
+        before = client._sock
+        assert client.reconnect() is client
+        assert client._sock is not before and before.fileno() == -1
+        assert client.ping()["ok"] is True
+
     def test_probe_worker_reachable(self, worker):
         report = probe_worker(worker.address)
         assert report == {"reachable": True, "worker": "proto-test"}

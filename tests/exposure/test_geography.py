@@ -15,6 +15,14 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region(0, 10.0, 10.0, 0.0, 5.0)
 
+    def test_degenerate_longitude_rejected(self):
+        with pytest.raises(ValueError, match="lon_max"):
+            Region(0, 0.0, 10.0, 5.0, 5.0)
+
+    def test_negative_region_id_rejected(self):
+        with pytest.raises(ValueError, match="region_id"):
+            Region(-1, 0.0, 10.0, 0.0, 10.0)
+
 
 class TestRegionGrid:
     def test_size(self):

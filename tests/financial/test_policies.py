@@ -9,8 +9,9 @@ from repro.financial.policies import (
     apply_financial_terms,
     apply_financial_terms_matrix,
     apply_occurrence_terms,
+    clip_aggregate_totals,
 )
-from repro.financial.terms import FinancialTerms, LayerTerms
+from repro.financial.terms import FinancialTerms, LayerTerms, LayerTermsVectors
 
 
 def layer_net_of_terms(per_event, offsets, terms):
@@ -136,3 +137,22 @@ class TestLayerNetOfTerms:
         np.testing.assert_allclose(
             layer_net_of_terms(per_event, offsets, LayerTerms()), [30.0, 5.0]
         )
+
+
+class TestClipAggregateTotals:
+    def test_each_row_takes_its_own_retention_and_limit(self):
+        vectors = LayerTermsVectors.from_terms([
+            LayerTerms(aggregate_retention=10.0, aggregate_limit=50.0),
+            LayerTerms(),
+        ])
+        totals = np.array([[5.0, 30.0, 100.0], [5.0, 30.0, 100.0]])
+        np.testing.assert_array_equal(
+            clip_aggregate_totals(totals, vectors), [[0.0, 20.0, 50.0], [5.0, 30.0, 100.0]]
+        )
+
+    def test_totals_not_modified(self):
+        vectors = LayerTermsVectors.from_terms([LayerTerms(aggregate_retention=1.0)])
+        totals = np.array([[3.0, 4.0]])
+        clipped = clip_aggregate_totals(totals, vectors)
+        np.testing.assert_array_equal(totals, [[3.0, 4.0]])
+        assert not np.shares_memory(clipped, totals)

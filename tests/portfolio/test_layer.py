@@ -5,7 +5,7 @@ import pytest
 
 from repro.elt.table import EventLossTable
 from repro.financial.terms import LayerTerms
-from repro.portfolio.layer import Layer
+from repro.portfolio.layer import Layer, terms_bytes
 
 
 def make_elts(n: int = 3, catalog_size: int = 50):
@@ -34,6 +34,16 @@ class TestLayer:
     def test_loss_matrix_cached(self):
         layer = Layer(make_elts())
         assert layer.loss_matrix() is layer.loss_matrix()
+
+    def test_terms_are_part_of_the_digest(self):
+        elts = make_elts()
+        base = Layer(elts, LayerTerms(occurrence_retention=10.0), name="l")
+        assert terms_bytes(base.terms) == terms_bytes(LayerTerms(occurrence_retention=10.0))
+        assert base.digest == Layer(elts, LayerTerms(occurrence_retention=10.0), name="l").digest
+        for changed in (LayerTerms(occurrence_retention=11.0), LayerTerms(occurrence_limit=5.0),
+                        LayerTerms(aggregate_retention=1.0), LayerTerms(aggregate_limit=5.0)):
+            assert terms_bytes(changed) != terms_bytes(base.terms)
+            assert base.with_terms(changed).digest != base.digest
 
     def test_with_terms_shares_matrix(self):
         layer = Layer(make_elts(), name="original", premium=100.0)

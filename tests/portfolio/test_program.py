@@ -52,6 +52,12 @@ class TestReinsuranceProgram:
         groups = make_program().group_by_contract_kind()
         assert set(groups) == {"per-occurrence XL", "aggregate XL", "combined XL"}
 
+    def test_group_by_arbitrary_key_keeps_layer_order(self):
+        program = make_program()
+        groups = program.group_by(lambda layer: "big" if layer.n_elts > 2 else "small")
+        assert [layer.name for layer in groups["small"]] == ["occ", "agg"]
+        assert [layer.name for layer in groups["big"]] == ["both"]
+
     def test_subset(self):
         subset = make_program().subset([0, 2], name="sub")
         assert subset.n_layers == 2

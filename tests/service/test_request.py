@@ -207,6 +207,11 @@ class TestFieldTypes:
         ("seed", 1.5),
         ("seed", -1),
         ("tags", ["x"]),
+        ("yet", 3),
+        ("max_rows_per_block", 1.5),
+        ("family", None),
+        ("method", ["batched"]),
+        ("replication_block", "8"),
     ])
     def test_wrong_type_names_the_field(self, field, value):
         payload = {"kind": "run", "program": "tiny", field: value}

@@ -124,6 +124,17 @@ class TestResultCacheUnit:
         stats = cache.stats
         assert (stats.exact_hits, stats.misses, stats.entries) == (1, 1, 1)
 
+    def test_entry_key_is_content_addressed(self):
+        key = ResultCache.entry_key("p", "y", "c", TrialRange(0, 4))
+        assert key == ResultCache.entry_key("p", "y", "c", TrialRange(0, 4))
+        assert len({
+            key,
+            ResultCache.entry_key("q", "y", "c", TrialRange(0, 4)),
+            ResultCache.entry_key("p", "z", "c", TrialRange(0, 4)),
+            ResultCache.entry_key("p", "y", "d", TrialRange(0, 4)),
+            ResultCache.entry_key("p", "y", "c", TrialRange(0, 5)),
+        }) == 5
+
     def test_append_match_exposes_only_the_gap(self):
         cache = ResultCache(maxsize=4)
         yet = self._yet(4)

@@ -162,6 +162,9 @@ class TestPipelinedServing:
                     bad_type = client.request({"kind": "run", "program": "w", "shards": "2"})
                     assert bad_type["error"]["type"] == "RequestValidationError"
                     assert bad_type["error"]["field"] == "shards"
+                    stacked = client.request({"kind": "run_stacked", "yet": "w", "id": 2})
+                    assert stacked["error"]["type"] == "RequestValidationError"
+                    assert stacked["error"]["field"] == "kind"
                     # The connection is still serving after every error.
                     ok = client.request({"kind": "run", "program": "w"})
                     assert ok["kind"] == "run"

@@ -13,6 +13,7 @@ from repro.portfolio.program import ReinsuranceProgram
 from repro.portfolio.pricing import batch_quote
 from repro.service import (
     AnalysisRequest,
+    AnalysisResponse,
     RequestValidationError,
     RiskService,
 )
@@ -51,6 +52,17 @@ class TestDispatch:
         assert response.kind == "run"
         assert response.backend == "vectorized"
         assert set(response.timings) >= {"lower", "execute", "total"}
+
+    def test_result_needs_a_single_result(self, service):
+        response = service.submit({"kind": "run_many", "program": "tiny", "variants": 2})
+        assert len(response.results) == 2
+        with pytest.raises(ValueError, match="index `results` directly"):
+            response.result
+
+    def test_total_seconds_is_the_total_timing(self, service):
+        response = service.submit({"kind": "run", "program": "tiny"})
+        assert response.total_seconds == response.timings["total"] > 0.0
+        assert AnalysisResponse(response.request, response.results).total_seconds == 0.0
 
     def test_accepts_request_dict_json_and_object(self, service):
         request = AnalysisRequest(kind="run", program="tiny")

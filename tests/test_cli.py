@@ -157,6 +157,11 @@ class TestCommands:
         ]) == 2
         assert "'return_periods'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("periods", ["0.5", "inf", "100,100"])
+    def test_metrics_rejects_return_periods_that_are_no_metric(self, capsys, periods):
+        assert main(["metrics", "--preset", "tiny", "--return-periods", periods]) == 2
+        assert "'return_periods'" in capsys.readouterr().err
+
     def test_uncertainty_lognormal_family(self, capsys):
         assert main([
             "uncertainty", "--preset", "tiny", "--replications", "3",

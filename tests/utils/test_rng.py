@@ -132,6 +132,15 @@ class TestSeedSequenceFactory:
         factory = SeedSequenceFactory(np.random.default_rng(5))
         assert isinstance(factory.rng("x"), np.random.Generator)
 
+    def test_entropy_is_the_root_seed(self):
+        assert SeedSequenceFactory(9).entropy == 9
+        assert SeedSequenceFactory(9).entropy != SeedSequenceFactory(10).entropy
+
+    def test_rng_draws_from_the_named_seed_sequence(self):
+        factory = SeedSequenceFactory(9)
+        direct = np.random.default_rng(factory.seed_sequence("yet")).random(4)
+        np.testing.assert_array_equal(factory.rng("yet").random(4), direct)
+
     def test_bad_seed_type_rejected(self):
         with pytest.raises(TypeError):
             SeedSequenceFactory(3.5)  # type: ignore[arg-type]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.utils.rng import SeedSequenceFactory
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 
@@ -63,6 +64,32 @@ class TestWorkloadGenerator:
         a = WorkloadGenerator(base.scaled(seed=1)).generate()
         b = WorkloadGenerator(base.scaled(seed=2)).generate()
         assert not np.array_equal(a.yet.event_ids, b.yet.event_ids)
+
+    def test_build_yet_alone_reproduces_the_generated_yet(self, workload):
+        """Each stage draws from its own named stream, so stages replay alone."""
+        generator = WorkloadGenerator(workload.spec)
+        seeds = SeedSequenceFactory(workload.spec.seed)
+        yet = generator.build_yet(workload.catalog, seeds)
+        np.testing.assert_array_equal(yet.event_ids, workload.yet.event_ids)
+        np.testing.assert_array_equal(yet.trial_offsets, workload.yet.trial_offsets)
+
+    def test_build_elts_alone_reproduces_the_generated_elts(self, workload):
+        generator = WorkloadGenerator(workload.spec)
+        elts = generator.build_elts(workload.catalog, SeedSequenceFactory(workload.spec.seed))
+        assert len(elts) == workload.spec.n_elts_total
+        for built, generated in zip(elts, workload.elts):
+            np.testing.assert_array_equal(built.event_ids, generated.event_ids)
+            np.testing.assert_array_equal(built.losses, generated.losses)
+
+    def test_build_layers_covers_the_given_elts_in_order(self, workload):
+        generator = WorkloadGenerator(workload.spec)
+        program = generator.build_layers(
+            workload.elts, SeedSequenceFactory(workload.spec.seed), workload.catalog
+        )
+        assert program.n_layers == workload.spec.n_layers
+        covered = [elt for layer in program for elt in layer.elts]
+        assert all(a is b for a, b in zip(covered, workload.elts))
+        assert len(covered) == len(workload.elts)
 
     def test_elts_reference_catalog(self, workload):
         for elt in workload.elts:

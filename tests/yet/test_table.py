@@ -61,6 +61,21 @@ class TestTrialAccess:
         with pytest.raises(IndexError):
             make_yet().trial(4)
 
+    def test_trial_window_rebases_offsets(self):
+        event_ids, offsets = make_yet().trial_window(1, 4)
+        np.testing.assert_array_equal(event_ids, [4, 5, 6])
+        np.testing.assert_array_equal(offsets, [0, 1, 1, 3])
+
+    def test_trial_window_is_a_view(self):
+        yet = make_yet()
+        event_ids, _ = yet.trial_window(0, 2)
+        assert np.shares_memory(event_ids, yet.event_ids)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 5)])
+    def test_trial_window_out_of_range(self, start, stop):
+        with pytest.raises(IndexError, match="invalid trial window"):
+            make_yet().trial_window(start, stop)
+
 
 class TestSlicing:
     def test_slice_trials_preserves_content(self):
